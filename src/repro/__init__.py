@@ -48,7 +48,7 @@ from repro.solvers import (
 )
 from repro.sparse import CSRMatrix, load_libsvm
 from repro.async_engine import CostModel
-from repro.cluster import ClusterCostModel, ClusterDriver
+from repro.cluster import ClusterDriver
 
 __version__ = "1.0.0"
 
@@ -96,5 +96,4 @@ __all__ = [
     "CostModel",
     # cluster (true multi-process execution)
     "ClusterDriver",
-    "ClusterCostModel",
 ]

@@ -12,12 +12,11 @@ library reproduces asynchrony at two levels:
   randomised schedule executed in blocks through the kernel backend's batch
   primitives, with the per-sample conflict/staleness accounting replayed
   exactly.  Selected per solver (``async_mode="batched"``) or process-wide
-  via ``REPRO_ASYNC_MODE`` (see :mod:`repro.async_engine.modes`); the
+  via ``REPRO_ASYNC_MODE`` (resolved by :mod:`repro.runtime`); the
   per-sample simulator remains the ground truth it is pinned against.
-* :mod:`repro.async_engine.threads` — a real ``threading``-based Hogwild
-  backend over a shared NumPy buffer, used to validate that the algorithms
-  are genuinely lock-free-safe (it produces correct models, just without
-  hardware speedup).
+
+Genuine lock-free concurrency runs on separate processes instead
+(``async_mode="process"``, :mod:`repro.cluster`).
 
 :mod:`repro.async_engine.cost_model` converts execution traces (counts of
 sparse/dense operations and conflicts) into simulated wall-clock seconds,
@@ -36,27 +35,11 @@ from repro.async_engine.staleness import (
 from repro.async_engine.worker import SimulatedWorker
 from repro.async_engine.events import EpochEvent, IterationEvent
 from repro.async_engine.simulator import AsyncSimulator, SimulationResult
-from repro.async_engine.batched import BatchedSimulator, BatchedUpdateRule
-from repro.async_engine.modes import (
-    ASYNC_MODE_ENV_VAR,
-    DEFAULT_ASYNC_MODE,
-    available_async_modes,
-    default_async_mode,
-    resolve_async_mode,
-    set_default_async_mode,
-)
-from repro.async_engine.threads import HogwildThreadPool, run_hogwild_threads
+from repro.async_engine.batched import BatchedSimulator
 from repro.async_engine.cost_model import CostModel, CostParameters
 
 __all__ = [
     "BatchedSimulator",
-    "BatchedUpdateRule",
-    "ASYNC_MODE_ENV_VAR",
-    "DEFAULT_ASYNC_MODE",
-    "available_async_modes",
-    "default_async_mode",
-    "resolve_async_mode",
-    "set_default_async_mode",
     "SharedModel",
     "UpdateRecord",
     "StalenessModel",
@@ -69,8 +52,6 @@ __all__ = [
     "IterationEvent",
     "AsyncSimulator",
     "SimulationResult",
-    "HogwildThreadPool",
-    "run_hogwild_threads",
     "CostModel",
     "CostParameters",
 ]

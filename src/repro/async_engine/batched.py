@@ -49,7 +49,7 @@ the ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from repro.async_engine.staleness import StalenessModel, UniformDelay
 from repro.async_engine.worker import SimulatedWorker
 from repro.kernels.base import KernelBackend
 from repro.kernels.registry import resolve_backend
+from repro.rules.base import UpdateRuleKernel
 from repro.runtime.trace_fold import build_schedule, fold_block
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import segment_bool_any
@@ -67,50 +68,6 @@ from repro.utils.rng import RandomState, as_rng
 #: Upper bound on the per-sample history replayed for stale reads; must
 #: match ``AsyncSimulator``'s ``SharedModel(history=min(..., 4096))``.
 _HISTORY_CAP = 4096
-
-
-class BatchedUpdateRule(Protocol):
-    """Computes a whole macro-step of update deltas from gathered rows.
-
-    A batched rule is the macro-step counterpart of
-    :class:`~repro.async_engine.simulator.UpdateRule`: instead of one
-    index-compressed delta per call it returns the per-entry weights for a
-    whole gathered block, to be scatter-added in one kernel call.
-    """
-
-    #: How many update records the per-sample engine writes per iteration
-    #: (1 for SGD-style rules, 2 for SVRG's dense-µ + sparse pair); drives
-    #: the window arithmetic of the conflict replay.
-    records_per_iteration: int
-
-    #: Trace ``grad_nnz`` per iteration as a multiple of ``nnz(x_i)``
-    #: (1 for SGD-style rules, 2 for SVRG's two margin evaluations).
-    grad_nnz_multiplier: int
-
-    #: The dense delta the rule applies once per iteration (SVRG's ``-λµ``),
-    #: or ``None`` for purely sparse rules.
-    dense_delta: Optional[np.ndarray]
-
-    def block_entry_weights(
-        self,
-        *,
-        w: np.ndarray,
-        rows: np.ndarray,
-        y: np.ndarray,
-        margins: np.ndarray,
-        step_weights: np.ndarray,
-        idx: np.ndarray,
-        val: np.ndarray,
-        lengths: np.ndarray,
-    ) -> np.ndarray:
-        """Per-entry additive deltas aligned with the gathered ``(idx, val)``.
-
-        ``margins`` are the block-start margins of ``rows``; the returned
-        array has one weight per gathered entry (already scaled by the step
-        size and importance re-weighting) and is scatter-added into the
-        model by the simulator.
-        """
-        ...
 
 
 @dataclass
@@ -151,8 +108,7 @@ class BatchedSimulator:
     Drop-in counterpart of :class:`~repro.async_engine.simulator.AsyncSimulator`
     (same constructor surface plus ``batch_size`` / ``kernel``), selected per
     solver via ``async_mode="batched"`` or globally via the
-    ``REPRO_ASYNC_MODE`` environment variable (see
-    :mod:`repro.async_engine.modes`).
+    ``REPRO_ASYNC_MODE`` environment variable (see :mod:`repro.runtime`).
 
     Parameters
     ----------
@@ -161,7 +117,9 @@ class BatchedSimulator:
     workers:
         The simulated workers, one per thread.
     update_rule:
-        A :class:`BatchedUpdateRule` (macro-step update computation).
+        The registered update rule (:mod:`repro.rules`); its
+        :meth:`~repro.rules.base.UpdateRuleKernel.block_entry_weights`
+        computes a whole macro-step.
     staleness:
         Delay model; defaults to ``UniformDelay(num_workers - 1)``.
     seed:
@@ -194,7 +152,7 @@ class BatchedSimulator:
     X: CSRMatrix
     y: np.ndarray
     workers: List[SimulatedWorker]
-    update_rule: BatchedUpdateRule
+    update_rule: UpdateRuleKernel
     staleness: Optional[StalenessModel] = None
     seed: RandomState = 0
     batch_size: Union[int, str] = "auto"
@@ -649,4 +607,4 @@ class BatchedSimulator:
         return conflicts
 
 
-__all__ = ["BatchedSimulator", "BatchedUpdateRule"]
+__all__ = ["BatchedSimulator"]

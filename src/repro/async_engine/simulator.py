@@ -16,8 +16,8 @@ Each iteration:
    :mod:`repro.runtime.trace_fold`.
 
 The simulator is solver-agnostic: it executes any
-:class:`~repro.rules.base.UpdateRuleKernel` (or any object satisfying the
-:class:`UpdateRule` protocol) through the rule's scalar entry point, and
+:class:`~repro.rules.base.UpdateRuleKernel` through the rule's scalar entry
+point, and
 invokes the rule's epoch hooks around every epoch — SVRG's snapshot sync
 and SAGA's table initialisation run here without the simulator knowing
 either rule exists.
@@ -26,7 +26,7 @@ either rule exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
@@ -36,40 +36,10 @@ from repro.async_engine.staleness import StalenessModel, UniformDelay
 from repro.async_engine.worker import SimulatedWorker
 from repro.kernels.base import KernelBackend
 from repro.kernels.registry import resolve_backend
+from repro.rules.base import UpdateRuleKernel
 from repro.runtime.trace_fold import build_schedule, fold_iteration
 from repro.sparse.csr import CSRMatrix
 from repro.utils.rng import RandomState, as_rng
-
-
-class UpdateRule(Protocol):
-    """Computes one model update from a (possibly stale) coordinate view.
-
-    :class:`~repro.rules.base.UpdateRuleKernel` satisfies this protocol via
-    its derived scalar entry point; ad-hoc rules only need
-    ``compute_update`` (and may expose ``dense_delta`` /
-    ``grad_nnz_multiplier`` / epoch hooks for the richer behaviours).
-    """
-
-    def compute_update(
-        self,
-        stale_coords: np.ndarray,
-        x_idx: np.ndarray,
-        x_val: np.ndarray,
-        y: float,
-        step_weight: float,
-        row: int = 0,
-    ) -> Tuple[np.ndarray, int]:
-        """Return ``(delta_values, dense_coordinate_count)``.
-
-        ``delta_values`` are the additive changes for the coordinates
-        ``x_idx`` (already scaled by the step size and importance weight);
-        ``dense_coordinate_count`` is the number of *additional* dense
-        coordinates the iteration touched.  When it is non-zero and the
-        rule exposes a non-``None`` ``dense_delta`` vector, the simulator
-        applies that dense update (before the sparse one) and logs it as
-        its own update record.
-        """
-        ...
 
 
 @dataclass
@@ -93,7 +63,7 @@ class AsyncSimulator:
     workers:
         The simulated workers (shards + sequences), one per thread.
     update_rule:
-        The solver-specific update computation.
+        The registered update rule (:mod:`repro.rules`).
     staleness:
         Delay model; defaults to ``UniformDelay(num_workers)``.
     seed:
@@ -123,7 +93,7 @@ class AsyncSimulator:
     X: CSRMatrix
     y: np.ndarray
     workers: List[SimulatedWorker]
-    update_rule: UpdateRule
+    update_rule: UpdateRuleKernel
     staleness: Optional[StalenessModel] = None
     seed: RandomState = 0
     kernel: Union[KernelBackend, str, None] = None
@@ -286,4 +256,4 @@ class AsyncSimulator:
         )
 
 
-__all__ = ["AsyncSimulator", "SimulationResult", "UpdateRule"]
+__all__ = ["AsyncSimulator", "SimulationResult"]

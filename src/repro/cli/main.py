@@ -26,6 +26,12 @@ from repro.experiments.configs import (
 from repro.experiments.report import format_table, write_report_files
 from repro.experiments.runner import ExperimentRunner, RecordSet, resolve_jobs
 from repro.experiments.store import ASYNC_SOLVERS, ArtifactStore, run_identity, identity_key
+from repro.runtime import (
+    available_backend_names,
+    capability_matrix,
+    default_async_mode,
+    resolve_async_mode,
+)
 
 #: Default artifact-store directory (relative to the invocation cwd).
 DEFAULT_STORE = "runs"
@@ -39,7 +45,7 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         "--async-mode",
         default=None,
         help="execution engine for the async solvers "
-        "(per_sample, batched, threads, process; default: engine registry default)",
+        f"({', '.join(available_backend_names())}; default: engine registry default)",
     )
     parser.add_argument(
         "--backend",
@@ -290,8 +296,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     if args.async_mode is not None:
-        from repro.async_engine.modes import resolve_async_mode
-
         resolve_async_mode(args.async_mode)  # a typo must not silently filter everything out
     records = RecordSet.from_store(
         args.store, dataset=args.dataset, solver=args.solver, async_mode=args.async_mode
@@ -414,7 +418,6 @@ def cmd_list(args: argparse.Namespace) -> int:
             print(f"no artifacts under {args.store!r}")
         return 0
 
-    from repro.async_engine.modes import available_async_modes, default_async_mode
     from repro.datasets.catalog import list_datasets
     from repro.kernels.registry import (
         available_backends,
@@ -423,7 +426,6 @@ def cmd_list(args: argparse.Namespace) -> int:
     )
     from repro.objectives.registry import available_objectives
     from repro.rules import available_rules, rule_description
-    from repro.runtime import capability_matrix
     from repro.serving import SERVE_DEFAULTS, serving_capabilities
     from repro.solvers.registry import available_solvers
 
@@ -431,7 +433,7 @@ def cmd_list(args: argparse.Namespace) -> int:
         "solvers": available_solvers(),
         "objectives": available_objectives(),
         "kernel_backends": available_backends(),
-        "async_modes": available_async_modes(),
+        "async_modes": available_backend_names(),
         "rules": available_rules(),
         "datasets": list_datasets(include_smoke=True),
         "configs": available_configs(),

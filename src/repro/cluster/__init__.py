@@ -25,13 +25,7 @@ from repro.cluster.checkpoint import (
     CheckpointStore,
     ClusterCheckpoint,
 )
-from repro.cluster.cost_model import (
-    ClusterCostModel,
-    ClusterCostParameters,
-    compare_traces,
-    occupancy_skew,
-    work_skew,
-)
+from repro.cluster.cost_model import compare_traces, occupancy_skew, work_skew
 from repro.cluster.driver import (
     ClusterDriver,
     ClusterRunResult,
@@ -53,8 +47,6 @@ __all__ = [
     "ClusterDriver",
     "ClusterRunResult",
     "WorkerFailure",
-    "ClusterCostModel",
-    "ClusterCostParameters",
     "CheckpointStore",
     "ClusterCheckpoint",
     "CHECKPOINT_FORMAT_VERSION",

@@ -1,84 +1,28 @@
-"""Communication / occupancy cost model of the process cluster.
+"""Occupancy statistics and trace comparison for the process cluster.
 
-:mod:`repro.async_engine.cost_model` prices *simulated* traces; this module
-is its measured-execution mirror.  It does two jobs:
+:mod:`repro.async_engine.cost_model` prices *simulated* traces; a process
+run carries *measured* seconds instead, so nothing here prices a trace.
+What the cluster needs from its measured counters is:
 
-1. **Prediction** — :class:`ClusterCostModel` translates an
-   :class:`~repro.async_engine.events.ExecutionTrace` (the same record type
-   the simulator emits, here filled with *measured* counters) into
-   predicted wall-clock seconds, with the parallel efficiency degraded by
-   the measured conflict rate *and* by the shard-occupancy skew: when most
-   writes land in few shards, workers contend on the same cache
-   lines/pages no matter how many shards exist.
+1. **Skew** — :func:`occupancy_skew` summarises how concentrated the
+   coordinate writes are across parameter shards (reported per run as
+   ``info["occupancy_skew"]``), and :func:`work_skew` applies the same
+   statistic to per-worker iteration counts, which is what arms the
+   driver's work stealing.
 
 2. **Comparison** — :func:`compare_traces` lines a measured cluster trace
    up against a simulated one (same solver, same workload) so the
    simulator's staleness/conflict assumptions can be checked against what
-   the hardware actually did, and :meth:`ClusterCostModel.compare_measured`
-   reports predicted-vs-measured seconds per epoch.
+   the hardware actually did.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.async_engine.events import EpochEvent, ExecutionTrace
-from repro.utils.validation import check_positive
-
-
-@dataclass
-class ClusterCostParameters:
-    """Per-operation cost constants of the multi-process execution tier.
-
-    Attributes
-    ----------
-    coord_write_cost:
-        Seconds per coordinate touched by a lock-free scatter-add into the
-        shared parameter buffer (shared-memory traffic included).
-    dense_coord_cost:
-        Seconds per coordinate of a dense (SVRG-style µ) block add.
-    block_overhead:
-        Fixed cost per macro-block (gather + margin setup + Python
-        dispatch).
-    sample_draw_cost:
-        Seconds per weighted sample draw (alias-sampler sequence entry).
-    epoch_sync_cost:
-        Fixed cost per epoch per worker for the two barrier waits and the
-        driver's snapshot/counter collection.
-    contention_penalty:
-        Multiplicative slowdown per unit measured conflict rate — same
-        role as ``CostParameters.conflict_penalty``, but driven by
-        *measured* conflicts.
-    occupancy_penalty:
-        Multiplicative slowdown applied to the normalised shard-occupancy
-        skew: ``num_shards * Σ_s f_s² - 1`` is 0 for perfectly spread
-        writes and ``num_shards - 1`` when one shard takes every write.
-    base_parallel_efficiency:
-        Parallel efficiency at zero conflicts and perfectly spread writes.
-    """
-
-    coord_write_cost: float = 1.2e-8
-    dense_coord_cost: float = 2e-9
-    block_overhead: float = 2.5e-5
-    sample_draw_cost: float = 1.5e-8
-    epoch_sync_cost: float = 2e-4
-    contention_penalty: float = 0.15
-    occupancy_penalty: float = 0.05
-    base_parallel_efficiency: float = 0.85
-
-    def __post_init__(self) -> None:
-        check_positive(self.coord_write_cost, "coord_write_cost")
-        check_positive(self.dense_coord_cost, "dense_coord_cost")
-        check_positive(self.block_overhead, "block_overhead", strict=False)
-        check_positive(self.sample_draw_cost, "sample_draw_cost", strict=False)
-        check_positive(self.epoch_sync_cost, "epoch_sync_cost", strict=False)
-        check_positive(self.contention_penalty, "contention_penalty", strict=False)
-        check_positive(self.occupancy_penalty, "occupancy_penalty", strict=False)
-        if not 0.0 < self.base_parallel_efficiency <= 1.0:
-            raise ValueError("base_parallel_efficiency must be in (0, 1]")
+from repro.async_engine.events import ExecutionTrace
 
 
 def occupancy_skew(shard_write_fractions: Sequence[float]) -> float:
@@ -111,96 +55,6 @@ def work_skew(per_worker_iterations: Sequence[float]) -> float:
     return occupancy_skew(per_worker_iterations)
 
 
-class ClusterCostModel:
-    """Predict and audit the wall-clock of measured cluster traces."""
-
-    def __init__(self, params: Optional[ClusterCostParameters] = None) -> None:
-        self.params = params or ClusterCostParameters()
-
-    # ------------------------------------------------------------------ #
-    def parallel_efficiency(
-        self, conflict_rate: float, num_workers: int, *, occupancy: float = 0.0
-    ) -> float:
-        """Efficiency as a function of measured conflicts and shard skew."""
-        if num_workers <= 1:
-            return 1.0
-        p = self.params
-        drag = 1.0 + p.contention_penalty * max(conflict_rate, 0.0)
-        drag += p.occupancy_penalty * max(occupancy, 0.0)
-        return p.base_parallel_efficiency / drag
-
-    def epoch_serial_seconds(self, epoch: EpochEvent, *, blocks: int = 0) -> float:
-        """Serial compute seconds of one epoch's measured operation counts."""
-        p = self.params
-        return (
-            p.coord_write_cost * epoch.sparse_coordinate_updates
-            + p.dense_coord_cost * epoch.dense_coordinate_updates
-            + p.sample_draw_cost * epoch.sample_draws
-            + p.block_overhead * blocks
-        )
-
-    def epoch_wall_clock(
-        self,
-        epoch: EpochEvent,
-        num_workers: int,
-        *,
-        occupancy: float = 0.0,
-        blocks: int = 0,
-    ) -> float:
-        """Predicted wall-clock seconds of one measured epoch."""
-        serial = self.epoch_serial_seconds(epoch, blocks=blocks)
-        sync = self.params.epoch_sync_cost * max(num_workers, 1)
-        if num_workers <= 1:
-            return serial + sync
-        eff = self.parallel_efficiency(epoch.conflict_rate, num_workers, occupancy=occupancy)
-        return serial / (num_workers * eff) + sync
-
-    def trace_wall_clock(
-        self,
-        trace: ExecutionTrace,
-        num_workers: int,
-        *,
-        occupancies: Optional[Sequence[float]] = None,
-        blocks_per_epoch: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        """Cumulative predicted seconds after every epoch (CostModel mirror)."""
-        times = []
-        for k, epoch in enumerate(trace.epochs):
-            occ = float(occupancies[k]) if occupancies is not None else 0.0
-            blocks = int(blocks_per_epoch[k]) if blocks_per_epoch is not None else 0
-            times.append(
-                self.epoch_wall_clock(epoch, num_workers, occupancy=occ, blocks=blocks)
-            )
-        return np.cumsum(np.asarray(times, dtype=np.float64))
-
-    # ------------------------------------------------------------------ #
-    def compare_measured(
-        self,
-        trace: ExecutionTrace,
-        measured_epoch_seconds: Sequence[float],
-        num_workers: int,
-        *,
-        occupancies: Optional[Sequence[float]] = None,
-    ) -> List[Dict[str, float]]:
-        """Per-epoch predicted vs measured seconds (ratio > 1 = model optimistic)."""
-        rows: List[Dict[str, float]] = []
-        for k, epoch in enumerate(trace.epochs):
-            occ = float(occupancies[k]) if occupancies is not None else 0.0
-            predicted = self.epoch_wall_clock(epoch, num_workers, occupancy=occ)
-            measured = float(measured_epoch_seconds[k])
-            rows.append(
-                {
-                    "epoch": float(epoch.epoch),
-                    "predicted_seconds": predicted,
-                    "measured_seconds": measured,
-                    "measured_over_predicted": measured / predicted if predicted > 0 else float("inf"),
-                    "conflict_rate": epoch.conflict_rate,
-                    "occupancy_skew": occ,
-                }
-            )
-        return rows
-
-
 def compare_traces(measured: ExecutionTrace, simulated: ExecutionTrace) -> Dict[str, float]:
     """Side-by-side staleness/conflict summary of a measured vs simulated run.
 
@@ -230,8 +84,6 @@ def compare_traces(measured: ExecutionTrace, simulated: ExecutionTrace) -> Dict[
 
 
 __all__ = [
-    "ClusterCostParameters",
-    "ClusterCostModel",
     "occupancy_skew",
     "work_skew",
     "compare_traces",

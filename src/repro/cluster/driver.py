@@ -40,8 +40,8 @@ The cluster is **elastic and fault-tolerant**:
   ``steal_skew_threshold`` (or forced with ``work_stealing=True``).
 
 Solvers select this tier with ``async_mode="process"`` (see
-:mod:`repro.async_engine.modes`); it is the first execution path in the
-repository whose throughput scales with physical cores.
+:mod:`repro.runtime`); it is the first execution path in the repository
+whose throughput scales with physical cores.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import numpy as np
 
 from repro.async_engine.events import EpochEvent, ExecutionTrace
 from repro.cluster.checkpoint import CheckpointStore, ClusterCheckpoint
-from repro.cluster.cost_model import ClusterCostModel, occupancy_skew, work_skew
+from repro.cluster.cost_model import occupancy_skew, work_skew
 from repro.cluster.sharding import ShardPlan, make_shard_plan
 from repro.cluster.shm import ShmArena
 from repro.cluster.worker import (
@@ -936,7 +936,6 @@ class ClusterDriver:
         ).astype(np.float64)
         fractions = totals / totals.sum() if totals.sum() > 0 else totals
         info = {
-            "backend": "process",
             "num_workers": self.num_workers,
             "num_shards": self.plan.num_shards,
             "shard_scheme": self.plan.scheme,
@@ -975,7 +974,6 @@ class ClusterDriver:
 __all__ = [
     "ClusterDriver",
     "ClusterRunResult",
-    "ClusterCostModel",
     "WorkerFailure",
     "default_start_method",
     "available_parallelism",

@@ -12,7 +12,7 @@ sequence in macro-blocks through the kernel batch primitives:
    reads are genuinely stale, not simulated-stale);
 3. the registered update rule's block computation
    (:meth:`repro.rules.base.UpdateRuleKernel.block_entry_weights` — the
-   *same* definition the simulated and threaded tiers execute, fed flat
+   *same* definition the simulated tiers execute, fed flat
    shard-layout coordinates);
 4. ``KernelBackend.scatter_add`` — one lock-free index-compressed write of
    the whole block into the sharded parameter buffer (``np.add.at`` over

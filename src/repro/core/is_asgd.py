@@ -15,9 +15,9 @@ The solver combines every piece of the library:
 Steps 1–4 are this solver's declaration — the *what*.  Step 5 is handed to
 the execution runtime (:mod:`repro.runtime`) as the registered ``is_sgd``
 rule (the same coefficient math as ``sgd``; the re-weighting rides in the
-sampler's step weights), so any of the four backends can execute it:
-``per_sample`` (ground truth, the DESIGN.md §5 substitution), ``batched``,
-``threads`` or the ``process`` cluster.
+sampler's step weights), so any backend can execute it: ``per_sample``
+(ground truth, the DESIGN.md §5 substitution), ``batched`` or the
+``process`` cluster.
 """
 
 from __future__ import annotations
@@ -26,48 +26,36 @@ from typing import Optional
 
 import numpy as np
 
-from repro.async_engine.modes import resolve_async_mode
 from repro.async_engine.staleness import StalenessModel, UniformDelay
 from repro.core.balancing import balance_dataset
 from repro.core.config import ISASGDConfig
 from repro.core.importance import ImportanceScheme
 from repro.core.partition import partition_dataset
-from repro.solvers.base import BaseSolver, Problem
+from repro.solvers.base import AsyncSolver, Problem
 from repro.solvers.results import TrainResult
 from repro.utils.rng import as_rng
 
 
-class ISASGDSolver(BaseSolver):
+class ISASGDSolver(AsyncSolver):
     """Importance-sampled asynchronous SGD (Algorithm 4).
 
     Parameters
     ----------
     config:
-        Full :class:`~repro.core.config.ISASGDConfig`.  The convenience
-        keyword arguments of :class:`~repro.solvers.base.BaseSolver`
-        (``step_size``, ``epochs``, ``seed``) are taken from the config.
-    cost_model:
-        Shared cost model for the simulated wall-clock.
+        Full :class:`~repro.core.config.ISASGDConfig`.  ``step_size``,
+        ``epochs``, ``num_workers``, ``seed`` and ``record_every`` are taken
+        from the config; keyword overrides of any config field are applied
+        on top of it.
     staleness:
         Optional override of the delay model (defaults to
         ``UniformDelay(config.effective_max_delay)``).
-    backend:
-        ``"simulated"`` (default) or ``"threads"`` (backward-compatible
-        alias for ``async_mode="threads"``).
-    async_mode:
-        Execution backend, resolved through the runtime registry:
-        ``"per_sample"``, ``"batched"``, ``"threads"`` or ``"process"``;
-        ``None`` resolves via ``REPRO_ASYNC_MODE``.  See
-        ``docs/runtime.md`` for the capability matrix.
-    batch_size:
-        Macro-step length for the batched/process backends (``"auto"`` by
-        default).
-    shard_scheme / num_shards:
-        Parameter-shard layout for ``async_mode="process"``.
+
+    ``cost_model``, ``kernel``, ``async_mode``, ``batch_size``,
+    ``shard_scheme`` and ``num_shards`` are
+    :class:`~repro.solvers.base.AsyncSolver`'s.
     """
 
     name = "is_asgd"
-    #: Registered update rule this solver declares.
     rule = "is_sgd"
 
     def __init__(
@@ -76,7 +64,6 @@ class ISASGDSolver(BaseSolver):
         *,
         cost_model=None,
         staleness: Optional[StalenessModel] = None,
-        backend: str = "simulated",
         kernel=None,
         async_mode: Optional[str] = None,
         batch_size="auto",
@@ -91,32 +78,18 @@ class ISASGDSolver(BaseSolver):
         super().__init__(
             step_size=config.step_size,
             epochs=config.epochs,
+            num_workers=config.num_workers,
             seed=config.seed,
             cost_model=cost_model,
             record_every=config.record_every,
+            staleness=staleness,
             kernel=kernel,
+            async_mode=async_mode,
+            batch_size=batch_size,
+            shard_scheme=shard_scheme,
+            num_shards=num_shards,
         )
-        if backend not in {"simulated", "threads"}:
-            raise ValueError("backend must be 'simulated' or 'threads'")
         self.config = config
-        self.staleness = staleness
-        self.backend = backend
-        if backend == "threads":
-            # Backward-compatible alias; an explicit conflicting async_mode
-            # is a caller error, not something to override silently.
-            if async_mode not in (None, "threads"):
-                raise ValueError(
-                    f"backend='threads' conflicts with async_mode={async_mode!r}"
-                )
-            async_mode = "threads"
-        self.async_mode = resolve_async_mode(async_mode)
-        self.batch_size = batch_size
-        self.shard_scheme = shard_scheme
-        self.num_shards = num_shards
-
-    @property
-    def parallel_workers(self) -> int:
-        return self.config.num_workers
 
     # ------------------------------------------------------------------ #
     def prepare_partition(self, problem: Problem, rng: np.random.Generator):
@@ -150,10 +123,9 @@ class ISASGDSolver(BaseSolver):
             problem,
             partition,
             rng,
-            rule=self.rule,
             staleness=self.staleness or UniformDelay(cfg.effective_max_delay),
             include_sampling=True,
-            extra_info=self._info(problem, partition, balancing),
+            extra_info=self._diagnostics(problem, partition, balancing),
             initial_weights=initial_weights,
             importance_sampling=cfg.importance is ImportanceScheme.LIPSCHITZ,
             step_clip=cfg.step_clip,
@@ -162,12 +134,11 @@ class ISASGDSolver(BaseSolver):
         )
 
     # ------------------------------------------------------------------ #
-    def _info(self, problem: Problem, partition, balancing) -> dict:
+    def _diagnostics(self, problem: Problem, partition, balancing) -> dict:
         from repro.sparse.stats import psi
 
         L = problem.lipschitz_constants()
         return {
-            "backend": self.backend,
             "num_workers": self.config.num_workers,
             "balancing_decision": balancing.decision.value,
             "balancing_method": self.config.balancing_method,

@@ -82,15 +82,15 @@ class ExperimentConfig:
     ) -> "ExperimentConfig":
         """A copy with execution-layer overrides threaded into every run.
 
-        ``async_mode`` (validated against :mod:`repro.async_engine.modes`)
+        ``async_mode`` (validated against the :mod:`repro.runtime` registry)
         is applied to the asynchronous solvers only — serial solvers do not
         accept it; ``kernel`` (validated against the kernel registry) is
         applied to every solver.  Existing ``solver_kwargs`` entries with
         the same name are replaced, so a CLI flag beats the config default.
         """
-        from repro.async_engine.modes import resolve_async_mode
         from repro.experiments.store import ASYNC_SOLVERS
         from repro.kernels.registry import make_backend
+        from repro.runtime import resolve_async_mode
 
         if async_mode is not None:
             resolve_async_mode(async_mode)

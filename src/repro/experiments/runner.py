@@ -286,7 +286,7 @@ class RecordSet:
         """
         import json
 
-        from repro.async_engine.modes import default_async_mode
+        from repro.runtime import default_async_mode
 
         preferred = prefer_async_mode or default_async_mode()
 

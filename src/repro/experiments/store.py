@@ -52,7 +52,7 @@ def run_identity(
 
     The identity resolves every ambient default that influences the result:
     for async solvers the execution mode (explicit kwarg, else the
-    process-wide default from :mod:`repro.async_engine.modes`), for all
+    process-wide default resolved by :mod:`repro.runtime`), for all
     solvers the kernel backend (explicit kwarg, else the registry default),
     and the cost model pricing the simulated wall-clock axis.  A sweep
     started under ``REPRO_ASYNC_MODE=batched`` or with a calibrated cost
@@ -69,8 +69,8 @@ def run_identity(
     from dataclasses import asdict
 
     from repro.async_engine.cost_model import CostModel
-    from repro.async_engine.modes import default_async_mode, resolve_async_mode
     from repro.kernels.registry import default_backend_name
+    from repro.runtime import default_async_mode, resolve_async_mode
 
     kwargs = dict(spec.kwargs())
     async_mode: Optional[str] = None

@@ -11,12 +11,11 @@ entry points from it:
 
 * :meth:`block_entry_weights` — the one implementation.  Computes the
   per-entry deltas of a whole gathered block from its block-start margins.
-  The batched simulator, the thread pool and the cluster worker all call
-  this directly (the cluster passes flat-layout coordinates; the math never
-  sees the difference).
+  The batched simulator and the cluster worker both call this directly
+  (the cluster passes flat-layout coordinates; the math never sees the
+  difference).
 * :meth:`compute_update` — the scalar entry point used by the per-sample
-  ground-truth simulator and the threaded backend's inner loop.  It is a
-  block of size one: the base class wraps the scalar arguments into
+  ground-truth simulator.  It is a block of size one: the base class wraps the scalar arguments into
   singleton arrays and calls :meth:`block_entry_weights`, so a rule cannot
   drift between tiers.
 * epoch hooks (:meth:`epoch_begin` / :meth:`epoch_end`) — per-epoch sync
@@ -34,7 +33,7 @@ Layout conventions
 ``block_entry_weights`` receives two index views of the same entries:
 
 * ``idx`` — coordinates *in the layout of* ``w`` (global coordinates for the
-  simulated/threaded tiers, flat shard-layout positions for the cluster
+  simulated tiers, flat shard-layout positions for the cluster
   tier, or ``arange(nnz)`` paired with a support-sized ``w`` view in the
   scalar path).  Separable-regulariser lookups use ``(w, idx)``.
 * ``model_idx`` — coordinates in the layout of any *cross-iteration rule
@@ -55,8 +54,8 @@ from repro.objectives.base import Objective
 class EngineFacade(Protocol):
     """What an execution engine exposes to rule epoch hooks.
 
-    All four backends (per-sample, batched, threads and the cluster driver)
-    satisfy this protocol, so a rule's sync step runs identically on every
+    Every backend (per-sample, batched and the cluster driver) satisfies
+    this protocol, so a rule's sync step runs identically on every
     tier that calls the hooks.
     """
 

@@ -11,8 +11,8 @@ multiple of ``x_i``, the asynchronous version needs only two shared pieces
 of state — the coefficient table (rows are owned by exactly one worker, the
 data shards are disjoint) and the dense ``ḡ`` (updated lock-free, exactly
 like the model itself).  That makes SAGA expressible as an
-:class:`~repro.rules.base.UpdateRuleKernel` and therefore runnable on all
-four execution tiers through the one definition below.
+:class:`~repro.rules.base.UpdateRuleKernel` and therefore runnable on every
+execution tier through the one definition below.
 
 Batching semantics: inside one macro-step the margins (hence the refreshed
 coefficients) are evaluated at the block-start model and ``ḡ`` is frozen at

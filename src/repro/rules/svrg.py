@@ -51,7 +51,7 @@ class SVRGRule(UpdateRuleKernel):
     def set_snapshot(self, mu: np.ndarray, snapshot_margins: np.ndarray) -> None:
         """Install the per-epoch snapshot state (µ and the margins ``X @ s``).
 
-        Called by :meth:`epoch_begin` on the simulated/threaded tiers and by
+        Called by :meth:`epoch_begin` on the simulated tiers and by
         the cluster worker after the driver refreshes the shared-memory
         snapshot blocks (there ``mu`` arrives in the flat shard layout —
         the rule math is layout-agnostic).

@@ -1,12 +1,14 @@
-"""The unified execution runtime: one rule definition, four backends.
+"""The unified execution runtime: one rule definition, three backends.
 
 ``repro.runtime`` is the seam between *what* a solver computes (a
 registered update rule from :mod:`repro.rules`, a sampler configuration, a
-data partition) and *how* it executes (which of the four interchangeable
+data partition) and *how* it executes (which of the three interchangeable
 tiers runs it).  Solvers build an
 :class:`~repro.runtime.backends.ExecutionRequest` and call
 :func:`~repro.runtime.backends.execute`; the backend registry resolves the
-``async_mode``, validates the rule/backend combination against the
+``async_mode`` (:func:`~repro.runtime.backends.resolve_async_mode`: explicit
+name, else the process default, else ``REPRO_ASYNC_MODE``, else
+``per_sample``), validates the rule/backend combination against the
 capability metadata and returns an
 :class:`~repro.runtime.backends.ExecutionResult` whose trace plugs into the
 metrics/cost/experiments pipeline unchanged.
@@ -16,6 +18,8 @@ the "add a solver in one file" walkthrough.
 """
 
 from repro.runtime.backends import (
+    ASYNC_MODE_ENV_VAR,
+    DEFAULT_ASYNC_MODE,
     BackendCapabilities,
     ExecutionBackend,
     ExecutionRequest,
@@ -24,9 +28,12 @@ from repro.runtime.backends import (
     backend_capabilities,
     backends_supporting,
     capability_matrix,
+    default_async_mode,
     execute,
     get_backend,
     register_backend,
+    resolve_async_mode,
+    set_default_async_mode,
 )
 from repro.runtime.trace_fold import (
     build_schedule,
@@ -37,6 +44,8 @@ from repro.runtime.trace_fold import (
 )
 
 __all__ = [
+    "ASYNC_MODE_ENV_VAR",
+    "DEFAULT_ASYNC_MODE",
     "BackendCapabilities",
     "ExecutionBackend",
     "ExecutionRequest",
@@ -45,9 +54,12 @@ __all__ = [
     "backend_capabilities",
     "backends_supporting",
     "capability_matrix",
+    "default_async_mode",
     "execute",
     "get_backend",
     "register_backend",
+    "resolve_async_mode",
+    "set_default_async_mode",
     "build_schedule",
     "fold_block",
     "fold_iteration",

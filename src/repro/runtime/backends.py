@@ -1,6 +1,7 @@
-"""Execution backends: one contract, four interchangeable tiers.
+"""Execution backends: one contract, three interchangeable tiers.
 
-This module is the runtime layer's registry.  An :class:`ExecutionBackend`
+This module is the runtime layer's registry and the one place an execution
+tier is registered, named and resolved.  An :class:`ExecutionBackend`
 turns an :class:`ExecutionRequest` — "this data, this partition, this
 registered update rule, this many epochs" — into an
 :class:`ExecutionResult`, and advertises what it can do through
@@ -9,18 +10,20 @@ builders: they declare *what* to run (rule + sampler + partition) and the
 registry decides *how* (which engine, with which trace guarantees), so
 adding a solver touches no engine and adding an engine touches no solver.
 
-Registered backends (also reachable through the legacy
-:mod:`repro.async_engine.modes` shim and the ``REPRO_ASYNC_MODE``
-environment variable):
+Registered backends:
 
 ====================  ==========================================================
 ``per_sample``        trace-exact ground-truth simulator (one Python iteration
                       per update) — the reference every other tier is pinned to
 ``batched``           macro-step fast path through the kernel batch primitives
-``threads``           real lock-free Python threads (GIL-bound; correctness)
 ``process``           multi-process sharded parameter server, measured
                       wall-clock (:mod:`repro.cluster`)
 ====================  ==========================================================
+
+An ``async_mode`` of ``None`` resolves, in priority order, to the
+process-wide default set via :func:`set_default_async_mode`, then the
+``REPRO_ASYNC_MODE`` environment variable, then :data:`DEFAULT_ASYNC_MODE`
+(``per_sample``, the trace-exact ground truth).
 
 Requesting a rule a backend does not support, or an unknown backend name,
 raises immediately with the full list of valid choices — failures surface
@@ -29,6 +32,7 @@ at dispatch, not deep inside an engine.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -41,6 +45,12 @@ from repro.utils.rng import RandomState
 #: and rebuilds rules inside child processes, so runtime-registered custom
 #: rules cannot be guaranteed there.
 _BUILTIN_RULES: Tuple[str, ...] = ("is_sgd", "saga", "sgd", "svrg", "svrg_skip_dense")
+
+#: Environment variable consulted when no explicit mode is configured.
+ASYNC_MODE_ENV_VAR = "REPRO_ASYNC_MODE"
+
+#: The built-in default execution mode.
+DEFAULT_ASYNC_MODE = "per_sample"
 
 
 @dataclass(frozen=True)
@@ -133,7 +143,7 @@ class ExecutionRequest:
     rule: str                               # repro.rules registry name
     step_size: float
     epochs: int
-    engine_seed: RandomState = 0            # schedule/delay/thread/process seed
+    engine_seed: RandomState = 0            # schedule/delay/process seed
     worker_seed: int = 0                    # simulated-worker sequence seed
     importance_sampling: bool = False
     step_clip: float = 100.0
@@ -192,7 +202,7 @@ class ExecutionResult:
 
 
 class ExecutionBackend:
-    """Base class of the four execution tiers (the backend contract).
+    """Base class of the execution tiers (the backend contract).
 
     Subclasses define :attr:`capabilities` and :meth:`run`; everything else
     (resolution, validation, capability display) is registry machinery.
@@ -220,12 +230,17 @@ class PerSampleBackend(ExecutionBackend):
         deterministic=True,
     )
 
-    def run(self, request: ExecutionRequest) -> ExecutionResult:
+    def _engine(self, request: ExecutionRequest):
+        """The simulator class and its tier-specific constructor kwargs."""
         from repro.async_engine.simulator import AsyncSimulator
 
+        return AsyncSimulator, {}
+
+    def run(self, request: ExecutionRequest) -> ExecutionResult:
+        engine, engine_kwargs = self._engine(request)
         workers = request.build_workers()
         staleness = request.resolved_staleness()
-        simulator = AsyncSimulator(
+        simulator = engine(
             X=request.X,
             y=request.y,
             workers=workers,
@@ -233,6 +248,7 @@ class PerSampleBackend(ExecutionBackend):
             staleness=staleness,
             seed=request.engine_seed,
             kernel=request.kernel,
+            **engine_kwargs,
         )
         sim = simulator.run(
             request.epochs,
@@ -246,7 +262,6 @@ class PerSampleBackend(ExecutionBackend):
             trace=sim.trace,
             epoch_weights=sim.epoch_weights,
             info={
-                "backend": "simulated",
                 "async_mode": self.capabilities.name,
                 "max_delay": staleness.max_delay,
                 "conflict_rate": sim.trace.conflict_rate(),
@@ -254,7 +269,7 @@ class PerSampleBackend(ExecutionBackend):
         )
 
 
-class BatchedBackend(ExecutionBackend):
+class BatchedBackend(PerSampleBackend):
     """Macro-step fast path through the kernel batch primitives."""
 
     capabilities = BackendCapabilities(
@@ -267,77 +282,10 @@ class BatchedBackend(ExecutionBackend):
         fused_kernel_loop=True,
     )
 
-    def run(self, request: ExecutionRequest) -> ExecutionResult:
+    def _engine(self, request: ExecutionRequest):
         from repro.async_engine.batched import BatchedSimulator
 
-        workers = request.build_workers()
-        staleness = request.resolved_staleness()
-        simulator = BatchedSimulator(
-            X=request.X,
-            y=request.y,
-            workers=workers,
-            update_rule=request.build_rule(),
-            staleness=staleness,
-            seed=request.engine_seed,
-            batch_size=request.batch_size,
-            kernel=request.kernel,
-        )
-        sim = simulator.run(
-            request.epochs,
-            initial_weights=request.initial_weights,
-            reshuffle=request.reshuffle,
-            regenerate=request.regenerate,
-            keep_epoch_weights=True,
-        )
-        return ExecutionResult(
-            weights=sim.weights,
-            trace=sim.trace,
-            epoch_weights=sim.epoch_weights,
-            info={
-                "backend": "simulated",
-                "async_mode": self.capabilities.name,
-                "max_delay": staleness.max_delay,
-                "conflict_rate": sim.trace.conflict_rate(),
-            },
-        )
-
-
-class ThreadsBackend(ExecutionBackend):
-    """Real lock-free Python threads (GIL-bound; correctness validation)."""
-
-    capabilities = BackendCapabilities(
-        name="threads",
-        description="real lock-free Python threads (functional validation; GIL-bound)",
-        supports_batching=False,
-        true_parallelism=False,
-        measured_wall_clock=False,
-        deterministic=False,
-    )
-
-    def run(self, request: ExecutionRequest) -> ExecutionResult:
-        from repro.async_engine.threads import ThreadedRuleEngine
-
-        engine = ThreadedRuleEngine(
-            request.X,
-            request.y,
-            request.objective,
-            request.partition,
-            request.build_rule(),
-            importance_sampling=request.importance_sampling,
-            step_clip=request.step_clip,
-            seed=request.engine_seed,
-            kernel=request.kernel,
-        )
-        engine.iterations_per_worker = request.resolved_iterations_per_worker()
-        trace, weights_by_epoch = engine.run(
-            request.epochs, initial_weights=request.initial_weights
-        )
-        return ExecutionResult(
-            weights=weights_by_epoch[-1],
-            trace=trace,
-            epoch_weights=weights_by_epoch,
-            info={"backend": "threads", "async_mode": self.capabilities.name},
-        )
+        return BatchedSimulator, {"batch_size": request.batch_size}
 
 
 class ProcessBackend(ExecutionBackend):
@@ -439,6 +387,36 @@ def backends_supporting(rule: str) -> List[str]:
     ]
 
 
+_default_override: Optional[str] = None
+
+
+def default_async_mode() -> str:
+    """The mode the process currently resolves ``async_mode=None`` to."""
+    if _default_override is not None:
+        return _default_override
+    env = os.environ.get(ASYNC_MODE_ENV_VAR, "").strip()
+    if env:
+        return resolve_async_mode(env)
+    return DEFAULT_ASYNC_MODE
+
+
+def set_default_async_mode(mode: Optional[str]) -> None:
+    """Set (or clear, with ``None``) the process-wide default async mode."""
+    global _default_override
+    _default_override = None if mode is None else resolve_async_mode(mode)
+
+
+def resolve_async_mode(mode: Optional[str]) -> str:
+    """Normalise an ``async_mode`` argument (name or ``None``) to a mode name.
+
+    Unknown names raise with the list of registered modes.
+    """
+    if mode is None:
+        return default_async_mode()
+    get_backend(mode)
+    return mode
+
+
 def execute(mode: Optional[str], request: ExecutionRequest) -> ExecutionResult:
     """Resolve ``mode`` and run the request on the selected backend.
 
@@ -448,7 +426,6 @@ def execute(mode: Optional[str], request: ExecutionRequest) -> ExecutionResult:
     rule/backend combinations the capabilities cannot honour all fail
     *here*, with actionable messages, instead of deep inside an engine.
     """
-    from repro.async_engine.modes import resolve_async_mode
     from repro.rules import available_rules
 
     if request.rule not in available_rules():
@@ -470,24 +447,27 @@ def execute(mode: Optional[str], request: ExecutionRequest) -> ExecutionResult:
 
 register_backend(PerSampleBackend())
 register_backend(BatchedBackend())
-register_backend(ThreadsBackend())
 register_backend(ProcessBackend())
 
 
 __all__ = [
+    "ASYNC_MODE_ENV_VAR",
+    "DEFAULT_ASYNC_MODE",
     "BackendCapabilities",
     "ExecutionBackend",
     "ExecutionRequest",
     "ExecutionResult",
     "PerSampleBackend",
     "BatchedBackend",
-    "ThreadsBackend",
     "ProcessBackend",
     "available_backend_names",
     "backend_capabilities",
     "backends_supporting",
     "capability_matrix",
+    "default_async_mode",
     "execute",
     "get_backend",
     "register_backend",
+    "resolve_async_mode",
+    "set_default_async_mode",
 ]

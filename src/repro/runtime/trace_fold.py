@@ -6,8 +6,8 @@ counters into :class:`~repro.async_engine.events.EpochEvent` records with
 the rule's multipliers applied, and (for the cluster tier) collapsing the
 per-worker shared-memory counter rows into one epoch event.  This module is
 the single home for that machinery; the per-sample simulator, the batched
-macro-step engine, the threaded pool and the cluster driver all fold
-through it, so a new counter is added in exactly one place.
+macro-step engine and the cluster driver all fold through it, so a new
+counter is added in exactly one place.
 """
 
 from __future__ import annotations

@@ -65,9 +65,18 @@ class ModelRef:
 
         The model's ``version`` attribute is set *before* the reference is
         flipped, so no reader can ever observe the new model under the old
-        version number.
+        version number.  A model of a different width than the published
+        one is rejected with :class:`ValueError`: queries are validated
+        against the model live at submit time but scored against the one
+        live when their batch runs, so a narrower model would be indexed
+        past its weights.
         """
         with self._lock:
+            if self._model is not None and model.n_features != self._model.n_features:
+                raise ValueError(
+                    f"cannot swap a {model.n_features}-feature model in for the "
+                    f"published {self._model.n_features}-feature model"
+                )
             self._version += 1
             model.version = self._version
             self._model = model
@@ -158,13 +167,14 @@ class ArtifactWatcher:
         key, mtime = candidate
         try:
             model = ScoringModel.from_artifact(self.store, key, kernel=self.kernel)
+            version = self.ref.swap(model)
         except ValueError as exc:
-            # Unservable artifact (no weights / corrupt): remember it so the
-            # poll loop does not retry-log forever, keep serving the old one.
+            # Unservable artifact (no weights / corrupt / a different model
+            # width): remember it so the poll loop does not retry-log
+            # forever, keep serving the old one.
             LOGGER.warning("ignoring unservable artifact %s: %s", key[:12], exc)
             self._current = candidate
             return None
-        version = self.ref.swap(model)
         self._current = candidate
         LOGGER.info("hot-swapped artifact %s as model version %d", key[:12], version)
         if self.on_swap is not None:

@@ -4,12 +4,12 @@ Serial baselines (SGD, IS-SGD, SVRG, SAGA, full GD) and the asynchronous
 solvers (ASGD / Hogwild, SVRG-ASGD and SAGA-ASGD) the paper compares
 against or that the runtime layer unlocks.  The paper's own contribution,
 IS-ASGD, lives in :mod:`repro.core.is_asgd` and shares the same
-:class:`~repro.solvers.base.BaseSolver` interface.  The asynchronous
-solvers are thin declarations over :mod:`repro.runtime` — a registered
-update rule plus sampler configuration, executable on any backend.
+:class:`~repro.solvers.base.AsyncSolver` base.  The asynchronous solvers
+are thin declarations over :mod:`repro.runtime` — a registered update rule
+plus sampler configuration, executable on any backend.
 """
 
-from repro.solvers.base import BaseSolver, Problem
+from repro.solvers.base import AsyncSolver, BaseSolver, Problem
 from repro.solvers.results import TrainResult
 from repro.solvers.gd import GradientDescentSolver
 from repro.solvers.sgd import SGDSolver
@@ -23,6 +23,7 @@ from repro.solvers.minibatch import MiniBatchSGDSolver
 from repro.solvers.registry import available_solvers, make_solver
 
 __all__ = [
+    "AsyncSolver",
     "BaseSolver",
     "Problem",
     "TrainResult",

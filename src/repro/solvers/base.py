@@ -1,4 +1,4 @@
-"""Solver base class and the problem container.
+"""Solver base classes and the problem container.
 
 A :class:`Problem` bundles the design matrix, labels and objective; a
 :class:`BaseSolver` trains a model on it and returns a
@@ -7,7 +7,9 @@ both the iterative (epoch) and absolute (simulated wall-clock) x-axes.
 The wall-clock is produced by the shared
 :class:`~repro.async_engine.cost_model.CostModel`, so serial and
 asynchronous solvers are directly comparable — exactly the comparison the
-paper's Figure 4 makes.
+paper's Figure 4 makes.  :class:`AsyncSolver` is the shared declaration of
+the asynchronous solvers, which run through the execution runtime
+(:mod:`repro.runtime`).
 """
 
 from __future__ import annotations
@@ -20,13 +22,17 @@ import numpy as np
 
 from repro.async_engine.cost_model import CostModel
 from repro.async_engine.events import EpochEvent, ExecutionTrace
+from repro.async_engine.staleness import StalenessModel, UniformDelay
+from repro.core.balancing import random_order
+from repro.core.partition import partition_dataset
 from repro.kernels.base import KernelBackend
 from repro.kernels.registry import resolve_backend
 from repro.metrics.convergence import MetricsRecorder
 from repro.objectives.base import Objective
+from repro.runtime import ExecutionRequest, execute, resolve_async_mode
 from repro.solvers.results import TrainResult
 from repro.sparse.csr import CSRMatrix
-from repro.utils.rng import RandomState
+from repro.utils.rng import RandomState, as_rng
 
 
 @dataclass
@@ -187,10 +193,9 @@ class BaseSolver(ABC):
     # ------------------------------------------------------------------ #
     # Helpers shared by the concrete solvers
     # ------------------------------------------------------------------ #
-    @property
-    def parallel_workers(self) -> int:
-        """How many workers share the epoch's work (1 for serial solvers)."""
-        return 1
+    #: How many workers share the epoch's work when the cost model prices
+    #: the trace (1 for serial solvers; :class:`AsyncSolver` overrides it).
+    parallel_workers: int = 1
 
     def _finalize(
         self,
@@ -241,13 +246,109 @@ class BaseSolver(ABC):
             info=dict(info or {}),
         )
 
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"{type(self).__name__}(step_size={self.step_size}, epochs={self.epochs}, "
+            f"seed={self.seed!r})"
+        )
+
+
+class AsyncSolver(BaseSolver):
+    """Common declaration of the asynchronous solvers.
+
+    An asynchronous solver declares *what* to run — a registered update
+    rule, a sampler configuration and a data partition — and hands the
+    *how* to the execution runtime (:mod:`repro.runtime`), which runs it on
+    the tier ``async_mode`` selects.  The default :meth:`fit` shards a
+    random order uniformly over the workers and runs :attr:`rule` on it;
+    ASGD and SAGA-ASGD are nothing more than that, SVRG-ASGD picks its rule
+    from a flag, and IS-ASGD overrides :meth:`fit` with Algorithm 4's
+    balancing and importance partition.
+
+    Parameters
+    ----------
+    num_workers:
+        Degree of concurrency (the paper's thread count).
+    staleness:
+        Delay model for the simulated tiers; defaults to
+        ``UniformDelay(num_workers - 1)``, matching the assumption that the
+        maximum delay is proportional to concurrency.
+    async_mode:
+        Execution backend, resolved through the runtime registry:
+        ``"per_sample"``, ``"batched"`` or ``"process"``; ``None`` resolves
+        via :func:`repro.runtime.resolve_async_mode` (process default, then
+        ``REPRO_ASYNC_MODE``).  See ``docs/runtime.md`` for the capability
+        matrix.
+    batch_size:
+        Macro-step length for the batched/process backends (``"auto"``
+        scales with the backend's own heuristic).
+    shard_scheme / num_shards:
+        Parameter-shard layout for ``async_mode="process"`` (``"range"``
+        or ``"coloring"``; shards default to the worker count).
+
+    The remaining parameters are :class:`BaseSolver`'s.
+    """
+
+    #: Registered update rule this solver declares (:mod:`repro.rules`).
+    rule: str
+
+    def __init__(
+        self,
+        *,
+        step_size: float = 0.1,
+        epochs: int = 10,
+        num_workers: int = 4,
+        seed: RandomState = 0,
+        cost_model: Optional[CostModel] = None,
+        record_every: int = 1,
+        staleness: Optional[StalenessModel] = None,
+        kernel: Union[KernelBackend, str, None] = None,
+        async_mode: Optional[str] = None,
+        batch_size: Union[int, str] = "auto",
+        shard_scheme: str = "range",
+        num_shards: Optional[int] = None,
+    ) -> None:
+        super().__init__(step_size=step_size, epochs=epochs, seed=seed,
+                         cost_model=cost_model, record_every=record_every, kernel=kernel)
+        if num_workers < 1:
+            raise ValueError("num_workers must be >= 1")
+        self.num_workers = int(num_workers)
+        self.staleness = staleness
+        self.async_mode = resolve_async_mode(async_mode)
+        self.batch_size = batch_size
+        self.shard_scheme = shard_scheme
+        self.num_shards = num_shards
+
+    @property
+    def parallel_workers(self) -> int:
+        return self.num_workers
+
+    def _info(self) -> Dict[str, Any]:
+        """Solver diagnostics carried into the result's info dict."""
+        return {"num_workers": self.num_workers}
+
+    def fit(self, problem: Problem, *, initial_weights: Optional[np.ndarray] = None) -> TrainResult:
+        """Run :attr:`rule` over uniform per-worker shards of ``problem``."""
+        rng = as_rng(self.seed)
+        order = random_order(problem.n_samples, seed=rng)
+        partition = partition_dataset(order, problem.lipschitz_constants(), self.num_workers,
+                                      scheme="uniform")
+        return self._execute_async(
+            problem,
+            partition,
+            rng,
+            staleness=self.staleness or UniformDelay(max(self.num_workers - 1, 0)),
+            include_sampling=False,
+            extra_info=self._info(),
+            initial_weights=initial_weights,
+        )
+
     def _execute_async(
         self,
         problem: Problem,
         partition,
         rng,
         *,
-        rule: str,
         staleness,
         include_sampling: bool,
         extra_info: Optional[Dict[str, Any]] = None,
@@ -259,25 +360,20 @@ class BaseSolver(ABC):
     ) -> TrainResult:
         """Run an async solver's declaration through the execution runtime.
 
-        Shared by every asynchronous solver: draws the worker/engine seeds
-        from ``rng`` (in that order), fills the
-        :class:`~repro.runtime.ExecutionRequest`, dispatches to the backend
-        ``self.async_mode`` selects and finalises the result — with the
-        *measured* wall-clock axis whenever the backend provides one.
-        ``extra_info`` carries solver-specific diagnostics into the result's
-        info dict (backend info wins on shared keys).  Callers must define
-        ``batch_size`` / ``shard_scheme`` / ``num_shards`` (all async
-        solvers do); a solver without them fails loudly rather than
-        silently running with defaults.
+        Draws the worker/engine seeds from ``rng`` (in that order), fills
+        the :class:`~repro.runtime.ExecutionRequest` for :attr:`rule`,
+        dispatches to the backend ``self.async_mode`` selects and finalises
+        the result — with the *measured* wall-clock axis whenever the
+        backend provides one.  ``extra_info`` carries solver-specific
+        diagnostics into the result's info dict (backend info wins on
+        shared keys).
         """
-        from repro.runtime import ExecutionRequest, execute
-
         request = ExecutionRequest(
             X=problem.X,
             y=problem.y,
             objective=problem.objective,
             partition=partition,
-            rule=rule,
+            rule=self.rule,
             step_size=self.step_size,
             epochs=self.epochs,
             worker_seed=int(rng.integers(0, 2**31 - 1)),
@@ -305,11 +401,5 @@ class BaseSolver(ABC):
             wall_clock=result.wall_clock,
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{type(self).__name__}(step_size={self.step_size}, epochs={self.epochs}, "
-            f"seed={self.seed!r})"
-        )
 
-
-__all__ = ["Problem", "BaseSolver", "EpochEngine"]
+__all__ = ["Problem", "BaseSolver", "AsyncSolver", "EpochEngine"]

@@ -19,17 +19,18 @@ import numpy as np
 import pytest
 
 from repro.async_engine.batched import BatchedSimulator
-from repro.async_engine.modes import (
-    available_async_modes,
-    default_async_mode,
-    resolve_async_mode,
-    set_default_async_mode,
-)
 from repro.async_engine.staleness import ConstantDelay, GeometricDelay, UniformDelay
 from repro.async_engine.worker import build_workers
 from repro.core.is_asgd import ISASGDSolver
 from repro.core.partition import partition_dataset
-from repro.solvers.asgd import ASGDSolver, BatchedSparseSGDRule
+from repro.runtime import (
+    available_backend_names,
+    default_async_mode,
+    resolve_async_mode,
+    set_default_async_mode,
+)
+from repro.rules.sgd import SGDRule
+from repro.solvers.asgd import ASGDSolver
 from repro.solvers.svrg_asgd import SVRGASGDSolver
 
 
@@ -179,7 +180,7 @@ def _make_batched(problem, num_workers=4, staleness=None, seed=0, **kwargs):
     )
     iterations = max(1, problem.n_samples // num_workers)
     workers = build_workers(partition, iterations, seed=seed, importance_sampling=True)
-    rule = BatchedSparseSGDRule(objective=problem.objective, step_size=0.3)
+    rule = SGDRule(objective=problem.objective, step_size=0.3)
     return BatchedSimulator(
         X=problem.X, y=problem.y, workers=workers, update_rule=rule,
         staleness=staleness, seed=seed, **kwargs,
@@ -230,7 +231,6 @@ class TestBatchedSimulator:
     def test_record_iterations_matches_per_sample(self, small_problem):
         """Per-iteration events (worker, sample, delay, conflicts) replay exactly."""
         from repro.async_engine.simulator import AsyncSimulator
-        from repro.solvers.asgd import SparseSGDUpdateRule
 
         partition = partition_dataset(
             np.arange(small_problem.n_samples), small_problem.lipschitz_constants(), 4,
@@ -241,14 +241,14 @@ class TestBatchedSimulator:
         workers_p = build_workers(partition, iterations, seed=9, importance_sampling=True)
         per_sample = AsyncSimulator(
             X=small_problem.X, y=small_problem.y, workers=workers_p,
-            update_rule=SparseSGDUpdateRule(objective=small_problem.objective, step_size=0.3),
+            update_rule=SGDRule(objective=small_problem.objective, step_size=0.3),
             staleness=UniformDelay(3), seed=9, record_iterations=True,
         ).run(2)
 
         workers_b = build_workers(partition, iterations, seed=9, importance_sampling=True)
         batched = BatchedSimulator(
             X=small_problem.X, y=small_problem.y, workers=workers_b,
-            update_rule=BatchedSparseSGDRule(objective=small_problem.objective, step_size=0.3),
+            update_rule=SGDRule(objective=small_problem.objective, step_size=0.3),
             staleness=UniformDelay(3), seed=9, batch_size=16, record_iterations=True,
         ).run(2)
 
@@ -265,7 +265,7 @@ class TestBatchedSimulator:
         assert sim.resolved_batch_size() == 64
 
     def test_validation(self, small_problem):
-        rule = BatchedSparseSGDRule(objective=small_problem.objective, step_size=0.1)
+        rule = SGDRule(objective=small_problem.objective, step_size=0.1)
         with pytest.raises(ValueError):
             BatchedSimulator(X=small_problem.X, y=small_problem.y, workers=[], update_rule=rule)
         with pytest.raises(ValueError):
@@ -281,13 +281,12 @@ class TestBatchedSimulator:
 # --------------------------------------------------------------------- #
 class TestAsyncModeRegistry:
     def test_available_and_default(self):
-        assert available_async_modes() == ["per_sample", "batched", "threads", "process"]
+        assert available_backend_names() == ["per_sample", "batched", "process"]
         assert default_async_mode() == "per_sample"
 
     def test_resolve(self):
         assert resolve_async_mode(None) == "per_sample"
         assert resolve_async_mode("batched") == "batched"
-        assert resolve_async_mode("threads") == "threads"
         assert resolve_async_mode("process") == "process"
         with pytest.raises(ValueError):
             resolve_async_mode("warp_speed")

@@ -161,7 +161,7 @@ class TestHistoryOverflow:
         from repro.core.partition import partition_dataset
         from repro.datasets.synthetic import SyntheticSpec, make_sparse_classification
         from repro.objectives.logistic import LogisticObjective
-        from repro.solvers.asgd import SparseSGDUpdateRule
+        from repro.rules.sgd import SGDRule
 
         spec = SyntheticSpec(n_samples=120, n_features=40, nnz_per_sample=5.0, name="t")
         X, y, _ = make_sparse_classification(spec, seed=0)
@@ -171,7 +171,7 @@ class TestHistoryOverflow:
         workers = build_workers(part, 60, seed=1, importance_sampling=False)
         sim = AsyncSimulator(
             X=X, y=y, workers=workers,
-            update_rule=SparseSGDUpdateRule(objective=obj, step_size=0.05),
+            update_rule=SGDRule(objective=obj, step_size=0.05),
             staleness=ConstantDelay(3), seed=2, history=2,
         )
         result = sim.run(1)
@@ -187,7 +187,7 @@ class TestHistoryOverflow:
         from repro.core.partition import partition_dataset
         from repro.datasets.synthetic import SyntheticSpec, make_sparse_classification
         from repro.objectives.logistic import LogisticObjective
-        from repro.solvers.asgd import SparseSGDUpdateRule
+        from repro.rules.sgd import SGDRule
 
         spec = SyntheticSpec(n_samples=120, n_features=40, nnz_per_sample=5.0, name="t")
         X, y, _ = make_sparse_classification(spec, seed=0)
@@ -197,7 +197,7 @@ class TestHistoryOverflow:
         workers = build_workers(part, 40, seed=1, importance_sampling=False)
         sim = AsyncSimulator(
             X=X, y=y, workers=workers,
-            update_rule=SparseSGDUpdateRule(objective=obj, step_size=0.05),
+            update_rule=SGDRule(objective=obj, step_size=0.05),
             staleness=UniformDelay(4), seed=2,
         )
         result = sim.run(2)
@@ -211,7 +211,7 @@ class TestHistoryOverflow:
         from repro.core.partition import partition_dataset
         from repro.datasets.synthetic import SyntheticSpec, make_sparse_classification
         from repro.objectives.logistic import LogisticObjective
-        from repro.solvers.asgd import BatchedSparseSGDRule, SparseSGDUpdateRule
+        from repro.rules.sgd import SGDRule
 
         spec = SyntheticSpec(n_samples=150, n_features=50, nnz_per_sample=5.0, name="t")
         X, y, _ = make_sparse_classification(spec, seed=0)
@@ -229,13 +229,13 @@ class TestHistoryOverflow:
         w1 = build_workers(part, 50, seed=5, importance_sampling=False)
         per = AsyncSimulator(
             X=X, y=y, workers=w1,
-            update_rule=SparseSGDUpdateRule(objective=obj, step_size=0.05),
+            update_rule=SGDRule(objective=obj, step_size=0.05),
             staleness=UniformDelay(4), seed=9, history=2,
         ).run(2)
         w2 = build_workers(part, 50, seed=5, importance_sampling=False)
         bat = BatchedSimulator(
             X=X, y=y, workers=w2,
-            update_rule=BatchedSparseSGDRule(objective=obj, step_size=0.05),
+            update_rule=SGDRule(objective=obj, step_size=0.05),
             staleness=UniformDelay(4), seed=9, batch_size=16, history=2,
         ).run(2)
         assert sum(e.history_overflows for e in per.trace.epochs) > 0

@@ -7,7 +7,7 @@ from repro.async_engine.simulator import AsyncSimulator
 from repro.async_engine.staleness import ConstantDelay, UniformDelay
 from repro.async_engine.worker import build_workers
 from repro.core.partition import partition_dataset
-from repro.solvers.asgd import SparseSGDUpdateRule
+from repro.rules.sgd import SGDRule
 
 
 def _make_simulator(problem, num_workers=4, staleness=None, seed=0, importance=True):
@@ -16,7 +16,7 @@ def _make_simulator(problem, num_workers=4, staleness=None, seed=0, importance=T
                                   scheme="lipschitz" if importance else "uniform")
     iterations = max(1, problem.n_samples // num_workers)
     workers = build_workers(partition, iterations, seed=seed, importance_sampling=importance)
-    rule = SparseSGDUpdateRule(objective=problem.objective, step_size=0.3)
+    rule = SGDRule(objective=problem.objective, step_size=0.3)
     return AsyncSimulator(
         X=problem.X,
         y=problem.y,
@@ -107,7 +107,7 @@ class TestStalenessEffects:
 
 class TestValidation:
     def test_requires_workers(self, small_problem):
-        rule = SparseSGDUpdateRule(objective=small_problem.objective, step_size=0.1)
+        rule = SGDRule(objective=small_problem.objective, step_size=0.1)
         with pytest.raises(ValueError):
             AsyncSimulator(X=small_problem.X, y=small_problem.y, workers=[], update_rule=rule)
 

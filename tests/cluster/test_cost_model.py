@@ -1,15 +1,9 @@
-"""Unit tests of the cluster communication/occupancy cost model."""
+"""Unit tests of the cluster's occupancy statistics and trace comparison."""
 
-import numpy as np
 import pytest
 
 from repro.async_engine.events import EpochEvent, ExecutionTrace
-from repro.cluster.cost_model import (
-    ClusterCostModel,
-    ClusterCostParameters,
-    compare_traces,
-    occupancy_skew,
-)
+from repro.cluster.cost_model import compare_traces, occupancy_skew
 
 
 def _epoch(iterations=100_000, sparse=3_000_000, conflicts=0, dense=0) -> EpochEvent:
@@ -31,48 +25,6 @@ class TestOccupancySkew:
     def test_empty_is_zero(self):
         assert occupancy_skew([]) == 0.0
         assert occupancy_skew([0, 0]) == 0.0
-
-
-class TestClusterCostModel:
-    def test_parallel_efficiency_degrades_with_conflicts_and_skew(self):
-        model = ClusterCostModel()
-        base = model.parallel_efficiency(0.0, 4)
-        worse = model.parallel_efficiency(2.0, 4)
-        skewed = model.parallel_efficiency(0.0, 4, occupancy=3.0)
-        assert worse < base
-        assert skewed < base
-        assert model.parallel_efficiency(5.0, 1) == 1.0
-
-    def test_more_workers_predict_less_wall_clock(self):
-        model = ClusterCostModel()
-        e = _epoch()
-        t1 = model.epoch_wall_clock(e, 1)
-        t4 = model.epoch_wall_clock(e, 4)
-        assert t4 < t1
-
-    def test_trace_wall_clock_is_cumulative(self):
-        model = ClusterCostModel()
-        trace = ExecutionTrace()
-        trace.add_epoch(_epoch())
-        trace.add_epoch(_epoch())
-        wall = model.trace_wall_clock(trace, 4)
-        assert wall.shape == (2,)
-        assert wall[1] == pytest.approx(2 * wall[0])
-
-    def test_compare_measured_rows(self):
-        model = ClusterCostModel()
-        trace = ExecutionTrace()
-        trace.add_epoch(_epoch())
-        rows = model.compare_measured(trace, [0.5], 4, occupancies=[1.0])
-        assert len(rows) == 1
-        assert rows[0]["measured_seconds"] == pytest.approx(0.5)
-        assert rows[0]["measured_over_predicted"] > 0
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterCostParameters(base_parallel_efficiency=0.0)
-        with pytest.raises(ValueError):
-            ClusterCostParameters(coord_write_cost=-1.0)
 
 
 class TestCompareTraces:

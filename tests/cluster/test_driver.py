@@ -62,7 +62,7 @@ class TestProcessModeSolvers:
         reference = factory("per_sample").fit(cluster_problem)
         clustered = factory("process").fit(cluster_problem)
 
-        assert clustered.info["backend"] == "process"
+        assert clustered.info["async_mode"] == "process"
         assert clustered.info["num_workers"] == NUM_WORKERS
         # Valid measured trace: one event per epoch, real iteration counts.
         assert len(clustered.trace.epochs) == 3
@@ -104,9 +104,23 @@ class TestProcessModeSolvers:
             solver_kwargs=(("async_mode", "process"),),
         )
         record = run_single(spec)
-        assert record.info["backend"] == "process"
+        assert record.info["async_mode"] == "process"
         assert record.curve.total_time > 0
         assert len(record.trace.epochs) == 2
+
+    @pytest.mark.parametrize("solver_cls", [ASGDSolver, ISASGDSolver, SVRGASGDSolver],
+                             ids=lambda cls: cls.name)
+    def test_more_workers_than_samples_terminates(self, solver_cls):
+        """Regression: partition_dataset caps shards at n_samples, so a
+        fleet or barrier sized from the requested worker count would wait
+        on workers that never exist.  Must terminate and keep every epoch."""
+        spec = SyntheticSpec(n_samples=5, n_features=12, nnz_per_sample=3.0, name="tiny")
+        X, y, _ = make_sparse_classification(spec, seed=0)
+        problem = Problem(X=X, y=y, objective=LogisticObjective(), name="tiny")
+        result = solver_cls(step_size=0.05, epochs=2, num_workers=8, seed=0,
+                            async_mode="process").fit(problem)
+        assert result.info["async_mode"] == "process"
+        assert len(result.trace.epochs) == 2
 
 
 class TestClusterDriver:

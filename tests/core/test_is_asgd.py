@@ -73,7 +73,7 @@ class TestConfigurationKnobs:
 
     def test_invalid_backend(self):
         with pytest.raises(ValueError):
-            ISASGDSolver(ISASGDConfig(), backend="mpi")
+            ISASGDSolver(ISASGDConfig(), async_mode="mpi")
 
     def test_prepare_partition_masses(self, small_problem):
         solver = ISASGDSolver(ISASGDConfig(num_workers=4, seed=0,
@@ -101,9 +101,3 @@ class TestAgainstBaselines:
         cfg = ISASGDConfig(step_size=0.3, epochs=5, num_workers=4, seed=0)
         is_asgd = ISASGDSolver(cfg).fit(small_problem)
         assert is_asgd.curve.rmse[-1] <= sgd.curve.rmse[-1] * 1.25
-
-    def test_threads_backend_converges(self, small_problem):
-        cfg = ISASGDConfig(step_size=0.3, epochs=3, num_workers=2, seed=0)
-        result = ISASGDSolver(cfg, backend="threads").fit(small_problem)
-        assert result.info["backend"] == "threads"
-        assert result.curve.rmse[-1] < result.curve.rmse[0]

@@ -34,9 +34,7 @@ class TestList:
         code, out, _ = _run(capsys, "list", "--json")
         assert code == 0
         matrix = json.loads(out)["backends"]
-        assert [row["backend"] for row in matrix] == [
-            "per_sample", "batched", "threads", "process"
-        ]
+        assert [row["backend"] for row in matrix] == ["per_sample", "batched", "process"]
         process = matrix[-1]
         assert process["true_parallelism"] and process["measured_wall_clock"]
         for row in matrix:

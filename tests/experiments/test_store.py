@@ -76,6 +76,33 @@ class TestRunKey:
         assert run_key(a) == run_key(b)
 
 
+class TestPinnedIdentityKeys:
+    """Literal keys of stored runs: refactoring how the async mode or the
+    kernel is resolved must not turn every stored artifact into a miss."""
+
+    @pytest.fixture(autouse=True)
+    def _registry_defaults(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ASYNC_MODE", raising=False)
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+
+    def test_async_spec_with_explicit_mode(self):
+        spec = _spec(solver_kwargs=(("async_mode", "batched"),))
+        assert identity_key(run_identity(spec)) == (
+            "3461dad1126ff1563739ff73c99ec5577b989e374b90d26446a91db2a5fa4750"
+        )
+
+    def test_async_spec_with_default_mode(self):
+        assert identity_key(run_identity(_spec())) == (
+            "903f137454324da0df89a92eb9b0ab186bf4e20eb524e12a54406e9bdb4fa86b"
+        )
+
+    def test_serial_spec(self):
+        spec = _spec(solver="sgd", num_workers=1)
+        assert identity_key(run_identity(spec)) == (
+            "47ccb418d6b03d986b64d5a102debebfc007134832f904f78e4a7dc7045e1469"
+        )
+
+
 class TestArtifactStore:
     def test_save_load_round_trip(self, tmp_path, trained_record):
         store = ArtifactStore(tmp_path / "store")

@@ -64,12 +64,12 @@ class TestPublicApiFlow:
 
 
 class TestCrossBackendConsistency:
-    def test_simulated_and_threaded_is_asgd_reach_similar_quality(self, smoke_problem):
+    def test_simulated_and_process_is_asgd_reach_similar_quality(self, smoke_problem):
         cfg = ISASGDConfig(step_size=0.3, epochs=4, num_workers=2, seed=0)
-        sim = ISASGDSolver(cfg, backend="simulated").fit(smoke_problem)
-        thr = ISASGDSolver(cfg, backend="threads").fit(smoke_problem)
-        assert abs(sim.final_rmse - thr.final_rmse) < 0.25
-        assert thr.best_error_rate < 0.5
+        sim = ISASGDSolver(cfg, async_mode="per_sample").fit(smoke_problem)
+        proc = ISASGDSolver(cfg, async_mode="process").fit(smoke_problem)
+        assert abs(sim.final_rmse - proc.final_rmse) < 0.25
+        assert proc.best_error_rate < 0.5
 
     def test_asgd_with_one_worker_close_to_serial_sgd(self, smoke_problem):
         """With a single worker and zero delay the async engine is just SGD."""

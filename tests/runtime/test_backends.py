@@ -16,6 +16,7 @@ from repro.runtime.backends import (
     execute,
     get_backend,
     register_backend,
+    resolve_async_mode,
 )
 
 
@@ -39,8 +40,8 @@ def _request(problem, rule="sgd", **overrides):
 
 
 class TestRegistry:
-    def test_four_builtin_backends_in_canonical_order(self):
-        assert available_backend_names() == ["per_sample", "batched", "threads", "process"]
+    def test_three_builtin_backends_in_canonical_order(self):
+        assert available_backend_names() == ["per_sample", "batched", "process"]
 
     def test_capability_matrix_shape(self):
         matrix = capability_matrix()
@@ -54,17 +55,17 @@ class TestRegistry:
 
     def test_only_batched_advertises_fused_kernel_loop(self):
         assert backend_capabilities("batched").fused_kernel_loop
-        for name in ("per_sample", "threads", "process"):
+        for name in ("per_sample", "process"):
             assert not backend_capabilities(name).fused_kernel_loop
 
     def test_only_process_measures_wall_clock(self):
         assert backend_capabilities("process").measured_wall_clock
-        for name in ("per_sample", "batched", "threads"):
+        for name in ("per_sample", "batched"):
             assert not backend_capabilities(name).measured_wall_clock
 
     def test_only_process_is_fault_tolerant(self):
         assert backend_capabilities("process").fault_tolerant
-        for name in ("per_sample", "batched", "threads"):
+        for name in ("per_sample", "batched"):
             assert not backend_capabilities(name).fault_tolerant
 
     def test_every_builtin_backend_supports_every_rule(self):
@@ -74,7 +75,7 @@ class TestRegistry:
             assert backends_supporting(rule) == available_backend_names()
 
     def test_unknown_backend_lists_valid_modes(self):
-        with pytest.raises(ValueError, match="per_sample, batched, threads, process"):
+        with pytest.raises(ValueError, match="per_sample, batched, process"):
             get_backend("bogus")
 
 
@@ -137,7 +138,7 @@ class TestCustomRules:
 
         self._register_scaled_sgd()
         try:
-            assert backends_supporting("half_sgd") == ["per_sample", "batched", "threads"]
+            assert backends_supporting("half_sgd") == ["per_sample", "batched"]
             result = execute("per_sample", _request(small_problem, rule="half_sgd"))
             assert result.trace.total_iterations > 0
         finally:
@@ -157,18 +158,6 @@ class TestCustomRules:
         finally:
             rules._FACTORIES.pop("half_sgd", None)
             rules.RULE_DESCRIPTIONS.pop("half_sgd", None)
-
-
-class TestModeDescriptionsMapping:
-    def test_live_view_and_mapping_contract(self):
-        from repro.async_engine.modes import MODE_DESCRIPTIONS
-
-        assert set(MODE_DESCRIPTIONS) == set(available_backend_names())
-        assert "parameter server" in MODE_DESCRIPTIONS["process"]
-        # dict-style membership/default lookups must not raise.
-        assert "bogus" not in MODE_DESCRIPTIONS
-        assert MODE_DESCRIPTIONS.get("bogus", "fallback") == "fallback"
-        assert dict(MODE_DESCRIPTIONS)  # materialisable
 
 
 class TestExecute:
@@ -208,9 +197,7 @@ class TestExecute:
             assert "echo" in available_backend_names()
             result = execute("echo", _request(small_problem))
             assert result.info["async_mode"] == "echo"
-            # The modes shim sees the new backend too.
-            from repro.async_engine.modes import available_async_modes
-
-            assert "echo" in available_async_modes()
+            # The mode resolver sees the new backend too.
+            assert resolve_async_mode("echo") == "echo"
         finally:
             _BACKENDS.pop("echo", None)

@@ -10,7 +10,7 @@ automatically:
   **exact trace equality** for rules that declare ``trace_exact_batched``,
   and by exact operation counters (everything except the conflict replay)
   for rules with per-block frozen state (SAGA);
-* real-concurrency backends (``threads``, ``process``) are validated by
+* the real-concurrency backend (``process``) is validated by
   **statistical tolerance**: the run must genuinely optimise and land
   within a loss band of the per-sample ground truth.
 
@@ -104,8 +104,8 @@ class TestRegistryCoverage:
         assert set(ALL_RULES) >= {"sgd", "is_sgd", "svrg", "svrg_skip_dense", "saga"}
 
     @pytest.mark.parametrize("rule", ALL_RULES)
-    def test_every_rule_claims_all_four_tiers(self, rule):
-        assert set(backends_supporting(rule)) >= {"per_sample", "batched", "threads", "process"}
+    def test_every_rule_claims_all_three_tiers(self, rule):
+        assert set(backends_supporting(rule)) >= {"per_sample", "batched", "process"}
 
 
 class TestDeterministicTierParity:
@@ -145,10 +145,10 @@ class TestDeterministicTierParity:
 
 
 class TestConcurrentTierTolerance:
-    """threads/process: the run optimises and lands near the ground truth."""
+    """process: the run optimises and lands near the ground truth."""
 
     @pytest.mark.parametrize("objective", OBJECTIVES)
-    @pytest.mark.parametrize("mode", ["threads", "process"])
+    @pytest.mark.parametrize("mode", ["process"])
     @pytest.mark.parametrize("rule", ALL_RULES)
     def test_tolerance_parity(self, problems, rule, mode, objective):
         problem = problems[objective]

@@ -67,6 +67,19 @@ def test_initial_publication_is_not_counted_as_swap(swap_problem):
     assert ref.swaps == 1
 
 
+def test_swap_rejects_a_model_of_another_width(swap_problem):
+    # Queries are checked against the model live at submit time and scored
+    # against the one live when their batch runs: a narrower model swapped
+    # in between would be indexed past its weights.
+    _, pool, _ = swap_problem
+    ref = ModelRef(pool[0])
+    narrow = ScoringModel(pool[1].weights[:10], make_objective("logistic_l1"))
+    with pytest.raises(ValueError, match=r"10-feature.*30-feature"):
+        ref.swap(narrow)
+    assert ref.get() is pool[0]
+    assert (ref.version, ref.swaps) == (1, 0)
+
+
 def test_swap_under_sustained_load_never_mixes_versions(swap_problem):
     X, pool, expected = swap_problem
     ref = ModelRef(pool[0])
@@ -221,6 +234,32 @@ def test_watcher_ignores_unservable_artifacts(tmp_path, swap_problem):
     np.testing.assert_array_equal(ref.get().weights, pool[0].weights)
     # ... and the bad artifact is not retried every poll.
     assert watcher.poll_once() is None
+
+
+def test_watcher_keeps_serving_when_newer_artifact_is_narrower(tmp_path, swap_problem):
+    X, pool, expected = swap_problem
+    store = ArtifactStore(tmp_path)
+    store.save("run-a", _record_with_weights(pool[0].weights), IDENTITY)
+    ref = ModelRef()
+    watcher = ArtifactWatcher(store, ref, solver="sgd", poll_interval=0.01)
+    first = watcher.load_initial()
+
+    # A newer run of the followed solver, trained on a narrower dataset.
+    time.sleep(0.01)
+    narrow = pool[1].weights[:10]
+    store.save("run-b", _record_with_weights(narrow), dict(IDENTITY, dataset="narrow"))
+    assert watcher.poll_once() is None
+    assert watcher.poll_once() is None  # remembered, not retried every poll
+    assert ref.get() is first
+
+    # Rows with features beyond the narrow width still score on the old model.
+    rows = [i for i in range(X.n_rows) if X.row(i)[0].max() >= narrow.size]
+    assert rows
+    with MicroBatcher(ref, lanes=1) as batcher:
+        responses = [batcher.score(*X.row(i), timeout=30.0) for i in rows]
+    for i, response in zip(rows, responses):
+        assert response["model_version"] == first.version
+        assert response["margin"] == pytest.approx(expected[0][i], abs=1e-12)
 
 
 def test_background_watcher_thread_swaps_under_load(tmp_path, swap_problem):

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from repro.async_engine.staleness import ConstantDelay
-from repro.solvers.asgd import ASGDSolver, SparseSGDUpdateRule
+from repro.rules.sgd import SGDRule
+from repro.solvers.asgd import ASGDSolver
 from repro.solvers.sgd import SGDSolver
 from repro.solvers.svrg_asgd import SVRGASGDSolver
 
 
-class TestSparseSGDUpdateRule:
+class TestSGDRule:
     def test_delta_direction_and_scale(self, small_problem):
         obj = small_problem.objective
-        rule = SparseSGDUpdateRule(objective=obj, step_size=0.5)
+        rule = SGDRule(objective=obj, step_size=0.5)
         x_idx, x_val = small_problem.X.row(0)
         w = np.zeros(small_problem.n_features)
         grad = obj.sample_grad(w, x_idx, x_val, float(small_problem.y[0]))
@@ -22,7 +23,7 @@ class TestSparseSGDUpdateRule:
 
     def test_step_weight_scales_delta(self, small_problem):
         obj = small_problem.objective
-        rule = SparseSGDUpdateRule(objective=obj, step_size=0.5)
+        rule = SGDRule(objective=obj, step_size=0.5)
         x_idx, x_val = small_problem.X.row(0)
         w = np.zeros(small_problem.n_features)
         d1, _ = rule.compute_update(w[x_idx], x_idx, x_val, float(small_problem.y[0]), 1.0)
@@ -32,10 +33,11 @@ class TestSparseSGDUpdateRule:
 
 class TestASGDSolver:
     def test_converges(self, small_problem):
-        result = ASGDSolver(step_size=0.3, epochs=5, num_workers=4, seed=0).fit(small_problem)
+        solver = ASGDSolver(step_size=0.3, epochs=5, num_workers=4, seed=0)
+        result = solver.fit(small_problem)
         assert result.curve.rmse[-1] < result.curve.rmse[0]
         assert result.best_error_rate < 0.45
-        assert result.info["backend"] == "simulated"
+        assert result.info["async_mode"] == solver.async_mode
 
     def test_num_workers_recorded(self, small_problem):
         result = ASGDSolver(step_size=0.3, epochs=2, num_workers=6, seed=0).fit(small_problem)
@@ -53,17 +55,11 @@ class TestASGDSolver:
                            staleness=ConstantDelay(40)).fit(small_problem)
         assert fresh.curve.rmse[-1] <= stale.curve.rmse[-1] * 1.05
 
-    def test_threads_backend(self, small_problem):
-        result = ASGDSolver(step_size=0.3, epochs=2, num_workers=2, seed=0,
-                            backend="threads").fit(small_problem)
-        assert result.info["backend"] == "threads"
-        assert result.curve.rmse[-1] < result.curve.rmse[0]
-
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             ASGDSolver(num_workers=0)
         with pytest.raises(ValueError):
-            ASGDSolver(backend="gpu")
+            ASGDSolver(async_mode="gpu")
 
 
 class TestSVRGASGDSolver:

@@ -80,6 +80,15 @@ def _signature_kwargs(callable_obj) -> str:
     return ", ".join(params)
 
 
+def _init_kwargs(cls) -> str:
+    """Constructor kwargs, following ``**kwargs`` forwarded to the base class."""
+    rendered = _signature_kwargs(cls.__init__)
+    if rendered.endswith("**kwargs"):
+        base = next(k for k in cls.__mro__[1:] if "__init__" in vars(k))
+        rendered = rendered[: -len("**kwargs")] + _init_kwargs(base)
+    return rendered
+
+
 def _solvers_section() -> list[str]:
     from repro.solvers.registry import available_solvers, solver_class
 
@@ -92,7 +101,7 @@ def _solvers_section() -> list[str]:
         lines.append(_doc_line(cls))
         lines.append("")
         lines.append(f"- class: `{cls.__module__}.{cls.__qualname__}`")
-        lines.append(f"- kwargs: `{_signature_kwargs(cls.__init__)}`")
+        lines.append(f"- kwargs: `{_init_kwargs(cls)}`")
         lines.append("")
     return lines
 
@@ -143,15 +152,14 @@ def _kernels_section() -> list[str]:
 
 
 def _async_modes_section() -> list[str]:
-    from repro.async_engine.modes import DEFAULT_ASYNC_MODE
-    from repro.runtime import capability_matrix
+    from repro.runtime import DEFAULT_ASYNC_MODE, capability_matrix
 
     def _flag(value: bool) -> str:
         return "yes" if value else "-"
 
     lines = ["## Execution backends (async modes)", "",
              "Selected per solver (`async_mode=`), per process "
-             "(`set_default_async_mode`) or via `REPRO_ASYNC_MODE`; the "
+             "(`repro.runtime.set_default_async_mode`) or via `REPRO_ASYNC_MODE`; the "
              "capability matrix comes from the `repro.runtime` backend "
              "registry (see [runtime.md](runtime.md)).", "",
              "| name | batching | true parallelism | measured time | deterministic | fault tolerant | rules | description |",
