@@ -1,19 +1,18 @@
 """Multi-process sharded parameter-server execution tier.
 
 The first execution path in the repository where throughput scales with
-physical cores: the weight vector is partitioned into coordinate shards
-held in ``multiprocessing.shared_memory``, real OS processes apply
-lock-free index-compressed updates through the kernel batch primitives,
-and the driver folds *measured* staleness/conflict/occupancy counters into
-the same trace records the perturbed-iterate simulator emits.
+physical cores: one weight vector lives in ``multiprocessing.shared_memory``
+in global coordinate order, real OS processes apply lock-free
+index-compressed updates to it through the kernel batch primitives, and
+the driver folds *measured* staleness/conflict/occupancy counters into the
+same trace records the perturbed-iterate simulator emits.
 
 The tier is elastic and fault-tolerant: the driver checkpoints a
-shard-consistent cut of the run at every epoch barrier
+consistent cut of the run at every epoch barrier
 (:mod:`repro.cluster.checkpoint`), replaces workers that die mid-epoch by
-respawning the fleet from the last checkpoint, re-shards checkpointed
-state bit-identically across membership changes
-(:func:`~repro.cluster.sharding.remap_flat`), and mitigates stragglers by
-work-stealing across the per-worker block queues when the measured
+respawning the fleet from the last checkpoint, resumes a checkpoint at any
+fleet size, and mitigates stragglers by work-stealing across the
+per-worker block queues when the measured
 :func:`~repro.cluster.cost_model.work_skew` warrants it.
 
 Selected per solver with ``async_mode="process"`` (or globally via
@@ -33,14 +32,6 @@ from repro.cluster.driver import (
     available_parallelism,
     default_start_method,
 )
-from repro.cluster.sharding import (
-    ShardPlan,
-    coloring_shard_plan,
-    feature_coloring,
-    make_shard_plan,
-    range_shard_plan,
-    remap_flat,
-)
 from repro.cluster.shm import ArenaSpec, ShmArena
 
 __all__ = [
@@ -53,12 +44,6 @@ __all__ = [
     "compare_traces",
     "occupancy_skew",
     "work_skew",
-    "ShardPlan",
-    "range_shard_plan",
-    "coloring_shard_plan",
-    "feature_coloring",
-    "make_shard_plan",
-    "remap_flat",
     "ShmArena",
     "ArenaSpec",
     "available_parallelism",

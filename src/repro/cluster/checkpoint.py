@@ -1,14 +1,12 @@
-"""Shard-consistent checkpoints of a cluster run.
+"""Consistent checkpoints of a cluster run.
 
 Fault tolerance of the process tier rests on one invariant: at every epoch
 barrier the shared-memory arena is *quiescent* — every worker sits at the
 next release barrier, no lock-free write is in flight — so the driver can
 take a consistent cut of the whole run:
 
-* the flat parameter buffer (stored in **global** coordinate order, so it
-  remaps bit-identically onto any :class:`~repro.cluster.sharding.ShardPlan`
-  of the same dimension — dynamic re-sharding on membership changes is a
-  pure permutation, see :func:`repro.cluster.sharding.remap_flat`);
+* the parameter vector (in global coordinate order, the arena's own
+  layout, so it restores bit-identically at any fleet size);
 * per-rule shared state (SAGA's coefficient table and running average;
   SVRG's snapshot blocks are *recomputed* from the weights at every epoch
   start and need no extra state);
@@ -64,25 +62,24 @@ def decode_array(payload: Dict[str, Any]) -> np.ndarray:
 
 @dataclass
 class ClusterCheckpoint:
-    """One shard-consistent cut of a cluster run after ``epoch`` epochs.
+    """One consistent cut of a cluster run after ``epoch`` epochs.
 
     Attributes
     ----------
     identity:
         The run identity dict the checkpoint is keyed by (see
         :meth:`repro.cluster.driver.ClusterDriver.checkpoint_identity`).
-        Membership (worker/shard counts) is *not* part of the identity, so
-        a checkpoint written at one fleet size resumes at any other.
+        Membership (the worker count) is *not* part of the identity, so a
+        checkpoint written at one fleet size resumes at any other.
     epoch:
         Number of *completed* epochs the checkpoint represents.
     weights:
-        Parameter vector in global coordinate order (layout-independent).
+        Parameter vector in global coordinate order.
     rule:
         Update-rule registry name of the run.
     rule_state:
-        Rule-specific shared state, all arrays in global coordinate order
-        where layout applies (SAGA: ``saga_coefs``, ``saga_avg``; empty for
-        rules whose epoch state is derived from the weights).
+        Rule-specific shared state (SAGA: ``saga_coefs``, ``saga_avg``;
+        empty for rules whose epoch state is derived from the weights).
     sampler:
         ``{"seed_root": int, "next_epoch_seeds": [int, ...]}`` — the
         deterministic sampler stream position.
@@ -91,7 +88,8 @@ class ClusterCheckpoint:
         :mod:`repro.cluster.worker`), folded over workers so the record
         survives membership changes.
     shard_write_totals:
-        Cumulative per-shard coordinate-write totals at the cut.
+        Cumulative coordinate-write totals at the cut, one per equal
+        coordinate range (one range per worker).
     trace:
         The measured :class:`ExecutionTrace` of the completed epochs.
     """
@@ -99,8 +97,6 @@ class ClusterCheckpoint:
     identity: Dict[str, Any]
     epoch: int
     num_workers: int
-    num_shards: int
-    shard_scheme: str
     weights: np.ndarray
     rule: str
     rule_state: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -121,8 +117,6 @@ class ClusterCheckpoint:
             "identity": self.identity,
             "epoch": int(self.epoch),
             "num_workers": int(self.num_workers),
-            "num_shards": int(self.num_shards),
-            "shard_scheme": self.shard_scheme,
             "weights": encode_array(self.weights),
             "rule": self.rule,
             "rule_state": {k: encode_array(v) for k, v in self.rule_state.items()},
@@ -145,13 +139,15 @@ class ClusterCheckpoint:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ClusterCheckpoint":
-        """Rebuild a checkpoint from :meth:`to_dict` output."""
+        """Rebuild a checkpoint from :meth:`to_dict` output.
+
+        Payloads written while the cluster still had a choice of parameter
+        layouts carry two more keys naming it; they are ignored.
+        """
         return cls(
             identity=dict(payload["identity"]),
             epoch=int(payload["epoch"]),
             num_workers=int(payload["num_workers"]),
-            num_shards=int(payload["num_shards"]),
-            shard_scheme=payload["shard_scheme"],
             weights=decode_array(payload["weights"]),
             rule=payload["rule"],
             rule_state={k: decode_array(v) for k, v in payload["rule_state"].items()},

@@ -1,12 +1,11 @@
 """Driver of the multi-process parameter-server cluster.
 
 :class:`ClusterDriver` turns a data :class:`~repro.core.partition.Partition`
-into a fleet of real OS processes sharing one sharded parameter vector:
+into a fleet of real OS processes sharing one parameter vector:
 
-* it allocates the shared-memory arena (parameter shards, read-only
-  dataset arrays, per-worker counter rows, conflict stamps, block queues)
-  through :class:`~repro.cluster.shm.ShmArena`;
-* it plans the coordinate shards (:mod:`repro.cluster.sharding`);
+* it allocates the shared-memory arena (the weights in global coordinate
+  order, read-only dataset arrays, per-worker counter rows, conflict
+  stamps, block queues) through :class:`~repro.cluster.shm.ShmArena`;
 * it spawns one :func:`~repro.cluster.worker.run_worker` process per data
   shard and paces them with a barrier, twice per epoch — between epochs
   the driver snapshots the weights, folds the measured counters into the
@@ -18,7 +17,7 @@ into a fleet of real OS processes sharing one sharded parameter vector:
 
 The cluster is **elastic and fault-tolerant**:
 
-* every epoch barrier the driver captures a shard-consistent in-memory
+* every epoch barrier the driver captures a consistent in-memory
   checkpoint (weights, rule state, sampler stream, folded counters — see
   :mod:`repro.cluster.checkpoint`), optionally persisting it to a
   :class:`~repro.cluster.checkpoint.CheckpointStore` every
@@ -30,10 +29,8 @@ The cluster is **elastic and fault-tolerant**:
   the interrupted epoch (partial lock-free work of the survivors cannot
   be unwound per-worker, so the epoch restarts from a consistent cut);
   ``max_respawns`` bounds the recovery attempts;
-* checkpoints store the weights in *global* coordinate order, so a run
-  resumed at a different worker count rebuilds its
-  :class:`~repro.cluster.sharding.ShardPlan` and remaps the state onto the
-  new layout bit-identically (dynamic re-sharding);
+* the arena and the checkpoints share one layout (global coordinate
+  order), so a checkpoint resumes bit-identically at any worker count;
 * stragglers are mitigated by work-stealing across the per-worker block
   queues, armed per epoch when the planned or measured
   :func:`~repro.cluster.cost_model.work_skew` exceeds
@@ -60,7 +57,6 @@ import numpy as np
 from repro.async_engine.events import EpochEvent, ExecutionTrace
 from repro.cluster.checkpoint import CheckpointStore, ClusterCheckpoint
 from repro.cluster.cost_model import occupancy_skew, work_skew
-from repro.cluster.sharding import ShardPlan, make_shard_plan
 from repro.cluster.shm import ShmArena
 from repro.cluster.worker import (
     BARRIER_TIMEOUT,
@@ -70,13 +66,12 @@ from repro.cluster.worker import (
     COL_STEALS,
     NUM_COUNTER_COLS,
     WorkerTask,
-    build_rule,
     run_worker,
 )
 from repro.core.partition import Partition
 from repro.objectives.base import Objective
 from repro.runtime.trace_fold import fold_sync_step, fold_worker_counters
-from repro.rules import available_rules
+from repro.rules import available_rules, make_rule
 from repro.sparse.csr import CSRMatrix
 from repro.utils.rng import RandomState, as_rng
 
@@ -211,7 +206,7 @@ class _RunState:
 
 
 class ClusterDriver:
-    """Run SGD-style updates on a sharded shared-memory model with process workers.
+    """Run SGD-style updates on a shared-memory model with process workers.
 
     Parameters
     ----------
@@ -237,11 +232,6 @@ class ClusterDriver:
         they inherit the parent's registry (the ``fork`` start method) —
         the runtime dispatch therefore routes them to the in-process tiers
         instead (see ``ProcessBackend.capabilities``).
-    shard_scheme:
-        ``"range"`` (default) or ``"coloring"`` — see
-        :mod:`repro.cluster.sharding`.
-    num_shards:
-        Coordinate shards; defaults to the worker count.
     batch_size:
         Macro-block length per worker (``"auto"`` picks a block that keeps
         per-block Python overhead negligible without making reads much
@@ -250,7 +240,7 @@ class ClusterDriver:
         ``multiprocessing`` start method (default: :func:`default_start_method`).
     checkpoint_store:
         A :class:`~repro.cluster.checkpoint.CheckpointStore` (or directory
-        path) to persist shard-consistent checkpoints into; ``None`` keeps
+        path) to persist consistent checkpoints into; ``None`` keeps
         checkpoints in memory only (still enough for worker replacement).
     checkpoint_every:
         Persist every N-th epoch barrier to the store (the final epoch is
@@ -263,7 +253,8 @@ class ClusterDriver:
         ``"auto"`` (default) arms stealing for an epoch when the planned or
         previously measured :func:`~repro.cluster.cost_model.work_skew`
         exceeds ``steal_skew_threshold``; ``True``/``False`` force it.
-        SAGA never steals (its coefficient-table rows are owned per shard).
+        SAGA never steals (its coefficient-table rows are owned per sample
+        shard).
     fault_hook:
         Optional observer ``hook(kind, payload)`` called at
         ``"fleet_spawned"``, ``"epoch_running"`` (between the release and
@@ -283,11 +274,6 @@ class ClusterDriver:
         importance_sampling: bool = False,
         step_clip: float = 100.0,
         rule: str = "sgd",
-        skip_dense_term: bool = False,
-        count_sample_draws: Optional[bool] = None,
-        shard_scheme: str = "range",
-        num_shards: Optional[int] = None,
-        coloring_max_features: int = 2000,
         batch_size: Union[int, str] = "auto",
         kernel_name: Optional[str] = None,
         seed: RandomState = 0,
@@ -320,29 +306,16 @@ class ClusterDriver:
         self.importance_sampling = bool(importance_sampling)
         self.step_clip = float(step_clip)
         self.rule = rule
-        self.skip_dense_term = bool(skip_dense_term) or rule == "svrg_skip_dense"
-        # A prototype rule instance supplies the trace metadata defaults
-        # (sample-draw accounting) and, for SAGA, the initial table state —
-        # built through the same mapping the worker processes use.
-        self._proto_rule = build_rule(
-            rule, objective, float(step_size), skip_dense_term=self.skip_dense_term
-        )
-        self.count_sample_draws = (
-            bool(count_sample_draws)
-            if count_sample_draws is not None
-            else bool(self._proto_rule.counts_sample_draws)
-        )
         self.num_workers = partition.num_workers
-        self.num_shards = int(num_shards) if num_shards else self.num_workers
-        self.shard_scheme = shard_scheme
+        # Write occupancy is counted over equal contiguous coordinate
+        # ranges, one per worker (at most one range per coordinate).
+        self._num_shards = min(self.num_workers, X.n_cols)
+        bounds = np.linspace(0, X.n_cols, self._num_shards + 1).astype(np.int64)
+        self._shard_of = np.repeat(np.arange(self._num_shards, dtype=np.int64), np.diff(bounds))
         self.batch_size = batch_size
         self.kernel_name = kernel_name
         self.seed = seed
         self.start_method = start_method or default_start_method()
-        self.plan: ShardPlan = make_shard_plan(
-            shard_scheme, X.n_cols, self.num_shards, X=X,
-            max_features=coloring_max_features,
-        )
         if checkpoint_store is not None and not isinstance(checkpoint_store, CheckpointStore):
             checkpoint_store = CheckpointStore(checkpoint_store)
         self.checkpoint_store = checkpoint_store
@@ -400,7 +373,7 @@ class ClusterDriver:
                 "objective": type(self.objective).__name__,
                 "regularizer": type(regularizer).__name__ if regularizer is not None else None,
                 "rule": self.rule,
-                "skip_dense_term": bool(self.skip_dense_term),
+                "skip_dense_term": self.rule == "svrg_skip_dense",
                 "step_size": float(self.step_size),
                 "importance_sampling": bool(self.importance_sampling),
                 "step_clip": float(self.step_clip),
@@ -422,12 +395,19 @@ class ClusterDriver:
 
         With ``resume=True`` (requires ``checkpoint_store``) the newest
         stored checkpoint of this run identity at or below ``epochs`` is
-        restored — remapped onto the current shard plan, whatever fleet
-        shape wrote it — and only the remaining epochs execute;
-        ``initial_weights`` is ignored when a checkpoint is found.
+        restored — whatever fleet size wrote it — and only the remaining
+        epochs execute; ``initial_weights`` is ignored when a checkpoint is
+        found.
         """
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
+        d = self.X.n_cols
+        if initial_weights is not None:
+            initial_weights = np.ascontiguousarray(initial_weights, dtype=np.float64)
+            if initial_weights.shape != (d,):
+                raise ValueError(
+                    f"initial_weights must have shape ({d},), got {initial_weights.shape}"
+                )
         restored: Optional[ClusterCheckpoint] = None
         if resume:
             if self.checkpoint_store is None:
@@ -442,20 +422,16 @@ class ClusterDriver:
             self._create_arena(arena, sampling)
             state = _RunState()
             state.prev_counters = np.zeros((self.num_workers, NUM_COUNTER_COLS), np.int64)
-            state.prev_shard_writes = np.zeros(
-                (self.num_workers, self.plan.num_shards), np.int64
-            )
+            state.prev_shard_writes = np.zeros((self.num_workers, self._num_shards), np.int64)
             state.base_counters = np.zeros(NUM_COUNTER_COLS, np.int64)
-            state.base_shard_totals = np.zeros(self.plan.num_shards, np.int64)
+            state.base_shard_totals = np.zeros(self._num_shards, np.int64)
 
             if restored is not None:
                 self._restore(arena, state, restored, keep_epoch_weights)
                 state.start_epoch = state.resumed_from = restored.epoch
             else:
                 if initial_weights is not None:
-                    arena["weights"][...] = self.plan.flatten_vector(
-                        np.ascontiguousarray(initial_weights, dtype=np.float64)
-                    )
+                    arena["weights"][...] = initial_weights
                 if self.rule == "saga":
                     self._init_saga_state(arena)
             state.mem_ckpt = self._capture(arena, state, state.start_epoch, keep_epoch_weights)
@@ -491,11 +467,9 @@ class ClusterDriver:
         arena.create("x_indices", self.X.indices.shape, "int32", initial=self.X.indices)
         arena.create("x_indptr", self.X.indptr.shape, "int32", initial=self.X.indptr)
         arena.create("y", self.y.shape, "float64", initial=self.y)
-        arena.create("shard_of", (d,), "int64", initial=self.plan.shard_of)
-        if self.plan.flat_of is not None:
-            arena.create("flat_of", (d,), "int64", initial=self.plan.flat_of)
+        arena.create("shard_of", (d,), "int64", initial=self._shard_of)
         arena.create("counters", (self.num_workers, NUM_COUNTER_COLS), "int64")
-        arena.create("shard_writes", (self.num_workers, self.plan.num_shards), "int64")
+        arena.create("shard_writes", (self.num_workers, self._num_shards), "int64")
         arena.create("progress", (self.num_workers,), "int64")
         arena.create("last_writer", (d,), "int32", initial=np.full(d, -1, np.int32))
         arena.create("write_clock", (d,), "int64")
@@ -553,31 +527,34 @@ class ClusterDriver:
         """SAGA's shared table state at the starting iterate (one kernel pass)."""
         from repro.kernels.registry import resolve_backend
 
-        w0 = self.plan.unflatten(arena["weights"])
-        coefs0, avg0 = self._proto_rule.initial_state(
-            self.X, self.y, w0, resolve_backend(self.kernel_name)
+        rule = make_rule(self.rule, self.objective, self.step_size)
+        coefs0, avg0 = rule.initial_state(
+            self.X, self.y, arena["weights"], resolve_backend(self.kernel_name)
         )
         arena["saga_coefs"][...] = coefs0
-        arena["saga_avg"][...] = self.plan.flatten_vector(avg0)
+        arena["saga_avg"][...] = avg0
 
     # ------------------------------------------------------------------ #
     def _capture(
         self, arena: ShmArena, state: _RunState, epoch: int, keep_epoch_weights: bool
     ) -> ClusterCheckpoint:
-        """A shard-consistent checkpoint of the quiescent arena at ``epoch``."""
+        """A consistent checkpoint of the quiescent arena at ``epoch``.
+
+        The per-epoch weight snapshots are never written after they are
+        appended (and :meth:`CheckpointStore.save` serialises at call
+        time), so the checkpoint shares them instead of copying them.
+        """
         rule_state: Dict[str, np.ndarray] = {}
         if self.rule == "saga":
             rule_state = {
                 "saga_coefs": arena["saga_coefs"].copy(),
-                "saga_avg": self.plan.unflatten(arena["saga_avg"]),
+                "saga_avg": arena["saga_avg"].copy(),
             }
         return ClusterCheckpoint(
             identity=self.checkpoint_identity(),
             epoch=int(epoch),
             num_workers=self.num_workers,
-            num_shards=self.plan.num_shards,
-            shard_scheme=self.plan.scheme,
-            weights=self.plan.unflatten(arena["weights"]),
+            weights=arena["weights"].copy(),
             rule=self.rule,
             rule_state=rule_state,
             sampler={
@@ -594,10 +571,7 @@ class ClusterDriver:
             epoch_mean_delay=list(state.epoch_mean_delay),
             epoch_occupancy_skew=list(state.epoch_occ),
             epoch_steals=list(state.epoch_steals),
-            epoch_weights=(
-                [np.array(w, copy=True) for w in state.epoch_weights]
-                if keep_epoch_weights else None
-            ),
+            epoch_weights=list(state.epoch_weights) if keep_epoch_weights else None,
         )
 
     def _restore(
@@ -609,16 +583,13 @@ class ClusterDriver:
     ) -> None:
         """Load ``checkpoint`` into the arena and roll the run state back.
 
-        The checkpoint stores layout-independent (global-order) arrays, so
-        flattening through the *current* plan performs the re-sharding
-        remap — bit-identical whatever plan wrote the checkpoint.
+        Arena and checkpoint share one layout, so a checkpoint written at
+        any fleet size restores bit-identically.
         """
-        arena["weights"][...] = self.plan.flatten_vector(checkpoint.weights)
+        arena["weights"][...] = checkpoint.weights
         if self.rule == "saga":
             arena["saga_coefs"][...] = checkpoint.rule_state["saga_coefs"]
-            arena["saga_avg"][...] = self.plan.flatten_vector(
-                checkpoint.rule_state["saga_avg"]
-            )
+            arena["saga_avg"][...] = checkpoint.rule_state["saga_avg"]
         arena["counters"][...] = 0
         arena["shard_writes"][...] = 0
         arena["progress"][...] = 0
@@ -637,20 +608,20 @@ class ClusterDriver:
         )
         if (
             checkpoint.shard_write_totals is not None
-            and checkpoint.num_shards == self.plan.num_shards
+            and checkpoint.shard_write_totals.shape == (self._num_shards,)
         ):
             state.base_shard_totals = checkpoint.shard_write_totals.copy()
         else:
-            # Shard count changed across the restore: per-shard attribution
+            # Range count changed across the restore: per-range attribution
             # of the earlier segment no longer maps; fractions restart.
-            state.base_shard_totals = np.zeros(self.plan.num_shards, np.int64)
+            state.base_shard_totals = np.zeros(self._num_shards, np.int64)
         state.trace = ExecutionTrace.from_dict(checkpoint.trace.to_dict())
         state.epoch_seconds = list(checkpoint.epoch_seconds)
         state.epoch_mean_delay = list(checkpoint.epoch_mean_delay)
         state.epoch_occ = list(checkpoint.epoch_occupancy_skew)
         state.epoch_steals = list(checkpoint.epoch_steals)
         state.epoch_weights = (
-            [w.copy() for w in checkpoint.epoch_weights]
+            list(checkpoint.epoch_weights)
             if keep_epoch_weights and checkpoint.epoch_weights is not None
             else []
         )
@@ -692,15 +663,12 @@ class ClusterDriver:
                 epochs=epochs - start_epoch,
                 step_size=self.step_size,
                 objective=self.objective,
+                epoch_seeds=seeds,
                 rule=self.rule,
-                skip_dense_term=self.skip_dense_term,
-                count_sample_draws=self.count_sample_draws,
                 batch_size=self.resolved_batch_size(iters),
                 kernel_name=self.kernel_name,
-                has_flat_of=self.plan.flat_of is not None,
                 dim=self.X.n_cols,
                 start_epoch=start_epoch,
-                epoch_seeds=seeds,
                 # SAGA's coefficient-table rows are owned per sample shard;
                 # a thief executing a stolen block would write rows the
                 # owner assumes private, so SAGA never steals.
@@ -812,10 +780,8 @@ class ClusterDriver:
             # once-per-run sync step.
             fold_sync_step(event, nnz=self.X.nnz, dim=d)
         if is_svrg:
-            snapshot = self.plan.unflatten(w)
-            mu = self.objective.full_gradient(snapshot, self.X, self.y)
-            arena["mu"][...] = self.plan.flatten_vector(mu)
-            arena["snap_margins"][...] = self.X.dot(snapshot)
+            arena["mu"][...] = self.objective.full_gradient(w, self.X, self.y)
+            arena["snap_margins"][...] = self.X.dot(w)
             fold_sync_step(event, nnz=self.X.nnz, dim=d)
         armed = self._arm_stealing(arena, state)
         self._await_arrivals(arena, procs, gen_start)  # workers parked at epoch start
@@ -831,7 +797,7 @@ class ClusterDriver:
         )
         self._await_arrivals(arena, procs, gen_end)    # workers finished, parked
 
-        if is_svrg and self.skip_dense_term:
+        if self.rule == "svrg_skip_dense":
             # Accumulated dense term, applied once per epoch (the
             # paper's skip-µ ablation), exactly as the simulated
             # engines do.
@@ -863,7 +829,7 @@ class ClusterDriver:
             state.steal_epochs += 1
         state.last_work_skew = work_skew(delta[:, COL_ITERATIONS].astype(np.float64))
         if keep_epoch_weights:
-            state.epoch_weights.append(self.plan.unflatten(w))
+            state.epoch_weights.append(w.copy())
         # Everything above read the arena while every worker was parked at
         # the end generation (fully quiescent); now let them move on.
         self._release(arena, gen_end)
@@ -930,15 +896,13 @@ class ClusterDriver:
                 proc.terminate()
                 raise RuntimeError("cluster worker failed to exit after the final epoch")
 
-        final = self.plan.unflatten(arena["weights"])
+        final = arena["weights"].copy()
         totals = (
             state.base_shard_totals + state.prev_shard_writes.sum(axis=0)
         ).astype(np.float64)
         fractions = totals / totals.sum() if totals.sum() > 0 else totals
         info = {
             "num_workers": self.num_workers,
-            "num_shards": self.plan.num_shards,
-            "shard_scheme": self.plan.scheme,
             "start_method": self.start_method,
             "available_parallelism": available_parallelism(),
             "mean_measured_delay": (

@@ -12,10 +12,9 @@ sequence in macro-blocks through the kernel batch primitives:
    reads are genuinely stale, not simulated-stale);
 3. the registered update rule's block computation
    (:meth:`repro.rules.base.UpdateRuleKernel.block_entry_weights` — the
-   *same* definition the simulated tiers execute, fed flat
-   shard-layout coordinates);
+   *same* definition the simulated tiers execute);
 4. ``KernelBackend.scatter_add`` — one lock-free index-compressed write of
-   the whole block into the sharded parameter buffer (``np.add.at`` over
+   the whole block into the shared parameter buffer (``np.add.at`` over
    shared memory: last-writer-wins per coordinate, the Hogwild semantics).
 
 Since the elasticity work, an epoch's sample sequence is not private to
@@ -37,7 +36,7 @@ original fleet would have drawn.
 Around the arithmetic the worker measures what the simulator *models*: the
 update lag between its read and its write (the perturbed-iterate delay τ),
 which coordinates were overwritten by other workers in that window
-(conflicts), and how its writes spread over the coordinate shards
+(conflicts), and how its writes spread over equal coordinate ranges
 (occupancy).  The driver folds those counters into the same
 :class:`~repro.async_engine.events.EpochEvent` records the simulator
 emits, so measured and simulated traces are directly comparable.
@@ -54,16 +53,16 @@ the worker side too.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.shm import ArenaSpec, ShmArena
 from repro.core.sampler import SampleSequence
+from repro.rules import make_rule
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import segment_bool_any
-from repro.utils.rng import as_rng
 
 # Column layout of the per-worker counter rows (int64, one row per worker;
 # a worker only ever writes its own row, so no cross-process races).
@@ -121,8 +120,8 @@ def barrier_phase(arrive: np.ndarray, state: np.ndarray, wid: int, gen: int) -> 
 class WorkerTask:
     """Everything one process worker needs (fully picklable).
 
-    The heavy state (dataset, parameter shards, counters) is *not* in here
-    — workers attach to it through ``arena``; the task carries only the
+    The heavy state (dataset, parameters, counters) is *not* in here —
+    workers attach to it through ``arena``; the task carries only the
     worker's own sample shard and scalar configuration.
     """
 
@@ -136,16 +135,12 @@ class WorkerTask:
     epochs: int                         # epochs left to run from start_epoch
     step_size: float
     objective: object                   # repro Objective (picklable)
+    epoch_seeds: np.ndarray             # int64[epochs], one sequence seed per epoch
     rule: str = "sgd"                   # registry name from repro.rules
-    skip_dense_term: bool = False
-    count_sample_draws: bool = True
     batch_size: int = 256
-    seed: int = 0                       # fallback seed when epoch_seeds is absent
     kernel_name: Optional[str] = None
-    has_flat_of: bool = False
     dim: int = 0
     start_epoch: int = 0                # global index of the first epoch to run
-    epoch_seeds: Optional[np.ndarray] = None  # int64[epochs], one per epoch
     steal_ok: bool = True               # rule allows executing stolen blocks
 
 
@@ -179,34 +174,6 @@ def run_worker(task: WorkerTask, lock=None) -> None:
         raise
     finally:
         arena.close()
-
-
-def build_rule(rule: str, objective, step_size: float, *, skip_dense_term: bool = False):
-    """Instantiate a cluster-side update rule from the registry.
-
-    The SVRG family shares one class (``skip_dense_term`` selects the
-    ablation); everything else maps straight through :func:`make_rule`.
-    The driver (trace-metadata prototype, SAGA table init) and the workers
-    build their rule through this one mapping so they can never diverge.
-    """
-    from repro.rules import make_rule
-
-    if rule in ("svrg", "svrg_skip_dense"):
-        return make_rule(
-            "svrg",
-            objective,
-            float(step_size),
-            skip_dense_term=skip_dense_term or rule == "svrg_skip_dense",
-        )
-    return make_rule(rule, objective, float(step_size))
-
-
-def build_task_rule(task: WorkerTask):
-    """The worker-process entry to :func:`build_rule`."""
-    return build_rule(
-        task.rule, task.objective, task.step_size,
-        skip_dense_term=task.skip_dense_term,
-    )
 
 
 def _claim_block(
@@ -245,7 +212,7 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
     wid = task.worker_id
     barrier_arrive = arena["barrier_arrive"]
     barrier_state = arena["barrier_state"]
-    w = arena["weights"]                       # flat (sharded) layout, float64[dim]
+    w = arena["weights"]                       # global coordinate order, float64[dim]
     X = CSRMatrix(
         data=arena["x_data"],
         indices=arena["x_indices"],
@@ -253,7 +220,6 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
         n_cols=task.dim,
     )
     y = arena["y"]
-    flat_of = arena["flat_of"] if task.has_flat_of else None
     shard_of = arena["shard_of"]
     counters = arena["counters"]
     shard_writes = arena["shard_writes"]
@@ -274,22 +240,19 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
     all_step_weights = arena["all_step_weights"]
     row_offsets = arena["row_offsets"]
 
-    rule = build_task_rule(task)
-    if task.epoch_seeds is not None:
-        epoch_seeds = np.asarray(task.epoch_seeds, dtype=np.int64)
-    else:
-        rng = as_rng(task.seed)
-        epoch_seeds = rng.integers(0, 2**31 - 1, size=max(task.epochs, 1), dtype=np.int64)
+    rule = make_rule(task.rule, task.objective, task.step_size)
+    epoch_seeds = np.asarray(task.epoch_seeds, dtype=np.int64)
     block = max(1, int(task.batch_size))
     n_blocks = -(-task.iterations_per_epoch // block)
     is_svrg = task.rule in ("svrg", "svrg_skip_dense")
-    mu_flat = arena["mu"] if is_svrg else None
+    mu = arena["mu"] if is_svrg else None
     snap_margins = arena["snap_margins"] if is_svrg else None
     if task.rule == "saga":
         # Table rows of this worker's shard are written by this worker
         # only; the running average is genuinely shared (Hogwild writes).
         rule.attach_state(arena["saga_coefs"], arena["saga_avg"], X.n_rows)
     grad_nnz_mult = int(rule.grad_nnz_multiplier)
+    count_sample_draws = bool(rule.counts_sample_draws)
 
     for k in range(task.epochs):
         tag = task.start_epoch + k
@@ -302,9 +265,8 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
         ).indices
         sequences[wid, : sequence.size] = sequence
         if is_svrg:
-            # Adopt the driver's refreshed snapshot state for this epoch
-            # (mu arrives in the flat layout; the rule math is layout-blind).
-            rule.set_snapshot(mu_flat.copy(), snap_margins)
+            # Adopt the driver's refreshed snapshot state for this epoch.
+            rule.set_snapshot(mu.copy(), snap_margins)
 
         # Publish this worker's block queue; the tag goes last so a peer
         # that observes it sees fully initialised bounds.
@@ -334,8 +296,7 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
             # Read side: logical clock before the stale read.
             t_read = int(progress.sum())
             idx, val, lengths = X.gather_rows(rows)
-            fidx = flat_of[idx] if flat_of is not None else idx
-            margins = kernel.segment_margins(fidx, val, lengths, w)
+            margins = kernel.segment_margins(idx, val, lengths, w)
 
             entry = rule.block_entry_weights(
                 w=w,
@@ -343,7 +304,7 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
                 y=y[rows],
                 margins=margins,
                 step_weights=step_w,
-                idx=fidx,
+                idx=idx,
                 val=val,
                 lengths=lengths,
             )
@@ -352,11 +313,11 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
             # Write side: what landed from other workers while we computed?
             t_write = int(progress.sum())
             delay = t_write - t_read
-            if fidx.size:
+            if idx.size:
                 foreign = (
-                    (last_writer[fidx] != wid)
-                    & (last_writer[fidx] >= 0)
-                    & (write_clock[fidx] > t_read)
+                    (last_writer[idx] != wid)
+                    & (last_writer[idx] >= 0)
+                    & (write_clock[idx] > t_read)
                 )
                 conflicts = int(np.count_nonzero(segment_bool_any(foreign, lengths)))
             else:
@@ -364,11 +325,10 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
 
             if dense_step is not None:
                 w += n_iter * dense_step
-            kernel.scatter_add(w, fidx, entry)
-            if fidx.size:
-                write_clock[fidx] = t_write
-                last_writer[fidx] = wid
-                # shard_of is indexed by *global* coordinate, not flat position.
+            kernel.scatter_add(w, idx, entry)
+            if idx.size:
+                write_clock[idx] = t_write
+                last_writer[idx] = wid
                 shard_writes[wid] += np.bincount(shard_of[idx], minlength=num_shards)
             progress[wid] += n_iter
 
@@ -386,7 +346,7 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
                     row_c[COL_MAX_DELAY] = delay
             if dense_step is not None:
                 row_c[COL_DENSE_WRITES] += n_iter * int(dense_step.shape[0])
-            if task.count_sample_draws:
+            if count_sample_draws:
                 row_c[COL_SAMPLE_DRAWS] += n_iter
 
         barrier_phase(barrier_arrive, barrier_state, wid, 2 * k + 2)  # epoch end
@@ -397,8 +357,6 @@ __all__ = [
     "run_worker",
     "barrier_phase",
     "BarrierAborted",
-    "build_rule",
-    "build_task_rule",
     "NUM_COUNTER_COLS",
     "COL_ITERATIONS",
     "COL_SPARSE_WRITES",

@@ -50,8 +50,7 @@ class ISASGDSolver(AsyncSolver):
         Optional override of the delay model (defaults to
         ``UniformDelay(config.effective_max_delay)``).
 
-    ``cost_model``, ``kernel``, ``async_mode``, ``batch_size``,
-    ``shard_scheme`` and ``num_shards`` are
+    ``cost_model``, ``kernel``, ``async_mode`` and ``batch_size`` are
     :class:`~repro.solvers.base.AsyncSolver`'s.
     """
 
@@ -67,8 +66,6 @@ class ISASGDSolver(AsyncSolver):
         kernel=None,
         async_mode: Optional[str] = None,
         batch_size="auto",
-        shard_scheme: str = "range",
-        num_shards: Optional[int] = None,
         **config_overrides,
     ) -> None:
         if config is None:
@@ -86,8 +83,6 @@ class ISASGDSolver(AsyncSolver):
             kernel=kernel,
             async_mode=async_mode,
             batch_size=batch_size,
-            shard_scheme=shard_scheme,
-            num_shards=num_shards,
         )
         self.config = config
 

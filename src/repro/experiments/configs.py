@@ -190,7 +190,6 @@ def cluster_scaling_config(
     worker_counts: Sequence[int] = (1, 2, 4),
     epochs_override: Optional[int] = None,
     include_simulated: bool = True,
-    shard_scheme: str = "range",
     seed: int = 0,
 ) -> ExperimentConfig:
     """True speedup-vs-workers sweep on the multi-process cluster tier.
@@ -213,7 +212,7 @@ def cluster_scaling_config(
                 step_size=desc.step_size,
                 epochs=epochs,
                 seed=seed,
-                solver_kwargs=(("async_mode", "process"), ("shard_scheme", shard_scheme)),
+                solver_kwargs=(("async_mode", "process"),),
             )
         )
         if include_simulated:

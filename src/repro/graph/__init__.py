@@ -17,7 +17,6 @@ from repro.graph.conflict import (
     estimate_average_degree,
     pairwise_conflicts,
 )
-from repro.graph.coloring import greedy_conflict_coloring
 
 __all__ = [
     "ConflictGraphStats",
@@ -26,5 +25,4 @@ __all__ = [
     "estimate_average_degree",
     "conflict_graph_stats",
     "pairwise_conflicts",
-    "greedy_conflict_coloring",
 ]

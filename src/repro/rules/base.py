@@ -11,9 +11,7 @@ entry points from it:
 
 * :meth:`block_entry_weights` — the one implementation.  Computes the
   per-entry deltas of a whole gathered block from its block-start margins.
-  The batched simulator and the cluster worker both call this directly
-  (the cluster passes flat-layout coordinates; the math never sees the
-  difference).
+  The batched simulator and the cluster worker both call this directly.
 * :meth:`compute_update` — the scalar entry point used by the per-sample
   ground-truth simulator.  It is a block of size one: the base class wraps the scalar arguments into
   singleton arrays and calls :meth:`block_entry_weights`, so a rule cannot
@@ -33,9 +31,9 @@ Layout conventions
 ``block_entry_weights`` receives two index views of the same entries:
 
 * ``idx`` — coordinates *in the layout of* ``w`` (global coordinates for the
-  simulated tiers, flat shard-layout positions for the cluster
-  tier, or ``arange(nnz)`` paired with a support-sized ``w`` view in the
-  scalar path).  Separable-regulariser lookups use ``(w, idx)``.
+  batched and cluster tiers, or ``arange(nnz)`` paired with a support-sized
+  ``w`` view in the scalar path).  Separable-regulariser lookups use
+  ``(w, idx)``.
 * ``model_idx`` — coordinates in the layout of any *cross-iteration rule
   state* living alongside the model (SAGA's running average gradient).  It
   equals ``idx`` except in the scalar path, where ``idx`` is support-local

@@ -67,8 +67,8 @@ class SAGARule(UpdateRuleKernel):
     def attach_state(self, coefs: np.ndarray, avg: np.ndarray, n_samples: int) -> None:
         """Adopt externally owned table state (the cluster tier's shm views).
 
-        ``avg`` lives in the same layout as the model the rule updates (flat
-        shard layout on the cluster); the math never sees the difference.
+        ``avg`` lives in the same global coordinate order as the model the
+        rule updates, on every tier.
         """
         self._coefs = coefs
         self._avg = avg

@@ -53,8 +53,7 @@ class SVRGRule(UpdateRuleKernel):
 
         Called by :meth:`epoch_begin` on the simulated tiers and by
         the cluster worker after the driver refreshes the shared-memory
-        snapshot blocks (there ``mu`` arrives in the flat shard layout —
-        the rule math is layout-agnostic).
+        snapshot blocks.
         """
         self._mu = mu
         self._snapshot_margins = snapshot_margins

@@ -80,7 +80,7 @@ class BackendCapabilities:
         the active backend provides them (the ``native`` kernel), instead
         of iterating per sample in Python.
     fault_tolerant:
-        Whether the tier survives worker death mid-run: shard-consistent
+        Whether the tier survives worker death mid-run: consistent
         checkpoints at every epoch barrier, automatic fleet replacement
         and replay from the last checkpoint (see ``docs/cluster.md``).
     supported_rules:
@@ -149,8 +149,6 @@ class ExecutionRequest:
     step_clip: float = 100.0
     staleness: Any = None                   # Optional[StalenessModel]
     batch_size: Union[int, str] = "auto"
-    shard_scheme: str = "range"
-    num_shards: Optional[int] = None
     kernel: Any = None                      # resolved KernelBackend (or name/None)
     initial_weights: Optional[np.ndarray] = None
     reshuffle: bool = True
@@ -320,8 +318,6 @@ class ProcessBackend(ExecutionBackend):
             importance_sampling=request.importance_sampling,
             step_clip=request.step_clip,
             rule=request.rule,
-            shard_scheme=request.shard_scheme,
-            num_shards=request.num_shards,
             batch_size=request.batch_size,
             kernel_name=resolve_backend(request.kernel).name,
             seed=request.engine_seed,

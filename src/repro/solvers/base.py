@@ -98,11 +98,13 @@ class EpochEngine:
 
     def __init__(self, problem: Problem, initial_weights: Optional[np.ndarray] = None) -> None:
         self.problem = problem
-        self.w = (
-            np.zeros(problem.n_features)
-            if initial_weights is None
-            else np.ascontiguousarray(initial_weights, dtype=np.float64).copy()
-        )
+        d = problem.n_features
+        if initial_weights is None:
+            self.w = np.zeros(d)
+        else:
+            self.w = np.ascontiguousarray(initial_weights, dtype=np.float64).copy()
+            if self.w.shape != (d,):
+                raise ValueError(f"initial_weights must have shape ({d},), got {self.w.shape}")
         self.trace = ExecutionTrace()
         self.weights_by_epoch: list[np.ndarray] = []
 
@@ -282,9 +284,6 @@ class AsyncSolver(BaseSolver):
     batch_size:
         Macro-step length for the batched/process backends (``"auto"``
         scales with the backend's own heuristic).
-    shard_scheme / num_shards:
-        Parameter-shard layout for ``async_mode="process"`` (``"range"``
-        or ``"coloring"``; shards default to the worker count).
 
     The remaining parameters are :class:`BaseSolver`'s.
     """
@@ -305,8 +304,6 @@ class AsyncSolver(BaseSolver):
         kernel: Union[KernelBackend, str, None] = None,
         async_mode: Optional[str] = None,
         batch_size: Union[int, str] = "auto",
-        shard_scheme: str = "range",
-        num_shards: Optional[int] = None,
     ) -> None:
         super().__init__(step_size=step_size, epochs=epochs, seed=seed,
                          cost_model=cost_model, record_every=record_every, kernel=kernel)
@@ -316,8 +313,6 @@ class AsyncSolver(BaseSolver):
         self.staleness = staleness
         self.async_mode = resolve_async_mode(async_mode)
         self.batch_size = batch_size
-        self.shard_scheme = shard_scheme
-        self.num_shards = num_shards
 
     @property
     def parallel_workers(self) -> int:
@@ -382,8 +377,6 @@ class AsyncSolver(BaseSolver):
             step_clip=step_clip,
             staleness=staleness,
             batch_size=self.batch_size,
-            shard_scheme=self.shard_scheme,
-            num_shards=self.num_shards,
             kernel=self.kernel,
             initial_weights=initial_weights,
             reshuffle=reshuffle,

@@ -1,8 +1,8 @@
 """Checkpoint codec, store, and resume round-trip tests.
 
 The strongest guarantees in this suite are *bit-identity* ones: the array
-codec is exact, a checkpoint restored onto a new plan remaps weights
-exactly, and — because the sampler stream is derived from
+codec is exact, a checkpoint restored at another fleet size restores the
+weights exactly, and — because the sampler stream is derived from
 ``(seed_root, worker_id, epoch)`` alone — a single-worker run resumed from
 a mid-run checkpoint replays the remaining epochs byte-identically to the
 uninterrupted run (weights, rule state, trace and counters all equal).
@@ -13,7 +13,7 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
-from repro.cluster import CheckpointStore, ClusterDriver
+from repro.cluster import CHECKPOINT_FORMAT_VERSION, CheckpointStore, ClusterDriver
 from repro.cluster.checkpoint import ClusterCheckpoint, decode_array, encode_array
 from repro.core.balancing import random_order
 from repro.core.partition import partition_dataset
@@ -87,8 +87,6 @@ class TestCheckpointStore:
             identity=identity,
             epoch=epoch,
             num_workers=2,
-            num_shards=2,
-            shard_scheme="range",
             weights=rng.standard_normal(dim),
             rule="sgd",
             sampler={"seed_root": 7, "next_epoch_seeds": [1, 2]},
@@ -146,6 +144,32 @@ class TestCheckpointStore:
             store.load(identity, 1)
 
 
+class TestPinnedIdentity:
+    """Stored checkpoints are found by their identity digest, so the
+    identity of every built-in rule is pinned to a literal digest: a
+    refactoring that moves it would orphan every stored checkpoint."""
+
+    @pytest.mark.parametrize("rule,prefix", [
+        ("is_sgd", "8d47764af953ac13805dd709bb94608a5447d5fc"),
+        ("saga", "23642759ba9798802f95946355266c504f172067"),
+        ("sgd", "a14acf82560f624229cfef7064e2953561ba990d"),
+        ("svrg", "c5fdca9786cf44f3426751bdfd21435e4e6a36fa"),
+        ("svrg_skip_dense", "8512e05e7a3a3df2e7a54f4daf817d7d808821c5"),
+    ])
+    def test_identity_prefix(self, rule, prefix):
+        from repro.sparse.csr import CSRMatrix
+
+        X = CSRMatrix.from_rows([((k % 3, 3 + k % 4), (1.0, 0.5)) for k in range(8)], n_cols=7)
+        y = np.asarray([1.0, -1.0] * 4)
+        obj = LogisticObjective()
+        part = partition_dataset(np.arange(8), obj.lipschitz_constants(X, y), 2,
+                                 scheme="uniform")
+        driver = ClusterDriver(X, y, obj, part, step_size=0.15, seed=9, rule=rule)
+        identity = driver.checkpoint_identity()
+        assert identity["skip_dense_term"] is (rule == "svrg_skip_dense")
+        assert CheckpointStore.identity_prefix(identity) == prefix
+
+
 class TestResumeRoundTrip:
     """Mid-run snapshot -> restore parity for every rule."""
 
@@ -201,7 +225,7 @@ class TestResumeRoundTrip:
 
 
 class TestElasticResume:
-    """Membership changes across a resume: dynamic re-sharding."""
+    """Membership changes across a resume: any fleet size picks it up."""
 
     @pytest.mark.parametrize("workers_before,workers_after", [(2, 3), (3, 2), (1, 4)])
     def test_resume_at_different_worker_count(
@@ -216,24 +240,43 @@ class TestElasticResume:
         assert [e.epoch for e in resumed.trace.epochs] == list(range(EPOCHS))
         assert np.all(np.isfinite(resumed.weights))
 
-    def test_resume_across_shard_schemes_preserves_weights(self, ckpt_problem, tmp_path):
-        """range -> coloring resume: weights carry over bit-identically."""
+    @pytest.mark.parametrize("rule", ["sgd", "svrg_skip_dense", "saga"])
+    def test_resume_at_another_fleet_size_keeps_weights_bit_identical(
+        self, ckpt_problem, tmp_path, rule
+    ):
+        """A checkpoint of 2 workers restored by 3: a zero-epoch resume
+        returns the checkpointed weights byte for byte."""
         store = CheckpointStore(tmp_path)
-        _driver(ckpt_problem, 2, store).run(HALF)
-        range_driver = _driver(ckpt_problem, 2, store)
-        ckpt = store.latest(range_driver.checkpoint_identity())
-
-        coloring_driver = _driver(
-            ckpt_problem, 2, store, shard_scheme="coloring", num_shards=4,
+        writer = _driver(ckpt_problem, 2, store, rule=rule, step_size=0.05)
+        writer.run(HALF)
+        ckpt = store.load(writer.checkpoint_identity(), HALF)
+        resumed = _driver(ckpt_problem, 3, store, rule=rule, step_size=0.05).run(
+            HALF, resume=True
         )
-        # Identity excludes membership AND layout, so the coloring driver
-        # sees the range run's checkpoint...
-        assert coloring_driver.checkpoint_identity() == range_driver.checkpoint_identity()
-        resumed = coloring_driver.run(EPOCHS, resume=True)
         assert resumed.info["resumed_from_epoch"] == HALF
-        assert resumed.info["shard_scheme"] == "coloring"
-        # ...and a zero-step resume of one epoch would start exactly from
-        # the checkpointed weights; verify the remap directly instead:
-        flat = coloring_driver.plan.flatten_vector(ckpt.weights)
-        back = coloring_driver.plan.unflatten(flat)
-        assert back.tobytes() == ckpt.weights.tobytes()
+        assert resumed.info["num_workers"] == 3
+        assert resumed.weights.tobytes() == ckpt.weights.tobytes()
+
+    def test_checkpoint_with_layout_keys_of_older_versions_resumes(
+        self, ckpt_problem, tmp_path
+    ):
+        """Checkpoint files written while the cluster had a choice of
+        parameter layouts carry two more keys; they load and resume."""
+        import json
+
+        store = CheckpointStore(tmp_path)
+        writer = _driver(ckpt_problem, 2, store)
+        writer.run(HALF)
+        path = store.path_for(writer.checkpoint_identity(), HALF)
+        entry = json.loads(path.read_text())
+        assert entry["format_version"] == CHECKPOINT_FORMAT_VERSION == 1
+        entry["checkpoint"].update({"num_shards": 2, "shard_scheme": "range"})
+        path.write_text(json.dumps(entry))
+
+        ckpt = store.load(writer.checkpoint_identity(), HALF)
+        assert ckpt.epoch == HALF
+        resumed = _driver(ckpt_problem, 3, store).run(HALF, resume=True)
+        assert resumed.info["resumed_from_epoch"] == HALF
+        assert resumed.weights.tobytes() == ckpt.weights.tobytes()
+        finished = _driver(ckpt_problem, 3, store).run(EPOCHS, resume=True)
+        assert [e.epoch for e in finished.trace.epochs] == list(range(EPOCHS))

@@ -135,18 +135,6 @@ class TestClusterDriver:
         # A vanishing step leaves the model essentially at w0.
         np.testing.assert_allclose(res.weights, w0, atol=1e-6)
 
-    def test_coloring_scheme_and_shard_count(self, cluster_problem):
-        part = _partition(cluster_problem)
-        driver = ClusterDriver(
-            cluster_problem.X, cluster_problem.y, cluster_problem.objective, part,
-            step_size=0.1, seed=0, shard_scheme="coloring", num_shards=6,
-        )
-        res = driver.run(1)
-        assert res.info["shard_scheme"] == "coloring"
-        assert driver.plan.num_shards <= 6
-        assert res.shard_write_fractions is not None
-        assert res.shard_write_fractions.sum() == pytest.approx(1.0)
-
     def test_measured_counters_are_populated(self, cluster_problem):
         part = _partition(cluster_problem)
         driver = ClusterDriver(
@@ -247,25 +235,22 @@ class TestWorkerFailure:
 
 
 class TestOccupancyAttribution:
-    def test_coloring_occupancy_counts_use_global_coordinates(self):
-        """Regression: shard-write occupancy was counted with flat-layout
-        indices against the coordinate-indexed shard_of map, scrambling the
-        coloring scheme's headline metric.  With rows built as disjoint
-        feature triangles (f, f+10, f+20) the conflict graph is 10 disjoint
-        triangles, greedy colouring uses exactly 3 colours, and every
-        update writes exactly one coordinate per shard — so the measured
-        shard write fractions must be exactly uniform."""
+    def test_write_fractions_follow_equal_coordinate_ranges(self):
+        """Write occupancy is counted over one equal coordinate range per
+        worker.  With d = 7 and 2 workers the ranges are [0, 3) and [3, 7).
+        Every row writes one coordinate of the first range and two of the
+        second (coordinate 3 included), whichever rows the workers draw, so
+        the fractions are exactly 1/3 and 2/3 and every epoch's skew is
+        2 * (1/9 + 4/9) - 1 = 1/9."""
         from repro.sparse.csr import CSRMatrix
 
-        rows = [((f, f + 10, f + 20), (1.0, 1.0, 1.0)) for f in range(10)] * 4
-        X = CSRMatrix.from_rows(rows, n_cols=30)
-        y = np.asarray([1.0, -1.0] * 20)
+        rows = [((k % 3, 3 + k % 4, 3 + (k + 1) % 4), (1.0, 1.0, 1.0)) for k in range(12)]
+        X = CSRMatrix.from_rows(rows, n_cols=7)
+        y = np.asarray([1.0, -1.0] * 6)
         obj = LogisticObjective()
-        part = partition_dataset(np.arange(40), obj.lipschitz_constants(X, y), 2,
+        part = partition_dataset(np.arange(12), obj.lipschitz_constants(X, y), 2,
                                  scheme="uniform")
-        driver = ClusterDriver(X, y, obj, part, step_size=0.05, seed=0,
-                               shard_scheme="coloring", num_shards=3)
-        assert driver.plan.num_shards == 3
-        res = driver.run(2)
-        np.testing.assert_allclose(res.shard_write_fractions, np.full(3, 1 / 3))
-        assert res.epoch_occupancy_skew == pytest.approx([0.0, 0.0])
+        res = ClusterDriver(X, y, obj, part, step_size=0.05, seed=0).run(2)
+        np.testing.assert_allclose(res.shard_write_fractions, [1 / 3, 2 / 3])
+        assert res.epoch_occupancy_skew == pytest.approx([1 / 9, 1 / 9])
+        assert res.info["occupancy_skew"] == pytest.approx(1 / 9)

@@ -106,6 +106,23 @@ class TestMidEpochRecovery:
         assert loss_run < loss_zero
         assert_loss_close(loss_run, loss_ref, loss_zero)
 
+    def test_single_worker_recovery_is_bit_identical(self, chaos_problem):
+        """One worker is deterministic, so the rollback to the last epoch
+        barrier must replay exactly: the final weights and every per-epoch
+        snapshot equal a clean run's byte for byte."""
+        epochs = 4
+        part = _partition(chaos_problem, workers=1)
+        clean = _driver(chaos_problem, part).run(epochs)
+        injector = FaultInjector(kill_point=KillPoint(epoch=2, fraction=0.5))
+        struck = _driver(chaos_problem, part, fault_hook=injector).run(epochs)
+
+        assert len(injector.strikes) == 1
+        assert struck.info["respawns"] >= 1
+        assert struck.weights.tobytes() == clean.weights.tobytes()
+        assert len(struck.epoch_weights) == len(clean.epoch_weights) == epochs
+        for got, want in zip(struck.epoch_weights, clean.epoch_weights):
+            assert got.tobytes() == want.tobytes()
+
     def test_recovery_with_persistent_store(self, chaos_problem, tmp_path):
         """Recovery works identically with checkpoints also persisted to disk."""
         store = CheckpointStore(tmp_path / "ckpts")

@@ -101,12 +101,9 @@ class TestClusterScalingConfig:
     def test_measured_only(self):
         from repro.experiments.configs import cluster_scaling_config
 
-        config = cluster_scaling_config(worker_counts=(2,), include_simulated=False,
-                                        shard_scheme="coloring")
+        config = cluster_scaling_config(worker_counts=(2,), include_simulated=False)
         assert len(config.runs) == 1
-        kwargs = dict(config.runs[0].solver_kwargs)
-        assert kwargs["async_mode"] == "process"
-        assert kwargs["shard_scheme"] == "coloring"
+        assert dict(config.runs[0].solver_kwargs) == {"async_mode": "process"}
 
 
 class TestMakeConfig:

@@ -46,6 +46,15 @@ class TestExactGraph:
         graph = build_conflict_graph(toy_matrix)
         assert set(graph.edges()) == {(0, 1), (1, 3)}
 
+    def test_pairwise_conflicts_matches_graph_edges(self):
+        X = CSRMatrix.from_rows(
+            [([0, 1], [1.0, 1.0]), ([1, 2], [1.0, 1.0]), ([3], [1.0]), ([], [])], n_cols=4
+        )
+        graph = build_conflict_graph(X)
+        for i in range(X.n_rows):
+            for j in range(i + 1, X.n_rows):
+                assert graph.has_edge(i, j) == pairwise_conflicts(X, i, j)
+
     def test_average_degree(self, toy_matrix):
         # Degrees: 1, 2, 0, 1 -> mean 1.0
         assert average_conflict_degree(toy_matrix) == pytest.approx(1.0)

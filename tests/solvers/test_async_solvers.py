@@ -100,3 +100,23 @@ class TestSVRGASGDSolver:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             SVRGASGDSolver(num_workers=0)
+
+
+@pytest.mark.parametrize(
+    "solver,async_mode",
+    [("asgd", "per_sample"), ("asgd", "batched"), ("asgd", "process"), ("sgd", None)],
+    ids=["per_sample", "batched", "process", "sgd"],
+)
+def test_initial_weights_of_the_wrong_shape_are_rejected(solver, async_mode):
+    """Every tier refuses a start vector that does not match the model width
+    instead of broadcasting it or handing it to a kernel."""
+    from repro import Problem, load_dataset, make_solver
+    from repro.objectives.logistic import LogisticObjective
+
+    ds = load_dataset("news20_smoke", seed=0)
+    problem = Problem(X=ds.X, y=ds.y, objective=LogisticObjective())
+    d = problem.n_features
+    kwargs = {"async_mode": async_mode, "num_workers": 2} if async_mode else {}
+    model = make_solver(solver, epochs=1, seed=0, **kwargs)
+    with pytest.raises(ValueError, match=rf"must have shape \({d},\)"):
+        model.fit(problem, initial_weights=np.full(1, 0.5))
