@@ -8,15 +8,13 @@ One server configuration (the ``python -m repro serve`` defaults scaled to
   round trip pays the full queue hand-off and the kernel-call overhead for
   one row;
 * **micro-batched** — requests are pipelined, so the batcher coalesces them
-  into one ``segment_margins`` kernel call per tick, measured at 1, 4 and
-  8 scoring lanes.
+  into one ``segment_margins`` kernel call per tick.
 
-Per-request p50/p99/mean latency and queries/sec are recorded for every
-configuration, plus the raw ``score_row`` direct-call rate (no queue at
-all) as a floor reference.  Results go to
-``benchmarks/results/BENCH_serving.json`` and the repository root
-``BENCH_serving.json``; the acceptance gate asserts micro-batched
-throughput >= 5x the single-query loop.
+Per-request p50/p99/mean latency and queries/sec are recorded for both,
+plus the raw ``score_row`` direct-call rate (no queue at all) as a floor
+reference.  Results go to ``benchmarks/results/BENCH_serving.json`` and
+the repository root ``BENCH_serving.json``; the acceptance gate asserts
+micro-batched throughput >= 5x the single-query loop.
 """
 
 from __future__ import annotations
@@ -34,14 +32,13 @@ from repro.datasets.synthetic import make_sparse_classification
 from repro.experiments.configs import RunSpec
 from repro.experiments.runner import run_single
 from repro.experiments.store import run_identity
-from repro.serving import MicroBatcher, ModelRef, ScoringModel
+from repro.serving import MicroBatcher, ScoringModel
 
 ROOT_JSON = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 
 #: One server configuration for every client behaviour measured here.
 MAX_BATCH = 256
 MAX_DELAY_US = 200.0
-LANE_COUNTS = (1, 4, 8)
 N_QUERIES = 2000
 
 
@@ -72,9 +69,7 @@ def _latency_block(latencies) -> dict:
 
 def _run_single_query_loop(model: ScoringModel, queries) -> dict:
     """One outstanding request at a time through the default server config."""
-    with MicroBatcher(
-        model, lanes=1, max_batch=MAX_BATCH, max_delay_us=MAX_DELAY_US
-    ) as batcher:
+    with MicroBatcher(model, max_batch=MAX_BATCH, max_delay_us=MAX_DELAY_US) as batcher:
         for idx, val in queries[:32]:  # warm-up
             batcher.score(idx, val, timeout=30.0)
         pending = []
@@ -92,12 +87,9 @@ def _run_single_query_loop(model: ScoringModel, queries) -> dict:
     }
 
 
-def _run_batched(model: ScoringModel, queries, lanes: int) -> dict:
+def _run_batched(model: ScoringModel, queries) -> dict:
     """Pipelined submission: the batcher coalesces into real micro-batches."""
-    ref = ModelRef(model)
-    with MicroBatcher(
-        ref, lanes=lanes, max_batch=MAX_BATCH, max_delay_us=MAX_DELAY_US
-    ) as batcher:
+    with MicroBatcher(model, max_batch=MAX_BATCH, max_delay_us=MAX_DELAY_US) as batcher:
         warm = [batcher.submit(idx, val) for idx, val in queries[:64]]
         for p in warm:
             p.result(timeout=30.0)
@@ -108,7 +100,6 @@ def _run_batched(model: ScoringModel, queries, lanes: int) -> dict:
         elapsed = time.perf_counter() - started
         stats = batcher.stats()
     return {
-        "lanes": lanes,
         "queries": len(queries),
         "elapsed_seconds": elapsed,
         "qps": len(queries) / elapsed,
@@ -135,11 +126,7 @@ def test_bench_serving(benchmark):
             },
             "environment": bench_environment(),
             "model": model.describe(),
-            "server": {
-                "max_batch": MAX_BATCH,
-                "max_delay_us": MAX_DELAY_US,
-                "cache": "disabled (every query scored)",
-            },
+            "server": {"max_batch": MAX_BATCH, "max_delay_us": MAX_DELAY_US},
         }
 
         # Floor reference: direct score_row calls, no queue involved.
@@ -153,15 +140,9 @@ def test_bench_serving(benchmark):
         }
 
         payload["single_query"] = _run_single_query_loop(model, queries)
-        payload["batched"] = {
-            f"lanes_{lanes}": _run_batched(model, queries, lanes)
-            for lanes in LANE_COUNTS
-        }
-
-        best = max(payload["batched"].values(), key=lambda row: row["qps"])
-        payload["best_batched"] = {"lanes": best["lanes"], "qps": best["qps"]}
+        payload["batched"] = _run_batched(model, queries)
         payload["speedup_batched_vs_single_query"] = (
-            best["qps"] / payload["single_query"]["qps"]
+            payload["batched"]["qps"] / payload["single_query"]["qps"]
         )
         return payload
 
@@ -179,5 +160,4 @@ def test_bench_serving(benchmark):
         f"loop, below the 5x gate"
     )
     # Sanity: batching actually happened (not 2000 one-row kernel calls).
-    for row in payload["batched"].values():
-        assert row["mean_batch"] > 1.0
+    assert payload["batched"]["mean_batch"] > 1.0

@@ -6,8 +6,9 @@ Two modes:
   explicit sparse row ``{"indices": [...], "values": [...]}`` or a row of a
   resident dataset ``{"row": 3}`` (requires ``--query-dataset``).  One JSON
   response per line, in input order:
-  ``{"margin": ..., "prediction": ..., "proba": ..., "model_version": ...,
-  "cached": ...}`` (an ``"id"`` field is echoed back when present).  Model
+  ``{"margin": ..., "prediction": ..., "model_version": ..., "proba": ...}``
+  (an ``"id"`` field is echoed back when present).  A line that is not a
+  valid query gets an in-order ``{"error": ...}`` response instead.  Model
   provenance and final queue statistics go to stderr.
 
 * ``--smoke``: self-driving end-to-end exercise — train a tiny model into a
@@ -42,17 +43,12 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default=None,
                         help="kernel backend for scoring (reference, vectorized, native; "
                         "default: kernel registry default)")
-    parser.add_argument("--lanes", type=int, default=SERVE_DEFAULTS["lanes"],
-                        help=f"parallel scoring threads (default {SERVE_DEFAULTS['lanes']})")
     parser.add_argument("--max-batch", type=int, default=SERVE_DEFAULTS["max_batch"],
                         help="largest micro-batch per kernel call "
                         f"(default {SERVE_DEFAULTS['max_batch']})")
     parser.add_argument("--max-delay-us", type=float, default=SERVE_DEFAULTS["max_delay_us"],
                         help="coalescing window in microseconds "
                         f"(default {SERVE_DEFAULTS['max_delay_us']})")
-    parser.add_argument("--cache-size", type=int, default=SERVE_DEFAULTS["cache_size"],
-                        help="LRU result-cache entries, keyed per model version "
-                        f"(0 disables; default {SERVE_DEFAULTS['cache_size']})")
     parser.add_argument("--proba", action="store_true",
                         help="attach positive-class probabilities when the objective has them")
     parser.add_argument("--watch", action=argparse.BooleanOptionalAction, default=True,
@@ -88,7 +84,9 @@ def _parse_query(line: str, query_X) -> Dict[str, Any]:
     if "row" in payload:
         if query_X is None:
             raise ValueError('{"row": i} queries need --query-dataset')
-        row = int(payload["row"])
+        row = payload["row"]
+        if not isinstance(row, int) or isinstance(row, bool):
+            raise ValueError(f'"row" must be an integer, got {row!r}')
         idx, val = query_X.row(row)
         return {"indices": idx, "values": val, "id": payload.get("id")}
     if "indices" in payload and "values" in payload:
@@ -138,10 +136,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         watcher.start()
     batcher = MicroBatcher(
         ref,
-        lanes=args.lanes,
         max_batch=args.max_batch,
         max_delay_us=args.max_delay_us,
-        cache_size=args.cache_size,
         include_proba=args.proba,
     )
     outstanding: deque = deque()  # (pending, echo_id) in input order
@@ -163,12 +159,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 continue
             try:
                 query = _parse_query(line, query_X)
+                pending = batcher.submit(query["indices"], query["values"])
             except (ValueError, KeyError, IndexError, json.JSONDecodeError) as exc:
                 _flush(block=True)  # keep responses aligned with inputs
                 print(json.dumps({"error": str(exc)}))
                 continue
-            outstanding.append((batcher.submit(query["indices"], query["values"]),
-                                query["id"]))
+            outstanding.append((pending, query["id"]))
             _flush(block=False)
         _flush(block=True)
     finally:
@@ -209,16 +205,13 @@ def _cmd_serve_smoke(args: argparse.Namespace) -> int:
         problem = runner.problem_for(spec.dataset)
         X = problem.X
 
-        lanes = max(2, args.lanes)
         n_queries = max(1, args.smoke_queries)
         watcher.start()
         started = time.perf_counter()
         with MicroBatcher(
             ref,
-            lanes=lanes,
             max_batch=args.max_batch,
             max_delay_us=args.max_delay_us,
-            cache_size=args.cache_size,
             include_proba=args.proba,
         ) as batcher:
             pending = []

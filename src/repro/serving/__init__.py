@@ -10,9 +10,9 @@ consumes them under query traffic:
   path dispatching through the kernel registry so
   ``REPRO_KERNEL_BACKEND=native`` accelerates serving like training;
 * :class:`~repro.serving.batcher.MicroBatcher` — a micro-batching request
-  queue coalescing single-row queries into one ``segment_margins`` kernel
-  call per tick, with N parallel scoring lanes and a per-model-version LRU
-  result cache;
+  queue whose one scoring thread coalesces single-row queries into one
+  ``segment_margins`` kernel call per tick and builds the batch's
+  predictions and probabilities with one objective call each;
 * :class:`~repro.serving.swap.ModelRef` /
   :class:`~repro.serving.swap.ArtifactWatcher` — atomic hot-swap when a
   newer artifact of the served identity appears (readers pin one model per
@@ -20,8 +20,8 @@ consumes them under query traffic:
 
 ``python -m repro serve`` wraps all three (stdin/JSONL and ``--smoke``
 modes); ``benchmarks/test_bench_serving.py`` writes ``BENCH_serving.json``
-with p50/p99 latency and queries/sec at 1/4/8 lanes and gates micro-batched
-throughput at ≥ 5x the one-query-at-a-time loop.
+with p50/p99 latency and queries/sec, pipelined vs one query at a time,
+and gates micro-batched throughput at ≥ 5x the one-query-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -34,10 +34,8 @@ from repro.serving.swap import ArtifactWatcher, ModelRef
 
 #: Default knobs of the serving layer (shared by the CLI and the docs).
 SERVE_DEFAULTS: Dict[str, Any] = {
-    "lanes": 1,
     "max_batch": 64,
     "max_delay_us": 200.0,
-    "cache_size": 1024,
     "poll_interval": 0.5,
 }
 

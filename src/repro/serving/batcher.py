@@ -8,27 +8,27 @@ batch with a single
 :meth:`~repro.kernels.base.KernelBackend.segment_margins` call — the same
 primitive the training tiers batch with — amortising the per-call overhead
 over up to ``max_batch`` requests (``BENCH_serving.json`` gates the
-resulting throughput at ≥ 5x the one-query-at-a-time loop).
+resulting throughput at ≥ 5x the one-query-at-a-time loop).  Predictions
+and probabilities are derived for the whole batch too, one objective call
+each.
 
-``lanes`` scoring threads drain the queue concurrently.  The native kernel
-backend releases the GIL inside the C segment reduction, so multiple lanes
-genuinely overlap there; under the pure-Python backends extra lanes still
-overlap the queueing/bookkeeping with the numpy reductions.
+One scoring thread drains the queue, and there is no result cache: extra
+scoring threads only contended for the GIL (8 gave less throughput than
+1), and a cache's per-request hashing and locking cost more than the
+kernel work it skipped, even when most queries repeat a recent row.
 
-Swap-consistency contract: each lane pins *one* model reference per batch
-(:meth:`~repro.serving.swap.ModelRef.get`) and scores every request of the
-batch against it, so a concurrent hot swap never produces a mixed-weight
-response; each response names the model version that produced it.  The
-optional LRU result cache is keyed by ``(model version, row hash)``, so a
-swap implicitly invalidates every cached margin.
+Swap-consistency contract: the scoring thread pins *one* model reference
+per batch (:meth:`~repro.serving.swap.ModelRef.get`) and scores every
+request of the batch against it, so a concurrent hot swap never produces a
+mixed-weight response; each response names the model version that
+produced it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -76,53 +76,8 @@ class PendingResult:
         return self.completed_at - self.submitted_at
 
 
-class _LRUCache:
-    """Tiny thread-safe LRU mapping for cached margins."""
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = int(capacity)
-        self._data: "OrderedDict[Tuple[int, bytes], float]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: Tuple[int, bytes]) -> Optional[float]:
-        with self._lock:
-            try:
-                value = self._data.pop(key)
-            except KeyError:
-                self.misses += 1
-                return None
-            self._data[key] = value
-            self.hits += 1
-            return value
-
-    def put(self, key: Tuple[int, bytes], value: float) -> None:
-        with self._lock:
-            self._data.pop(key, None)
-            self._data[key] = value
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-
-class _Request:
-    __slots__ = ("idx", "val", "pending", "cache_key")
-
-    def __init__(
-        self,
-        idx: np.ndarray,
-        val: np.ndarray,
-        pending: PendingResult,
-        cache_key: Optional[bytes],
-    ) -> None:
-        self.idx = idx
-        self.val = val
-        self.pending = pending
-        self.cache_key = cache_key
+#: A queued query: validated ``(indices, values)`` and its future.
+_Request = Tuple[np.ndarray, np.ndarray, PendingResult]
 
 
 class MicroBatcher:
@@ -134,17 +89,12 @@ class MicroBatcher:
         A :class:`~repro.serving.swap.ModelRef` (hot-swappable) or a bare
         :class:`~repro.serving.model.ScoringModel` (wrapped into a private
         ref).
-    lanes:
-        Number of scoring threads draining the queue.
     max_batch:
         Largest number of queries scored per kernel call.
     max_delay_us:
-        How long a lane waits for more queries to coalesce after picking up
-        the first one (microseconds; 0 scores whatever is queued
-        immediately).
-    cache_size:
-        LRU result-cache capacity in entries (0 disables caching; keys are
-        ``(model version, blake2b(row))`` so hot-swaps invalidate).
+        How long the scoring thread waits for more queries to coalesce
+        after picking up the first one (microseconds; 0 scores whatever is
+        queued immediately).
     include_proba:
         Attach ``"proba"`` to responses when the objective defines
         probabilities.
@@ -154,57 +104,45 @@ class MicroBatcher:
         self,
         model: Union[ModelRef, ScoringModel],
         *,
-        lanes: int = 1,
         max_batch: int = 64,
         max_delay_us: float = 200.0,
-        cache_size: int = 0,
         include_proba: bool = False,
     ) -> None:
-        if lanes < 1:
-            raise ValueError("lanes must be >= 1")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.ref = model if isinstance(model, ModelRef) else ModelRef(model)
-        self.lanes = int(lanes)
         self.max_batch = int(max_batch)
         self.max_delay = float(max_delay_us) * 1e-6
         self.include_proba = bool(include_proba)
-        self.cache = _LRUCache(cache_size) if cache_size > 0 else None
 
+        # ``_cond`` guards the queue, the closing flag and every counter.
         self._queue: Deque[_Request] = deque()
         self._cond = threading.Condition()
         self._closing = False
-        self._stats_lock = threading.Lock()
         self._submitted = 0
         self._answered = 0
         self._batches = 0
         self._largest_batch = 0
-        self._threads: List[threading.Thread] = []
-        for lane in range(self.lanes):
-            thread = threading.Thread(
-                target=self._lane_loop, name=f"repro-serving-lane-{lane}", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
+        self._thread = threading.Thread(
+            target=self._scoring_loop, name="repro-serving-scorer", daemon=True
+        )
+        self._thread.start()
 
     # ------------------------------------------------------------------ #
     # Client side
     # ------------------------------------------------------------------ #
     def submit(self, indices: Sequence[int], values: Sequence[float]) -> PendingResult:
-        """Enqueue one sparse query row; returns its :class:`PendingResult`."""
+        """Enqueue one sparse query row; returns its :class:`PendingResult`.
+
+        A malformed row raises :class:`ValueError` here, before it is queued.
+        """
         model = self.ref.get()  # validates against the *current* feature space
         idx, val = _normalise_query(indices, values, model.n_features)
         pending = PendingResult()
-        cache_key: Optional[bytes] = None
-        if self.cache is not None:
-            cache_key = hashlib.blake2b(
-                idx.tobytes() + val.tobytes(), digest_size=16
-            ).digest()
-        request = _Request(idx, val, pending, cache_key)
         with self._cond:
             if self._closing:
                 raise RuntimeError("batcher is closed")
-            self._queue.append(request)
+            self._queue.append((idx, val, pending))
             self._submitted += 1
             self._cond.notify()
         return pending
@@ -216,7 +154,7 @@ class MicroBatcher:
         return self.submit(indices, values).result(timeout)
 
     # ------------------------------------------------------------------ #
-    # Lane side
+    # Scoring side
     # ------------------------------------------------------------------ #
     def _take_batch(self) -> Optional[List[_Request]]:
         """Block for the next batch (None when closing and drained)."""
@@ -242,76 +180,60 @@ class MicroBatcher:
                     batch.append(self._queue.popleft())
             return batch
 
-    def _lane_loop(self) -> None:
+    def _scoring_loop(self) -> None:
         while True:
             batch = self._take_batch()
             if batch is None:
                 return
             try:
                 self._score_batch(batch)
-            except BaseException as exc:  # never kill a lane: fail the batch
-                for request in batch:
-                    if not request.pending.done():
-                        request.pending._resolve(None, exc)
+            except Exception as exc:  # fail the batch, keep the scorer alive
+                for _, _, pending in batch:
+                    if not pending.done():
+                        pending._resolve(None, exc)
 
     def _score_batch(self, batch: List[_Request]) -> None:
         # Pin exactly one model for the whole batch: the swap-atomicity
         # contract (no mixed-weight responses) lives on this line.
         model = self.ref.get()
-        version = model.version
+        lengths = np.fromiter(
+            (idx.size for idx, _, _ in batch), dtype=np.int64, count=len(batch)
+        )
+        margins = model.decision_function_gathered(
+            np.concatenate([idx for idx, _, _ in batch]),
+            np.concatenate([val for _, val, _ in batch]),
+            lengths,
+        )
+        predictions = model.objective.predict_from_margins(margins).tolist()
+        probas = None
+        if self.include_proba and model.supports_proba:
+            probas = model.objective.proba_from_margins(margins).tolist()
 
-        fresh: List[_Request] = []
-        for request in batch:
-            if request.cache_key is not None and self.cache is not None:
-                hit = self.cache.get((version, request.cache_key))
-                if hit is not None:
-                    self._respond(request, model, hit, cached=True)
-                    continue
-            fresh.append(request)
-
-        if fresh:
-            idx = np.concatenate([r.idx for r in fresh])
-            val = np.concatenate([r.val for r in fresh])
-            lengths = np.fromiter(
-                (r.idx.size for r in fresh), dtype=np.int64, count=len(fresh)
-            )
-            margins = model.decision_function_gathered(idx, val, lengths)
-            for position, request in enumerate(fresh):
-                margin = float(margins[position])
-                if request.cache_key is not None and self.cache is not None:
-                    self.cache.put((version, request.cache_key), margin)
-                self._respond(request, model, margin, cached=False)
-
-        with self._stats_lock:
+        # Count the batch before answering it, so a client that has its
+        # response also sees it in stats().
+        with self._cond:
             self._batches += 1
             self._largest_batch = max(self._largest_batch, len(batch))
             self._answered += len(batch)
-
-    def _respond(
-        self, request: _Request, model: ScoringModel, margin: float, *, cached: bool
-    ) -> None:
-        margins = np.array([margin], dtype=np.float64)
-        response: Dict[str, Any] = {
-            "margin": margin,
-            "prediction": float(model.objective.predict_from_margins(margins)[0]),
-            "model_version": model.version,
-            "cached": cached,
-        }
-        if self.include_proba and model.supports_proba:
-            response["proba"] = float(model.objective.proba_from_margins(margins)[0])
-        request.pending._resolve(response, None)
+        for k, (margin, (_, _, pending)) in enumerate(zip(margins.tolist(), batch)):
+            response = {
+                "margin": margin,
+                "prediction": predictions[k],
+                "model_version": model.version,
+            }
+            if probas is not None:
+                response["proba"] = probas[k]
+            pending._resolve(response, None)
 
     # ------------------------------------------------------------------ #
     # Lifecycle + stats
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Stop accepting queries, drain the queue, join every lane."""
+        """Stop accepting queries, drain the queue, join the scoring thread."""
         with self._cond:
             self._closing = True
             self._cond.notify_all()
-        for thread in self._threads:
-            thread.join()
-        self._threads = []
+        self._thread.join()
 
     def __enter__(self) -> "MicroBatcher":
         return self
@@ -320,10 +242,9 @@ class MicroBatcher:
         self.close()
 
     def stats(self) -> Dict[str, Any]:
-        """Counters since construction (submitted/answered/batches/cache)."""
-        with self._stats_lock:
-            out: Dict[str, Any] = {
-                "lanes": self.lanes,
+        """Counters since construction (submitted/answered/batches/swaps)."""
+        with self._cond:
+            return {
                 "max_batch": self.max_batch,
                 "submitted": self._submitted,
                 "answered": self._answered,
@@ -332,14 +253,6 @@ class MicroBatcher:
                 "mean_batch": (self._answered / self._batches) if self._batches else 0.0,
                 "model_swaps": self.ref.swaps,
             }
-        if self.cache is not None:
-            out["cache"] = {
-                "size": len(self.cache),
-                "capacity": self.cache.capacity,
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-            }
-        return out
 
 
 __all__ = ["MicroBatcher", "PendingResult"]

@@ -190,19 +190,29 @@ class ScoringModel:
 def _normalise_query(
     indices: Any, values: Any, n_features: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Validate one sparse query row into canonical ``(int32, float64)`` arrays."""
-    idx = np.ascontiguousarray(np.asarray(indices, dtype=np.int64))
-    val = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
+    """Validate one sparse query row into canonical ``(int32, float64)`` arrays.
+
+    Every malformed row is a :class:`ValueError`: indices must be integers
+    (``1.7`` names no feature) in ``[0, n_features)``, values finite numbers.
+    """
+    idx = np.asarray(indices)
+    val = np.asarray(values)
     if idx.ndim != 1 or val.ndim != 1 or idx.size != val.size:
         raise ValueError(
             f"query must be parallel 1-D indices/values arrays, "
             f"got shapes {idx.shape} and {val.shape}"
         )
-    if idx.size and (idx.min() < 0 or idx.max() >= n_features):
+    if idx.size == 0:
+        return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"query indices must be integers, got {idx.dtype} values")
+    if idx.min() < 0 or idx.max() >= n_features:
         raise ValueError(
             f"query indices out of range for a {n_features}-feature model"
         )
-    return idx.astype(np.int32), val
+    if val.dtype.kind not in "iuf" or not np.isfinite(val).all():
+        raise ValueError("query values must be finite numbers")
+    return idx.astype(np.int32), np.ascontiguousarray(val, dtype=np.float64)
 
 
 __all__ = ["ScoringModel"]

@@ -304,6 +304,9 @@ class TestServe:
             '{"row": 0, "id": "q0"}\n'
             '{"not": "a query"}\n'
             '{"indices": [1, 2], "values": [0.25, -0.5]}\n'
+            '{"indices": [999999], "values": [1.0]}\n'
+            '{"indices": [1], "values": [NaN]}\n'
+            '{"row": 1, "id": "q5"}\n'
         )
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
         code, out, err = _run(
@@ -312,11 +315,15 @@ class TestServe:
         )
         assert code == 0
         responses = [json.loads(line) for line in out.splitlines()]
-        assert len(responses) == 3
+        assert len(responses) == 6
         assert responses[0]["id"] == "q0"
         assert 0.0 <= responses[0]["proba"] <= 1.0
         assert "error" in responses[1]  # malformed line stays in order
         assert responses[2]["model_version"] == 1
+        # Rows that fail validation are answered in order, not fatal.
+        assert "out of range" in responses[3]["error"]
+        assert "finite" in responses[4]["error"]
+        assert responses[5]["id"] == "q5" and "margin" in responses[5]
         # Provenance + queue stats go to stderr, not into the response stream.
         assert "model" in err and "stats" in err
 

@@ -1,13 +1,15 @@
 """Unit tests for the micro-batching request queue."""
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro.cli.serve import _parse_query
 from repro.datasets.synthetic import SyntheticSpec, make_sparse_classification
 from repro.objectives.registry import make_objective
-from repro.serving import MicroBatcher, ModelRef, ScoringModel
+from repro.serving import MicroBatcher, ScoringModel
 
 
 @pytest.fixture(scope="module")
@@ -27,27 +29,47 @@ def served():
     return X, model
 
 
-@pytest.mark.parametrize("lanes", [1, 3])
-def test_batched_margins_match_direct_scoring(served, lanes):
+@pytest.mark.parametrize("clients", [1, 3])
+def test_batched_margins_match_direct_scoring(served, clients):
     X, model = served
     expected = model.decision_function(X)
-    with MicroBatcher(model, lanes=lanes, max_batch=16) as batcher:
-        pending = [batcher.submit(*X.row(i)) for i in range(X.n_rows)]
+    predictions = model.predict(X)
+    probas = model.predict_proba(X)
+    pending = [None] * X.n_rows
+
+    def submit_share(first: int, batcher: MicroBatcher) -> None:
+        for i in range(first, X.n_rows, clients):
+            pending[i] = batcher.submit(*X.row(i))
+
+    # A long coalescing window, so every response comes from a multi-row
+    # batch; with several clients each batch interleaves their queries.
+    with MicroBatcher(model, max_batch=16, max_delay_us=20_000.0, include_proba=True) as batcher:
+        threads = [
+            threading.Thread(target=submit_share, args=(first, batcher))
+            for first in range(clients)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+            assert not t.is_alive()
         responses = [p.result(timeout=10.0) for p in pending]
     for i, response in enumerate(responses):
         assert response["margin"] == pytest.approx(expected[i], abs=1e-12)
+        assert response["prediction"] == predictions[i]
+        assert response["proba"] == pytest.approx(probas[i], abs=1e-12)
         assert response["model_version"] == model.version
-        assert response["cached"] is False
     stats = batcher.stats()
     assert stats["submitted"] == stats["answered"] == X.n_rows
     assert stats["largest_batch"] <= 16
+    assert stats["mean_batch"] > 1.0
 
 
 def test_requests_actually_coalesce(served):
     X, model = served
-    # One lane + a generous coalescing window: queries submitted while the
-    # lane is busy must be scored together, not one kernel call each.
-    with MicroBatcher(model, lanes=1, max_batch=64, max_delay_us=20_000.0) as batcher:
+    # A generous coalescing window: queries submitted while the scoring
+    # thread is busy must be scored together, not one kernel call each.
+    with MicroBatcher(model, max_batch=64, max_delay_us=20_000.0) as batcher:
         pending = [batcher.submit(*X.row(i % X.n_rows)) for i in range(50)]
         for p in pending:
             p.result(timeout=10.0)
@@ -55,35 +77,6 @@ def test_requests_actually_coalesce(served):
     assert stats["batches"] < 50  # strictly fewer kernel calls than queries
     assert stats["largest_batch"] > 1
     assert stats["mean_batch"] > 1.0
-
-
-def test_result_cache_hits_repeat_queries(served):
-    X, model = served
-    idx, val = X.row(3)
-    with MicroBatcher(model, lanes=1, cache_size=8) as batcher:
-        first = batcher.score(idx, val)
-        second = batcher.score(idx, val)
-    assert first["cached"] is False
-    assert second["cached"] is True
-    assert second["margin"] == first["margin"]
-    stats = batcher.stats()
-    assert stats["cache"]["hits"] == 1
-    assert stats["cache"]["misses"] == 1
-
-
-def test_cache_is_keyed_by_model_version(served):
-    X, model = served
-    idx, val = X.row(0)
-    ref = ModelRef(model)
-    other = ScoringModel(np.zeros(model.n_features), make_objective("logistic_l1"))
-    with MicroBatcher(ref, lanes=1, cache_size=8) as batcher:
-        before = batcher.score(idx, val)
-        ref.swap(other)
-        after = batcher.score(idx, val)
-    assert before["cached"] is False
-    assert after["cached"] is False  # the swap invalidated the cached margin
-    assert after["model_version"] == before["model_version"] + 1
-    assert after["margin"] == 0.0
 
 
 def test_include_proba_attaches_probabilities(served):
@@ -101,10 +94,21 @@ def test_include_proba_attaches_probabilities(served):
 
 
 def test_submit_rejects_out_of_range_queries(served):
-    _, model = served
+    X, model = served
     with MicroBatcher(model) as batcher:
         with pytest.raises(ValueError, match="out of range"):
             batcher.submit([model.n_features], [1.0])
+        with pytest.raises(ValueError, match="out of range"):
+            batcher.submit([2**63], [1.0])  # past int64, not an OverflowError
+        with pytest.raises(ValueError, match="must be integers"):
+            batcher.submit([1.7, 2.2], [1.0, 1.0])  # not features 1 and 2
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                batcher.submit([1], [bad])
+        assert batcher.stats()["submitted"] == 0  # nothing bad was queued
+    # A `repro serve` row query is checked where it is parsed: not row 2.
+    with pytest.raises(ValueError, match="integer"):
+        _parse_query('{"row": 2.5}', X)
 
 
 def test_submit_after_close_raises(served):
@@ -117,7 +121,7 @@ def test_submit_after_close_raises(served):
 
 def test_close_drains_outstanding_queries(served):
     X, model = served
-    batcher = MicroBatcher(model, lanes=2, max_batch=4)
+    batcher = MicroBatcher(model, max_batch=4)
     pending = [batcher.submit(*X.row(i % X.n_rows)) for i in range(120)]
     batcher.close()  # must answer everything already enqueued
     assert all(p.done() for p in pending)
@@ -137,20 +141,26 @@ def test_concurrent_clients_all_get_correct_answers(served):
             if abs(response["margin"] - expected[i]) > 1e-9:
                 errors.append((i, response["margin"], expected[i]))
 
-    with MicroBatcher(model, lanes=4, max_batch=8, cache_size=32) as batcher:
-        threads = [
-            threading.Thread(target=client, args=(seed, batcher)) for seed in range(6)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # many thread switches inside each update
+    try:
+        with MicroBatcher(model, max_batch=8) as batcher:
+            threads = [
+                threading.Thread(target=client, args=(seed, batcher)) for seed in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+                assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
     assert not errors
+    stats = batcher.stats()  # no counter update lost between clients and scorer
+    assert stats["submitted"] == stats["answered"] == 6 * 40
 
 
 def test_invalid_construction():
     model = ScoringModel(np.zeros(3), make_objective("logistic_l1"))
-    with pytest.raises(ValueError, match="lanes"):
-        MicroBatcher(model, lanes=0)
     with pytest.raises(ValueError, match="max_batch"):
         MicroBatcher(model, max_batch=0)

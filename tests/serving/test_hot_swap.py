@@ -115,7 +115,7 @@ def test_swap_under_sustained_load_never_mixes_versions(swap_problem):
     writer_thread = threading.Thread(target=writer)
     writer_thread.start()
     try:
-        with MicroBatcher(ref, lanes=4, max_batch=8, max_delay_us=100.0) as batcher:
+        with MicroBatcher(ref, max_batch=8, max_delay_us=100.0) as batcher:
             clients = [
                 threading.Thread(target=client, args=(seed, batcher))
                 for seed in range(5)
@@ -255,7 +255,7 @@ def test_watcher_keeps_serving_when_newer_artifact_is_narrower(tmp_path, swap_pr
     # Rows with features beyond the narrow width still score on the old model.
     rows = [i for i in range(X.n_rows) if X.row(i)[0].max() >= narrow.size]
     assert rows
-    with MicroBatcher(ref, lanes=1) as batcher:
+    with MicroBatcher(ref) as batcher:
         responses = [batcher.score(*X.row(i), timeout=30.0) for i in rows]
     for i, response in zip(rows, responses):
         assert response["model_version"] == first.version
@@ -269,7 +269,7 @@ def test_background_watcher_thread_swaps_under_load(tmp_path, swap_problem):
     ref = ModelRef()
     with ArtifactWatcher(store, ref, key="run-a", poll_interval=0.005) as watcher:
         watcher.load_initial()
-        with MicroBatcher(ref, lanes=2, max_batch=8) as batcher:
+        with MicroBatcher(ref, max_batch=8) as batcher:
             pending = []
             for t in range(200):
                 if t == 100:

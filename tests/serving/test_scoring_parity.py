@@ -96,7 +96,7 @@ def test_micro_batched_responses_match_reference(scoring_problem, backend):
     )
     expected = reference.decision_function(X)
     candidate = ScoringModel(weights, make_objective("logistic_l1"), kernel=backend)
-    with MicroBatcher(candidate, lanes=2, max_batch=8) as batcher:
+    with MicroBatcher(candidate, max_batch=8) as batcher:
         pending = [batcher.submit(*X.row(i)) for i in range(X.n_rows)]
         responses = [p.result(timeout=10.0) for p in pending]
     for i, response in enumerate(responses):
