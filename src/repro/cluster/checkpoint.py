@@ -142,34 +142,38 @@ class ClusterCheckpoint:
         """Rebuild a checkpoint from :meth:`to_dict` output.
 
         Payloads written while the cluster still had a choice of parameter
-        layouts carry two more keys naming it; they are ignored.
+        layouts carry two more keys naming it; they are ignored.  A payload
+        missing a required key raises :class:`ValueError`.
         """
-        return cls(
-            identity=dict(payload["identity"]),
-            epoch=int(payload["epoch"]),
-            num_workers=int(payload["num_workers"]),
-            weights=decode_array(payload["weights"]),
-            rule=payload["rule"],
-            rule_state={k: decode_array(v) for k, v in payload["rule_state"].items()},
-            sampler=dict(payload["sampler"]),
-            counters=(
-                decode_array(payload["counters"])
-                if payload.get("counters") is not None else None
-            ),
-            shard_write_totals=(
-                decode_array(payload["shard_write_totals"])
-                if payload.get("shard_write_totals") is not None else None
-            ),
-            trace=ExecutionTrace.from_dict(payload["trace"]),
-            epoch_seconds=list(payload.get("epoch_seconds", [])),
-            epoch_mean_delay=list(payload.get("epoch_mean_delay", [])),
-            epoch_occupancy_skew=list(payload.get("epoch_occupancy_skew", [])),
-            epoch_steals=[int(s) for s in payload.get("epoch_steals", [])],
-            epoch_weights=(
-                [decode_array(w) for w in payload["epoch_weights"]]
-                if payload.get("epoch_weights") is not None else None
-            ),
-        )
+        try:
+            return cls(
+                identity=dict(payload["identity"]),
+                epoch=int(payload["epoch"]),
+                num_workers=int(payload["num_workers"]),
+                weights=decode_array(payload["weights"]),
+                rule=payload["rule"],
+                rule_state={k: decode_array(v) for k, v in payload["rule_state"].items()},
+                sampler=dict(payload["sampler"]),
+                counters=(
+                    decode_array(payload["counters"])
+                    if payload.get("counters") is not None else None
+                ),
+                shard_write_totals=(
+                    decode_array(payload["shard_write_totals"])
+                    if payload.get("shard_write_totals") is not None else None
+                ),
+                trace=ExecutionTrace.from_dict(payload["trace"]),
+                epoch_seconds=list(payload.get("epoch_seconds", [])),
+                epoch_mean_delay=list(payload.get("epoch_mean_delay", [])),
+                epoch_occupancy_skew=list(payload.get("epoch_occupancy_skew", [])),
+                epoch_steals=[int(s) for s in payload.get("epoch_steals", [])],
+                epoch_weights=(
+                    [decode_array(w) for w in payload["epoch_weights"]]
+                    if payload.get("epoch_weights") is not None else None
+                ),
+            )
+        except KeyError as exc:
+            raise ValueError(f"checkpoint payload is missing the key {exc}") from exc
 
     def copy(self) -> "ClusterCheckpoint":
         """A deep, independent copy (the driver's in-memory checkpoint)."""

@@ -584,8 +584,28 @@ class ClusterDriver:
         """Load ``checkpoint`` into the arena and roll the run state back.
 
         Arena and checkpoint share one layout, so a checkpoint written at
-        any fleet size restores bit-identically.
+        any fleet size restores bit-identically.  An array of another shape
+        raises :class:`ValueError` before anything is copied: assigned into
+        the arena, a short one would be broadcast over every coordinate.
         """
+        shape = arena["weights"].shape
+        arrays = [("weights", checkpoint.weights, shape)]
+        if self.rule == "saga":
+            arrays += [
+                (name, checkpoint.rule_state.get(name), arena[name].shape)
+                for name in ("saga_coefs", "saga_avg")
+            ]
+        arrays += [
+            (f"epoch_weights[{k}]", w, shape)
+            for k, w in enumerate(checkpoint.epoch_weights or ())
+        ]
+        for name, array, expected in arrays:
+            if array is None:
+                raise ValueError(f"checkpoint array {name} is missing")
+            if array.shape != expected:
+                raise ValueError(
+                    f"checkpoint array {name} has shape {array.shape}, expected {expected}"
+                )
         arena["weights"][...] = checkpoint.weights
         if self.rule == "saga":
             arena["saga_coefs"][...] = checkpoint.rule_state["saga_coefs"]

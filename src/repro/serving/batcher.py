@@ -17,6 +17,12 @@ scoring threads only contended for the GIL (8 gave less throughput than
 1), and a cache's per-request hashing and locking cost more than the
 kernel work it skipped, even when most queries repeat a recent row.
 
+The hand-off is cheap per request for the same reason.  ``submit`` checks
+a row once and wakes the scoring thread only when it is waiting; a busy
+scorer takes the queue when it next looks.  A :class:`PendingResult` is a
+slot: the scorer fills every slot of a batch, stamps them with one
+completion time and wakes the waiting clients with one ``notify_all``.
+
 Swap-consistency contract: the scoring thread pins *one* model reference
 per batch (:meth:`~repro.serving.swap.ModelRef.get`) and scores every
 request of the batch against it, so a concurrent hot swap never produces a
@@ -29,7 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,31 +44,35 @@ from repro.serving.swap import ModelRef
 
 
 class PendingResult:
-    """A submitted query's future response (wait with :meth:`result`)."""
+    """A submitted query's future response (wait with :meth:`result`).
 
-    __slots__ = ("_event", "_value", "_error", "submitted_at", "completed_at")
+    The queued query's slot: it carries the validated row to the scoring
+    thread, which fills it with a value or an error.  A client that has to
+    wait does so on the batcher's completion condition ``done``, which the
+    scorer signals once per batch.
+    """
 
-    def __init__(self) -> None:
-        self._event = threading.Event()
+    __slots__ = ("_done", "_idx", "_val", "_value", "_error", "submitted_at", "completed_at")
+
+    def __init__(self, done: threading.Condition, idx: np.ndarray, val: np.ndarray) -> None:
+        self._done = done
+        self._idx = idx
+        self._val = val
         self._value: Optional[Dict[str, Any]] = None
         self._error: Optional[BaseException] = None
         self.submitted_at = time.perf_counter()
         self.completed_at: Optional[float] = None
 
-    def _resolve(self, value: Optional[Dict[str, Any]], error: Optional[BaseException]) -> None:
-        self._value = value
-        self._error = error
-        self.completed_at = time.perf_counter()
-        self._event.set()
-
     def done(self) -> bool:
         """Whether the response is available."""
-        return self._event.is_set()
+        return self.completed_at is not None
 
     def result(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         """Block until the response arrives and return it (re-raising errors)."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("query was not answered within the timeout")
+        if self.completed_at is None:
+            with self._done:
+                if not self._done.wait_for(self.done, timeout):
+                    raise TimeoutError("query was not answered within the timeout")
         if self._error is not None:
             raise self._error
         assert self._value is not None
@@ -74,10 +84,6 @@ class PendingResult:
         if self.completed_at is None:
             return None
         return self.completed_at - self.submitted_at
-
-
-#: A queued query: validated ``(indices, values)`` and its future.
-_Request = Tuple[np.ndarray, np.ndarray, PendingResult]
 
 
 class MicroBatcher:
@@ -115,10 +121,13 @@ class MicroBatcher:
         self.max_delay = float(max_delay_us) * 1e-6
         self.include_proba = bool(include_proba)
 
-        # ``_cond`` guards the queue, the closing flag and every counter.
-        self._queue: Deque[_Request] = deque()
+        # ``_cond`` guards the queue, the closing and idle flags and every
+        # counter; ``_done`` is where clients wait for their batch.
+        self._queue: Deque[PendingResult] = deque()
         self._cond = threading.Condition()
+        self._done = threading.Condition()
         self._closing = False
+        self._idle = False  # the scorer is waiting on ``_cond``
         self._submitted = 0
         self._answered = 0
         self._batches = 0
@@ -135,16 +144,19 @@ class MicroBatcher:
         """Enqueue one sparse query row; returns its :class:`PendingResult`.
 
         A malformed row raises :class:`ValueError` here, before it is queued.
+        Arrays that already are int32 indices and float64 values are queued
+        without a copy, so leave them unmodified until the response arrives.
         """
-        model = self.ref.get()  # validates against the *current* feature space
-        idx, val = _normalise_query(indices, values, model.n_features)
-        pending = PendingResult()
+        # Validated against the *current* feature space.
+        idx, val = _normalise_query(indices, values, self.ref.get().n_features)
+        pending = PendingResult(self._done, idx, val)
         with self._cond:
             if self._closing:
                 raise RuntimeError("batcher is closed")
-            self._queue.append((idx, val, pending))
+            self._queue.append(pending)
             self._submitted += 1
-            self._cond.notify()
+            if self._idle:  # a busy scorer takes the queue when it next looks
+                self._cond.notify()
         return pending
 
     def score(
@@ -156,13 +168,15 @@ class MicroBatcher:
     # ------------------------------------------------------------------ #
     # Scoring side
     # ------------------------------------------------------------------ #
-    def _take_batch(self) -> Optional[List[_Request]]:
+    def _take_batch(self) -> Optional[List[PendingResult]]:
         """Block for the next batch (None when closing and drained)."""
         with self._cond:
             while not self._queue:
                 if self._closing:
                     return None
+                self._idle = True
                 self._cond.wait()
+                self._idle = False
             batch = [self._queue.popleft()]
             while self._queue and len(batch) < self.max_batch:
                 batch.append(self._queue.popleft())
@@ -175,7 +189,9 @@ class MicroBatcher:
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0.0:
                     break
+                self._idle = True
                 self._cond.wait(remaining)
+                self._idle = False
                 while self._queue and len(batch) < self.max_batch:
                     batch.append(self._queue.popleft())
             return batch
@@ -188,20 +204,20 @@ class MicroBatcher:
             try:
                 self._score_batch(batch)
             except Exception as exc:  # fail the batch, keep the scorer alive
-                for _, _, pending in batch:
-                    if not pending.done():
-                        pending._resolve(None, exc)
+                for pending in batch:
+                    pending._value, pending._error = None, exc
+                self._complete(batch)
 
-    def _score_batch(self, batch: List[_Request]) -> None:
+    def _score_batch(self, batch: List[PendingResult]) -> None:
         # Pin exactly one model for the whole batch: the swap-atomicity
         # contract (no mixed-weight responses) lives on this line.
         model = self.ref.get()
         lengths = np.fromiter(
-            (idx.size for idx, _, _ in batch), dtype=np.int64, count=len(batch)
+            (pending._idx.size for pending in batch), dtype=np.int64, count=len(batch)
         )
         margins = model.decision_function_gathered(
-            np.concatenate([idx for idx, _, _ in batch]),
-            np.concatenate([val for _, val, _ in batch]),
+            np.concatenate([pending._idx for pending in batch]),
+            np.concatenate([pending._val for pending in batch]),
             lengths,
         )
         predictions = model.objective.predict_from_margins(margins).tolist()
@@ -215,7 +231,7 @@ class MicroBatcher:
             self._batches += 1
             self._largest_batch = max(self._largest_batch, len(batch))
             self._answered += len(batch)
-        for k, (margin, (_, _, pending)) in enumerate(zip(margins.tolist(), batch)):
+        for k, (margin, pending) in enumerate(zip(margins.tolist(), batch)):
             response = {
                 "margin": margin,
                 "prediction": predictions[k],
@@ -223,7 +239,16 @@ class MicroBatcher:
             }
             if probas is not None:
                 response["proba"] = probas[k]
-            pending._resolve(response, None)
+            pending._value = response
+        self._complete(batch)
+
+    def _complete(self, batch: List[PendingResult]) -> None:
+        """Stamp a batch's filled slots with one completion time; wake its clients once."""
+        completed_at = time.perf_counter()
+        for pending in batch:
+            pending.completed_at = completed_at
+        with self._done:
+            self._done.notify_all()
 
     # ------------------------------------------------------------------ #
     # Lifecycle + stats

@@ -37,7 +37,7 @@ class ScoringModel:
     ----------
     weights:
         The trained iterate (copied, cast to contiguous float64 and marked
-        read-only).
+        read-only); NaN or infinite weights raise :class:`ValueError`.
     objective:
         The objective the run was trained under; its ``predict_from_margins``
         / ``proba_from_margins`` hooks make prediction objective-aware.
@@ -64,6 +64,9 @@ class ScoringModel:
         w = np.ascontiguousarray(np.asarray(weights, dtype=np.float64)).copy()
         if w.ndim != 1:
             raise ValueError(f"weights must be a 1-D vector, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            # A diverged run: serving it would answer NaN, which is not JSON.
+            raise ValueError("weights must be finite (the run diverged)")
         w.setflags(write=False)
         self.weights = w
         self.objective = objective
@@ -187,6 +190,11 @@ class ScoringModel:
         )
 
 
+#: The unsigned integer type of each signed index width (see
+#: :func:`_normalise_query`).
+_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
 def _normalise_query(
     indices: Any, values: Any, n_features: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -194,6 +202,7 @@ def _normalise_query(
 
     Every malformed row is a :class:`ValueError`: indices must be integers
     (``1.7`` names no feature) in ``[0, n_features)``, values finite numbers.
+    Arrays that already have the canonical dtypes are returned uncopied.
     """
     idx = np.asarray(indices)
     val = np.asarray(values)
@@ -204,15 +213,26 @@ def _normalise_query(
         )
     if idx.size == 0:
         return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64)
-    if idx.dtype.kind not in "iu":
+    kind = idx.dtype.kind
+    if kind not in "iu":
         raise ValueError(f"query indices must be integers, got {idx.dtype} values")
-    if idx.min() < 0 or idx.max() >= n_features:
+    # One reduction checks both ends of the range.  Viewed as unsigned of
+    # the same width, a negative index reads at least 2**(bits - 1), and no
+    # valid index of a signed type does; the bound is capped there because
+    # int8/int16 -1 reads 255/65535, a valid feature of a wider model.
+    unsigned, bound = idx, n_features
+    if kind == "i":
+        unsigned = idx.view(_UNSIGNED[idx.itemsize])
+        bound = min(n_features, 1 << (8 * idx.itemsize - 1))
+    if int(unsigned.max()) >= bound:
         raise ValueError(
             f"query indices out of range for a {n_features}-feature model"
         )
-    if val.dtype.kind not in "iuf" or not np.isfinite(val).all():
+    if val.dtype.kind not in "iuf" or (
+        val.dtype.kind == "f" and not np.isfinite(val).all()
+    ):
         raise ValueError("query values must be finite numbers")
-    return idx.astype(np.int32), np.ascontiguousarray(val, dtype=np.float64)
+    return idx.astype(np.int32, copy=False), val.astype(np.float64, copy=False)
 
 
 __all__ = ["ScoringModel"]

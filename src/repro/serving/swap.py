@@ -47,9 +47,12 @@ class ModelRef:
             self.swaps = 0  # the initial publication is not a "swap"
 
     def get(self) -> ScoringModel:
-        """The currently published model (raises before the first swap)."""
-        with self._lock:
-            model = self._model
+        """The currently published model (raises before the first swap).
+
+        One attribute read, so it takes no lock: :meth:`swap` sets the
+        model's version before it publishes the reference.
+        """
+        model = self._model
         if model is None:
             raise LookupError("no model has been published to this ModelRef yet")
         return model
@@ -169,9 +172,9 @@ class ArtifactWatcher:
             model = ScoringModel.from_artifact(self.store, key, kernel=self.kernel)
             version = self.ref.swap(model)
         except ValueError as exc:
-            # Unservable artifact (no weights / corrupt / a different model
-            # width): remember it so the poll loop does not retry-log
-            # forever, keep serving the old one.
+            # Unservable artifact (no weights / corrupt / non-finite weights /
+            # a different model width): remember it so the poll loop does
+            # not retry-log forever, keep serving the old one.
             LOGGER.warning("ignoring unservable artifact %s: %s", key[:12], exc)
             self._current = candidate
             return None

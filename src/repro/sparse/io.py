@@ -21,13 +21,17 @@ from repro.sparse.csr import CSRMatrix
 PathLike = Union[str, Path]
 
 
-def parse_libsvm_line(line: str) -> Tuple[float, np.ndarray, np.ndarray]:
+def parse_libsvm_line(
+    line: str, *, zero_based: bool = False
+) -> Tuple[float, np.ndarray, np.ndarray]:
     """Parse one LibSVM line into ``(label, indices, values)``.
 
-    Feature indices in the file are 1-based and are converted to 0-based.
-    Comments introduced by ``#`` are stripped.  Malformed feature tokens
-    raise ``ValueError`` naming the offending token.
+    Feature indices in the file are 1-based (0-based with ``zero_based``)
+    and are converted to 0-based.  Comments introduced by ``#`` are
+    stripped.  Malformed feature tokens raise ``ValueError`` naming the
+    offending token.
     """
+    first = 0 if zero_based else 1
     line = line.split("#", 1)[0].strip()
     if not line:
         raise ValueError("cannot parse an empty line")
@@ -42,9 +46,9 @@ def parse_libsvm_line(line: str) -> Tuple[float, np.ndarray, np.ndarray]:
             value = float(val_str)
         except ValueError as exc:  # noqa: PERF203 - error path only
             raise ValueError(f"malformed feature token {token!r}") from exc
-        if col < 1:
-            raise ValueError(f"feature indices must be >= 1, got {col}")
-        idx.append(col - 1)
+        if col < first:
+            raise ValueError(f"feature indices must be >= {first}, got {col}")
+        idx.append(col - first)
         val.append(value)
     return label, np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.float64)
 
@@ -91,13 +95,7 @@ def load_libsvm(
             stripped = raw.split("#", 1)[0].strip()
             if not stripped:
                 continue
-            label, idx, val = parse_libsvm_line(stripped)
-            if zero_based:
-                pass
-            # parse_libsvm_line already converted to 0-based assuming 1-based
-            # input; undo the shift if the caller says the file is 0-based.
-            if zero_based and idx.size:
-                idx = idx + 1 - 1  # no-op for clarity; indices already >= 0
+            label, idx, val = parse_libsvm_line(stripped, zero_based=zero_based)
             labels.append(label)
             rows.append((idx, val))
             if idx.size:

@@ -9,6 +9,7 @@ uninterrupted run (weights, rule state, trace and counters all equal).
 """
 
 import multiprocessing as mp
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,19 @@ class TestCheckpointStore:
             store.load(identity, 1)
 
 
+    def test_missing_payload_key_is_a_value_error(self, tmp_path):
+        import json
+
+        store = CheckpointStore(tmp_path)
+        identity = {"kind": "cluster_checkpoint", "run_id": "e"}
+        path = store.save(self._checkpoint(identity, 1))
+        entry = json.loads(path.read_text())
+        del entry["checkpoint"]["weights"]
+        path.write_text(json.dumps(entry))
+        with pytest.raises(ValueError, match="missing the key 'weights'"):
+            store.load(identity, 1)
+
+
 class TestPinnedIdentity:
     """Stored checkpoints are found by their identity digest, so the
     identity of every built-in rule is pinned to a literal digest: a
@@ -256,6 +270,31 @@ class TestElasticResume:
         assert resumed.info["resumed_from_epoch"] == HALF
         assert resumed.info["num_workers"] == 3
         assert resumed.weights.tobytes() == ckpt.weights.tobytes()
+
+    def test_checkpoint_arrays_of_another_shape_are_rejected(self, ckpt_problem, tmp_path):
+        """A short array would be broadcast over the arena: resume names it instead."""
+        import json
+
+        store = CheckpointStore(tmp_path)
+        writer = _driver(ckpt_problem, 2, store, rule="saga", step_size=0.05)
+        writer.run(HALF)
+        path = store.path_for(writer.checkpoint_identity(), HALF)
+        good = path.read_text()
+        short = encode_array(np.ones(1))
+        for name in ("weights", "saga_coefs", "saga_avg", "epoch_weights[1]"):
+            entry = json.loads(good)
+            ckpt = entry["checkpoint"]
+            if name == "weights":
+                ckpt["weights"] = short
+            elif name.startswith("epoch_weights"):
+                ckpt["epoch_weights"][1] = short
+            else:
+                ckpt["rule_state"][name] = short
+            path.write_text(json.dumps(entry))
+            with pytest.raises(ValueError, match=re.escape(f"checkpoint array {name} has shape (1,)")):
+                _driver(ckpt_problem, 2, store, rule="saga", step_size=0.05).run(
+                    EPOCHS, resume=True
+                )
 
     def test_checkpoint_with_layout_keys_of_older_versions_resumes(
         self, ckpt_problem, tmp_path

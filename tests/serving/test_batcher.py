@@ -10,6 +10,7 @@ from repro.cli.serve import _parse_query
 from repro.datasets.synthetic import SyntheticSpec, make_sparse_classification
 from repro.objectives.registry import make_objective
 from repro.serving import MicroBatcher, ScoringModel
+from repro.serving.model import _normalise_query
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +110,103 @@ def test_submit_rejects_out_of_range_queries(served):
     # A `repro serve` row query is checked where it is parsed: not row 2.
     with pytest.raises(ValueError, match="integer"):
         _parse_query('{"row": 2.5}', X)
+
+
+class _GatedModel(ScoringModel):
+    """Scores each batch once ``gate`` opens, raising the queued ``errors`` first."""
+
+    def __init__(self, weights, errors=()):
+        super().__init__(weights, make_objective("logistic_l1"))
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+        self.errors = list(errors)
+
+    def decision_function_gathered(self, idx, val, lengths):
+        self.entered.set()
+        self.gate.wait(10.0)
+        if self.errors:
+            raise self.errors.pop(0)
+        return super().decision_function_gathered(idx, val, lengths)
+
+
+def _first_batch_then_queue(batcher, gated, X, queued):
+    """Submit row 0, wait until it is being scored alone, then queue more rows."""
+    first = batcher.submit(*X.row(0))
+    assert gated.entered.wait(10.0)
+    return first, [batcher.submit(*X.row(i)) for i in range(1, 1 + queued)]
+
+
+def test_result_times_out_while_its_batch_is_unanswered(served):
+    X, model = served
+    gated = _GatedModel(model.weights)
+    batcher = MicroBatcher(gated)
+    try:
+        pending = batcher.submit(*X.row(0))
+        with pytest.raises(TimeoutError):
+            pending.result(timeout=0.05)
+        assert not pending.done() and pending.latency is None
+    finally:
+        gated.gate.set()
+        batcher.close()
+    assert pending.result(timeout=0.0)["margin"] == pytest.approx(model.score_row(*X.row(0)))
+
+
+def test_failed_batch_fails_only_its_own_requests(served):
+    X, model = served
+    gated = _GatedModel(model.weights, errors=[RuntimeError("scoring failed")])
+    batcher = MicroBatcher(gated)
+    try:
+        first, queued = _first_batch_then_queue(batcher, gated, X, 3)
+        gated.gate.set()
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            first.result(timeout=10.0)
+        for i, pending in enumerate(queued, start=1):
+            response = pending.result(timeout=10.0)
+            assert response["margin"] == pytest.approx(model.score_row(*X.row(i)), abs=1e-12)
+    finally:
+        gated.gate.set()
+        batcher.close()
+    assert first.done() and first.latency >= 0.0
+    stats = batcher.stats()
+    assert (stats["answered"], stats["batches"]) == (3, 1)
+
+
+def test_one_batch_shares_one_completion_stamp(served):
+    X, model = served
+    gated = _GatedModel(model.weights)
+    batcher = MicroBatcher(gated, max_batch=64)
+    try:
+        first, queued = _first_batch_then_queue(batcher, gated, X, 5)
+        gated.gate.set()
+        for pending in [first] + queued:
+            pending.result(timeout=10.0)
+    finally:
+        gated.gate.set()
+        batcher.close()
+    assert batcher.stats()["batches"] == 2
+    assert len({pending.completed_at for pending in queued}) == 1
+    assert all(p.completed_at >= p.submitted_at for p in [first] + queued)
+    assert first.completed_at <= queued[0].completed_at
+
+
+def test_normalise_query_checks_every_integer_dtype_without_copies():
+    idx = np.array([0, 3, 7], dtype=np.int32)
+    val = np.array([1.0, -2.0, 0.5])
+    got_idx, got_val = _normalise_query(idx, val, n_features=200_000)
+    assert np.shares_memory(got_idx, idx) and np.shares_memory(got_val, val)
+    for dtype in (np.int64, np.uint16):
+        got_idx, got_val = _normalise_query(idx.astype(dtype), [1, -2, 3], n_features=8)
+        assert got_idx.dtype == np.int32 and got_val.dtype == np.float64
+        np.testing.assert_array_equal(got_idx, idx)
+        np.testing.assert_array_equal(got_val, [1.0, -2.0, 3.0])
+    # Viewed as unsigned, int8/int16 -1 is 255/65535: a valid feature of a
+    # 200k-feature model, which astype(int32) would turn back into -1.
+    for dtype in (np.int8, np.int16):
+        for bad in (-1, np.iinfo(dtype).min):
+            with pytest.raises(ValueError, match="out of range"):
+                _normalise_query(np.array([1, bad], dtype=dtype), [1.0, 1.0], n_features=200_000)
+        largest = np.iinfo(dtype).max
+        assert _normalise_query(np.array([largest], dtype=dtype), [1.0], 200_000)[0][0] == largest
 
 
 def test_submit_after_close_raises(served):

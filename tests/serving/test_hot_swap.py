@@ -236,6 +236,25 @@ def test_watcher_ignores_unservable_artifacts(tmp_path, swap_problem):
     assert watcher.poll_once() is None
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_watcher_keeps_serving_when_newer_artifact_diverged(tmp_path, swap_problem, bad):
+    _, pool, _ = swap_problem
+    store = ArtifactStore(tmp_path)
+    store.save("run-a", _record_with_weights(pool[0].weights), IDENTITY)
+    ref = ModelRef()
+    watcher = ArtifactWatcher(store, ref, key="run-a", poll_interval=0.01)
+    first = watcher.load_initial()
+    swaps = ref.swaps
+
+    time.sleep(0.01)
+    diverged = pool[1].weights.copy()
+    diverged[3] = bad
+    store.save("run-a", _record_with_weights(diverged), IDENTITY)
+    assert watcher.poll_once() is None
+    assert ref.get() is first
+    assert ref.swaps == swaps
+
+
 def test_watcher_keeps_serving_when_newer_artifact_is_narrower(tmp_path, swap_problem):
     X, pool, expected = swap_problem
     store = ArtifactStore(tmp_path)

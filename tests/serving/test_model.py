@@ -42,6 +42,16 @@ def test_weights_must_be_one_dimensional():
         ScoringModel(np.zeros((3, 3)), make_objective("logistic_l1"))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_are_rejected(problem, bad):
+    # A diverged run is never served: its margins would be NaN.
+    _, _, w = problem
+    diverged = w.copy()
+    diverged[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ScoringModel(diverged, make_objective("logistic_l1"))
+
+
 def test_decision_function_matches_dense_dot(problem):
     X, _, w = problem
     model = ScoringModel(w, make_objective("logistic_l1"))

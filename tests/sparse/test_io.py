@@ -98,6 +98,22 @@ class TestFileRoundtrip:
         with pytest.raises(ValueError):
             load_libsvm(path, n_features=1)
 
+    def test_zero_based_file_with_index_zero(self, tmp_path):
+        path = tmp_path / "zero.libsvm"
+        path.write_text("1 0:1.5 2:-3\n-1 1:2\n")
+        X, y = load_libsvm(path, zero_based=True)
+        np.testing.assert_array_equal(X.to_dense(), [[1.5, 0.0, -3.0], [0.0, 2.0, 0.0]])
+        np.testing.assert_array_equal(y, [1.0, -1.0])
+
+    def test_zero_based_file_without_index_zero_is_not_shifted(self, tmp_path):
+        path = tmp_path / "zero.libsvm"
+        path.write_text("1 1:1.5 3:-3\n")
+        X, _ = load_libsvm(path, zero_based=True)
+        assert X.n_cols == 4
+        np.testing.assert_array_equal(X.row(0)[0], [1, 3])
+        with pytest.raises(ValueError, match=">= 0, got -1"):
+            parse_libsvm_line("1 -1:2.0", zero_based=True)
+
     def test_float_labels_preserved(self, tmp_path):
         X = CSRMatrix.from_dense(np.array([[1.0]]))
         y = np.array([0.25])
