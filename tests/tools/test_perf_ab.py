@@ -109,7 +109,7 @@ def test_same_commit_is_never_better_or_worse(tmp_path):
 def test_an_edit_in_the_checkout_is_the_change_side(tmp_path):
     root = _repo(tmp_path, throughput=[100.0, 102.0])
     _write_values(root, [150.0, 153.0])  # uncommitted: only the change side reads it
-    proc = _perf_ab(root, "--base", "HEAD", "--workload", "all", "--pairs", "2",
+    proc = _perf_ab(root, "--base", "HEAD", "--workload", "all", "--pairs", "5",
                     "--out", "ab.json")
     assert proc.returncode == 0, proc.stderr
     table = json.loads((root / "ab.json").read_text())
@@ -117,7 +117,7 @@ def test_an_edit_in_the_checkout_is_the_change_side(tmp_path):
     for workload in ("serve-a", "serve-b"):
         row = table["workloads"][workload]["throughput_per_s"]
         assert row["verdict"] == "better"
-        assert (row["ahead"], row["pairs"]) == (2, 2)
+        assert (row["ahead"], row["pairs"]) == (5, 5)
         assert row["ratio"] == pytest.approx(1.5, rel=0.03)
     assert "serve-b" in proc.stdout and "better (0.25)" in proc.stdout
 
@@ -131,30 +131,43 @@ def test_a_failed_operation_stops_the_comparison(tmp_path):
     assert _git(root, "worktree", "list").count("\n") == 1
 
 
+BASE = [100.0, 101.0, 99.0, 102.0, 98.0]
+
+
 @pytest.mark.parametrize("change,verdict", [
-    ([130.0, 131.0, 129.0], "better"),
-    ([70.0, 71.0, 69.0], "worse"),
-    ([110.0, 111.0, 109.0], "within"),
-    ([100.0, 160.0, 90.0], "unresolved"),  # the change's own runs spread wider than the bound
+    ([130.0, 131.0, 129.0, 132.0, 128.0], "better"),
+    ([70.0, 71.0, 69.0, 72.0, 68.0], "worse"),
+    ([110.0, 111.0, 109.0, 112.0, 108.0], "within"),
+    ([100.0, 160.0, 90.0, 101.0, 99.0], "unresolved"),  # change runs spread wider than the bound
+    ([130.0, 131.0, 129.0, 132.0, 98.5], "unresolved"),  # beyond the bound, but the runs overlap
 ])
 def test_verdict_against_the_bound(change, verdict):
-    row = _load_tool().compare([100.0, 101.0, 99.0], change, "higher", 0.25)
+    row = _load_tool().compare(BASE, change, "higher", 0.25)
     assert row["verdict"] == verdict
 
 
 def test_lower_is_better_and_ties_count_for_neither():
     tool = _load_tool()
-    row = tool.compare([100.0, 100.0, 100.0], [70.0, 100.0, 130.0], "lower", 0.2)
-    assert row["ahead"] == 1  # 70 < 100 only; the tie counts for neither side
+    row = tool.compare([100.0] * 5, [70.0, 100.0, 130.0, 100.0, 100.0], "lower", 0.2)
+    assert row["ahead"] == 1  # 70 < 100 only; the ties count for neither side
     assert row["verdict"] == "unresolved"
     assert row["change_spread"] == pytest.approx(0.6)
-    row = tool.compare([100.0, 101.0, 99.0], [60.0, 61.0, 59.0], "lower", 0.2)
-    assert (row["verdict"], row["ahead"], row["ratio"]) == ("better", 3, pytest.approx(0.6))
+    row = tool.compare(BASE, [60.0, 61.0, 59.0, 62.0, 58.0], "lower", 0.2)
+    assert (row["verdict"], row["ahead"], row["ratio"]) == ("better", 5, pytest.approx(0.6))
 
 
 def test_wide_runs_that_never_overlap_still_get_a_verdict():
     # Each side spreads wider than the bound, but every change run reads
     # better than every base run: the difference is not noise.
-    row = _load_tool().compare([100.0, 140.0, 120.0], [200.0, 260.0, 230.0], "higher", 0.25)
+    row = _load_tool().compare([100.0, 140.0, 120.0, 110.0, 130.0],
+                               [200.0, 260.0, 230.0, 210.0, 250.0], "higher", 0.25)
     assert max(row["base_spread"], row["change_spread"]) > 0.25
     assert row["verdict"] == "better"
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3, 4])
+def test_too_few_pairs_never_decide(pairs):
+    # However clear the runs look, fewer than 5 pairs separate by chance
+    # too often (2 / C(2n, n) >= 2.9 %), so a same-commit A/B stays quiet.
+    row = _load_tool().compare(BASE[:pairs], [200.0] * pairs, "higher", 0.25)
+    assert row["verdict"] == "unresolved"

@@ -21,11 +21,14 @@ many pairs the change read better (ties count for neither) and each
 side's spread, ``(max - min) / median``.  Each metric gets a verdict
 against its ``BENCHMARK.json`` bound, a relative change:
 
-* ``unresolved`` -- one side's runs spread wider than the bound, unless
-  every change run reads better (or every one worse) than every base run;
-* ``worse`` / ``better`` -- the change's median is worse / better than the
-  base's by more than the bound;
-* ``within`` -- otherwise.
+* ``better`` / ``worse`` -- the change's median is better / worse than the
+  base's by more than the bound, and no run of one side reads as well as
+  any run of the other.  Two sides of one program separate like that by
+  chance with probability ``2 / C(2n, n)`` for ``n`` pairs, so this takes
+  at least 5 pairs (chance under 1 %, see :data:`ALPHA`);
+* ``within`` -- the medians differ by at most the bound and neither
+  side's runs spread wider than it;
+* ``unresolved`` -- otherwise.
 
 The same table, with every run's value, is written as JSON to ``--out``.
 """
@@ -44,6 +47,9 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 CACHE_DIR = ".perfbench_cache"
+#: Largest chance that the runs of two sides of one program fail to overlap
+#: that still lets a difference count as ``better`` or ``worse``.
+ALPHA = 0.01
 
 
 def _git(root: Path, *args: str) -> str:
@@ -99,14 +105,12 @@ def compare(base: List[float], change: List[float], better: str, bound: float) -
     spreads = (_spread(base), _spread(change))
     separated = (min(sign * c for c in change) > max(sign * b for b in base)
                  or max(sign * c for c in change) < min(sign * b for b in base))
-    if max(spreads) > bound and not separated:
-        verdict = "unresolved"
-    elif gain > bound:
-        verdict = "better"
-    elif gain < -bound:
-        verdict = "worse"
-    else:
+    if abs(gain) > bound and separated and 2 / math.comb(2 * len(base), len(base)) <= ALPHA:
+        verdict = "better" if gain > 0 else "worse"
+    elif abs(gain) <= bound and max(spreads) <= bound:
         verdict = "within"
+    else:
+        verdict = "unresolved"
     return {
         "base_median": base_med,
         "change_median": change_med,
