@@ -538,12 +538,11 @@ class BatchedSimulator:
                     own_cnt[sel] = (prefix_own[hi] - prefix_own[lo])[sel]
                 conflicts += np.where(hit, total_cnt - own_cnt, 0)
 
-        # ---- sparse records: banded pair machinery over shared columns ---- #
+        # ---- sparse records: one sort over (column, record) keys ---- #
         sparse_mask = kind == 1
         spos = np.nonzero(sparse_mask)[0]  # combined indices of sparse records
         if spos.size == 0:
             return conflicts
-        srow = row[spos]
         sworker = worker[spos]
         # Local sparse index of each reader's own record: block iteration k is
         # the (n_tail_sparse + k)-th sparse record.
@@ -551,59 +550,44 @@ class BatchedSimulator:
         reader_q = n_tail_sparse + np.arange(n_iter, dtype=np.int64)
         # Window bounds in sparse-index space.
         lo_q = np.searchsorted(spos, lo, side="left")
-        width = reader_q - lo_q
-        max_width = int(width.max(initial=0))
-        if max_width <= 0:
+        max_width = int((reader_q - lo_q).max(initial=0))
+        if max_width <= 0 or idx.size == 0:
             return conflicts
 
         # Gather supports for the tail's sparse rows once (block rows reuse
         # the already-gathered arrays; sparse records always carry a real row).
-        t_idx, _t_val, t_lengths = self.X.gather_rows(srow[:n_tail_sparse])
-        ecol = np.concatenate([t_idx, idx])
-        eq = np.concatenate(
-            [
-                np.repeat(np.arange(n_tail_sparse, dtype=np.int64), t_lengths),
-                np.repeat(reader_q, lengths),
-            ]
-        )
-        if ecol.size == 0:
-            return conflicts
-
-        order = np.lexsort((eq, ecol))
-        cs = ecol[order]
-        qs = eq[order]
-
-        # Banded pair sweep: at offset o, each entry is paired with the o-th
-        # previous touch of the same column; a pair conflicts when the later
-        # touch is a block reader and the earlier one falls inside its
-        # window.  Validity is monotone in o (the o-th predecessor only
-        # recedes), so the sweep stops at the first empty offset.
-        pair_writer: list[np.ndarray] = []
-        pair_reader: list[np.ndarray] = []
-        for offset in range(1, min(max_width, cs.size - 1) + 1):
-            a = qs[:-offset]
-            b = qs[offset:]
-            m = (cs[offset:] == cs[:-offset]) & (b >= n_tail_sparse)
-            k_of_b = np.clip(b - n_tail_sparse, 0, n_iter - 1)
-            m &= a >= lo_q[k_of_b]
-            if not m.any():
-                break
-            pair_writer.append(a[m])
-            pair_reader.append(b[m])
-        if not pair_writer:
-            return conflicts
-        writers = np.concatenate(pair_writer)
-        readers = np.concatenate(pair_reader)
-        # Deduplicate (reader, writer) pairs shared by several columns: one
-        # undone update counts once however many coordinates it hits.
         n_sparse = spos.size
-        keys = np.unique(readers * n_sparse + writers)
-        u_readers = keys // n_sparse
-        u_writers = keys % n_sparse
-        foreign = sworker[u_writers] != sworker[u_readers]
-        if foreign.any():
-            counted = np.bincount(u_readers[foreign] - n_tail_sparse, minlength=n_iter)
-            conflicts += counted
+        t_idx, _t_val, t_lengths = self.X.gather_rows(row[spos[:n_tail_sparse]])
+        t_keys = t_idx.astype(np.int64) * n_sparse + np.repeat(
+            np.arange(n_tail_sparse, dtype=np.int64), t_lengths
+        )
+        # One key per (column, record) touch; a row's columns are distinct,
+        # so the keys are unique and one sort orders them by column, then
+        # record.
+        b_keys = idx.astype(np.int64) * n_sparse + np.repeat(reader_q, lengths)
+        keys = np.sort(np.concatenate([t_keys, b_keys]))
+        q = keys % n_sparse
+        # The touches a block reader's entry missed are the earlier records
+        # of its column inside the reader's window: the run of sorted keys
+        # from (column, lo_q) up to the entry's own position.
+        own = np.flatnonzero(q >= n_tail_sparse)
+        k_own = q[own] - n_tail_sparse
+        first = np.searchsorted(keys, keys[own] - q[own] + lo_q[k_own])
+        run = own - first
+        total = int(run.sum())
+        if total == 0:
+            return conflicts
+        run_start = np.cumsum(run) - run
+        pos = np.repeat(first - run_start, run) + np.arange(total, dtype=np.int64)
+        writers = q[pos]
+        readers = np.repeat(k_own, run)
+        foreign = sworker[writers] != wids[readers]
+        readers, writers = readers[foreign], writers[foreign]
+        # One undone update counts once however many coordinates it hits:
+        # flag each (reader, reader - writer) pair, then count per reader.
+        seen = np.zeros((n_iter, max_width + 1), dtype=bool)
+        seen[readers, reader_q[readers] - writers] = True
+        conflicts += np.count_nonzero(seen, axis=1)
         return conflicts
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.partition import WorkerShard
-from repro.core.sampler import SampleSequence
+from repro.core.sampler import AliasSampler, SampleSequence
 from repro.utils.rng import RandomState, as_rng
 
 
@@ -43,6 +43,9 @@ class SimulatedWorker:
     seed: int = 0
     _position: int = field(default=0, init=False, repr=False)
     _epoch: int = field(default=0, init=False, repr=False)
+    #: The shard's alias table, built once; every regenerated epoch draws
+    #: from it (:func:`build_workers` hands over the one it built).
+    _sampler: Optional[AliasSampler] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.sequence) == 0:
@@ -130,8 +133,10 @@ class SimulatedWorker:
         self._position = 0
         if regenerate:
             seed = sampler_seed if sampler_seed is not None else int(self._rng.integers(0, 2**31 - 1))
+            if self._sampler is None:
+                self._sampler = AliasSampler(self.shard.probabilities)
             self.sequence = SampleSequence.generate(
-                self.shard.probabilities, len(self.sequence), seed=seed
+                self.shard.probabilities, len(self.sequence), seed=seed, sampler=self._sampler
             )
         elif reshuffle:
             self.sequence = self.sequence.reshuffled(seed=int(self._rng.integers(0, 2**31 - 1)))
@@ -170,8 +175,9 @@ def build_workers(
             probs = shard.probabilities
         else:
             probs = np.full(shard.size, 1.0 / shard.size)
+        sampler = AliasSampler(probs)
         seq = SampleSequence.generate(
-            probs, iterations_per_worker, seed=int(rng.integers(0, 2**31 - 1))
+            probs, iterations_per_worker, seed=int(rng.integers(0, 2**31 - 1)), sampler=sampler
         )
         shard_for_worker = shard if importance_sampling else type(shard)(
             worker_id=shard.worker_id,
@@ -179,14 +185,14 @@ def build_workers(
             lipschitz=shard.lipschitz,
             probabilities=probs,
         )
-        workers.append(
-            SimulatedWorker(
-                shard=shard_for_worker,
-                sequence=seq,
-                step_clip=step_clip,
-                seed=int(rng.integers(0, 2**31 - 1)),
-            )
+        worker = SimulatedWorker(
+            shard=shard_for_worker,
+            sequence=seq,
+            step_clip=step_clip,
+            seed=int(rng.integers(0, 2**31 - 1)),
         )
+        worker._sampler = sampler
+        workers.append(worker)
     return workers
 
 

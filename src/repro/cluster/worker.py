@@ -59,7 +59,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.cluster.shm import ArenaSpec, ShmArena
-from repro.core.sampler import SampleSequence
+from repro.core.sampler import AliasSampler, SampleSequence
 from repro.rules import make_rule
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import segment_bool_any
@@ -254,6 +254,8 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
     grad_nnz_mult = int(rule.grad_nnz_multiplier)
     count_sample_draws = bool(rule.counts_sample_draws)
 
+    # One alias table per process; every epoch draws its sequence from it.
+    sampler = AliasSampler(task.probabilities)
     for k in range(task.epochs):
         tag = task.start_epoch + k
         barrier_phase(barrier_arrive, barrier_state, wid, 2 * k + 1)  # epoch start
@@ -261,7 +263,8 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
             task.steal_ok and task.num_workers > 1 and int(steal_enabled[0]) == 1
         )
         sequence = SampleSequence.generate(
-            task.probabilities, task.iterations_per_epoch, seed=int(epoch_seeds[k])
+            task.probabilities, task.iterations_per_epoch, seed=int(epoch_seeds[k]),
+            sampler=sampler,
         ).indices
         sequences[wid, : sequence.size] = sequence
         if is_svrg:

@@ -5,13 +5,15 @@ weighted sample sequence can be generated *before* training and the compute
 threads simply iterate over it (Algorithm 2, line 3).  This module provides
 two weighted samplers — the O(1)-per-draw alias method (Walker/Vose) and a
 binary-search inverse-CDF sampler — plus :class:`SampleSequence`, the
-pre-generated sequence abstraction the solvers consume.
+pre-generated sequence abstraction the solvers consume.  A shard's sampler
+is built once per fit; each epoch that regenerates its sequence draws from
+that same table (:meth:`SampleSequence.generate` with a built sampler).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Literal, Optional
+from typing import Iterator, List, Literal, Optional, Union
 
 import numpy as np
 
@@ -51,8 +53,7 @@ class AliasSampler:
 
         The classic Vose construction pops one (small, large) pair per
         interpreted iteration — O(n) Python overhead paid on every sampler
-        construction (once per worker per epoch when sequences are
-        regenerated).  This variant lays the larges' surpluses end to end on
+        construction (once per worker per fit).  This variant lays the larges' surpluses end to end on
         a cumulative axis and assigns each small's deficit to the large
         whose surplus window it starts in; every small is finalised per
         round with vectorised NumPy ops, and only larges demoted below 1 go
@@ -230,14 +231,25 @@ class SampleSequence:
         length: int,
         *,
         seed: RandomState = None,
-        sampler: SamplerKind = "alias",
+        sampler: Union[SamplerKind, AliasSampler, InverseCDFSampler] = "alias",
     ) -> "SampleSequence":
-        """Pre-generate a weighted sample sequence of ``length`` draws."""
+        """Pre-generate a weighted sample sequence of ``length`` draws.
+
+        ``sampler`` is the kind of sampler to build for ``probabilities``,
+        or a sampler already built for them.  Building one consumes no
+        randomness, so a sequence drawn from a table built once per fit is
+        the sequence a fresh build with the same ``seed`` would draw.
+        """
         if length < 0:
             raise ValueError("length must be non-negative")
+        probabilities = np.asarray(probabilities, dtype=np.float64)
         rng = as_rng(seed)
-        s = make_sampler(probabilities, kind=sampler, seed=rng)
-        return cls(indices=s.sample(length, rng=rng), probabilities=np.asarray(probabilities, dtype=np.float64))
+        s = make_sampler(probabilities, kind=sampler, seed=rng) if isinstance(sampler, str) else sampler
+        if s.n != probabilities.shape[0]:
+            raise ValueError(
+                f"sampler draws from {s.n} items but {probabilities.shape[0]} probabilities were given"
+            )
+        return cls(indices=s.sample(length, rng=rng), probabilities=probabilities)
 
     @classmethod
     def uniform_epoch(cls, n: int, *, seed: RandomState = None) -> "SampleSequence":

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.importance import lipschitz_probabilities, stepsize_reweighting
-from repro.core.sampler import SampleSequence
+from repro.core.sampler import AliasSampler, SampleSequence
 from repro.solvers.base import BaseSolver, EpochEngine, Problem
 from repro.solvers.results import TrainResult
 from repro.utils.rng import RandomState, as_rng
@@ -76,15 +76,21 @@ class ISSGDSolver(BaseSolver):
         probs = lipschitz_probabilities(L)
         reweight = np.minimum(stepsize_reweighting(probs), self.step_clip)
 
-        # Algorithm 2, line 3: pre-generate the sample sequence.
-        state = {"sequence": SampleSequence.generate(probs, n, seed=int(rng.integers(0, 2**31 - 1)))}
+        # Algorithm 2, line 3: pre-generate the sample sequence (one alias
+        # table per fit; each regenerated epoch draws from it).
+        sampler = AliasSampler(probs)
+        state = {
+            "sequence": SampleSequence.generate(
+                probs, n, seed=int(rng.integers(0, 2**31 - 1)), sampler=sampler
+            )
+        }
         lam = self.step_size
 
         def epoch_body(epoch: int, event) -> None:
             if epoch > 0:
                 if self.reshuffle_sequences:
                     state["sequence"] = SampleSequence.generate(
-                        probs, n, seed=int(rng.integers(0, 2**31 - 1))
+                        probs, n, seed=int(rng.integers(0, 2**31 - 1)), sampler=sampler
                     )
                 else:
                     state["sequence"] = state["sequence"].reshuffled(

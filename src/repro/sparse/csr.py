@@ -311,31 +311,10 @@ class CSRMatrix:
         """Build a matrix from ``(indices, values)`` pairs, one per row.
 
         Column indices within each row are sorted and duplicate columns are
-        summed so that the resulting layout is canonical.
+        summed so that the resulting layout is canonical
+        (:func:`canonical_rows`).
         """
-        data_parts: List[np.ndarray] = []
-        index_parts: List[np.ndarray] = []
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        for r, (idx, val) in enumerate(rows):
-            idx = np.asarray(idx, dtype=np.int64)
-            val = np.asarray(val, dtype=np.float64)
-            if idx.shape != val.shape:
-                raise ValueError(f"row {r}: indices and values must have matching shapes")
-            if idx.size:
-                order = np.argsort(idx, kind="stable")
-                idx, val = idx[order], val[order]
-                # merge duplicates
-                uniq, start = np.unique(idx, return_index=True)
-                if uniq.size != idx.size:
-                    summed = np.add.reduceat(val, start)
-                    idx, val = uniq, summed
-                keep = val != 0.0
-                idx, val = idx[keep], val[keep]
-            index_parts.append(idx)
-            data_parts.append(val)
-            indptr[r + 1] = indptr[r] + idx.size
-        data = np.concatenate(data_parts) if data_parts else np.zeros(0)
-        indices = np.concatenate(index_parts) if index_parts else np.zeros(0, dtype=np.int64)
+        data, indices, indptr = canonical_rows(rows)
         return cls(data=data, indices=indices, indptr=indptr, n_cols=n_cols)
 
     @classmethod
@@ -455,4 +434,39 @@ def vstack(blocks: Sequence[CSRMatrix]) -> CSRMatrix:
     return CSRMatrix(data=data, indices=indices, indptr=indptr, n_cols=n_cols)
 
 
-__all__ = ["CSRMatrix", "vstack"]
+def canonical_rows(
+    rows: Sequence[Tuple[Sequence[int], Sequence[float]]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(data, indices, indptr)`` of ``(indices, values)`` rows in canonical order.
+
+    Column indices within each row are sorted, duplicate columns summed and
+    zero values dropped.  Nothing is range-checked: :class:`CSRMatrix`
+    does that when the arrays become a matrix.
+    """
+    data_parts: List[np.ndarray] = []
+    index_parts: List[np.ndarray] = []
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    for r, (idx, val) in enumerate(rows):
+        idx = np.asarray(idx, dtype=np.int64)
+        val = np.asarray(val, dtype=np.float64)
+        if idx.shape != val.shape:
+            raise ValueError(f"row {r}: indices and values must have matching shapes")
+        if idx.size:
+            order = np.argsort(idx, kind="stable")
+            idx, val = idx[order], val[order]
+            # merge duplicates
+            uniq, start = np.unique(idx, return_index=True)
+            if uniq.size != idx.size:
+                summed = np.add.reduceat(val, start)
+                idx, val = uniq, summed
+            keep = val != 0.0
+            idx, val = idx[keep], val[keep]
+        index_parts.append(idx)
+        data_parts.append(val)
+        indptr[r + 1] = indptr[r] + idx.size
+    data = np.concatenate(data_parts) if data_parts else np.zeros(0)
+    indices = np.concatenate(index_parts) if index_parts else np.zeros(0, dtype=np.int64)
+    return data, indices, indptr
+
+
+__all__ = ["CSRMatrix", "canonical_rows", "vstack"]

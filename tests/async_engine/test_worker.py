@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.async_engine.worker import SimulatedWorker, build_workers
+from repro.core.is_asgd import ISASGDSolver
 from repro.core.partition import WorkerShard, partition_dataset
-from repro.core.sampler import SampleSequence
+from repro.core.sampler import AliasSampler, SampleSequence
+from repro.solvers.is_sgd import ISSGDSolver
 
 
 @pytest.fixture()
@@ -99,3 +101,45 @@ class TestBuildWorkers:
         workers = build_workers(partition, 50, seed=0, importance_sampling=True)
         weights = {round(workers[0].next_sample()[2], 6) for _ in range(30)}
         assert len(weights) > 1
+
+
+class TestOneAliasTablePerWorker:
+    """Regenerated epochs draw from the table built with the worker."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        built = []
+        original = AliasSampler._build
+
+        def counting_build(sampler, p):
+            built.append(sampler.n)
+            original(sampler, p)
+
+        monkeypatch.setattr(AliasSampler, "_build", counting_build)
+        return built
+
+    def test_three_regenerated_epochs_reuse_each_workers_table(self, builds):
+        L = np.linspace(1.0, 4.0, 40)
+        workers = build_workers(partition_dataset(np.arange(40), L, 4), 25, seed=3)
+        drawn = []
+        for worker in workers:
+            for _ in range(3):
+                worker.start_epoch(regenerate=True)
+                drawn.append(worker.sequence.indices.copy())
+        assert len(builds) == len(workers) == 4
+        for k, worker in enumerate(workers):
+            seeds = np.random.default_rng(worker.seed)  # start_epoch's seed stream
+            for epoch in range(3):
+                expected = SampleSequence.generate(
+                    worker.shard.probabilities, 25, seed=int(seeds.integers(0, 2**31 - 1))
+                )
+                assert drawn[3 * k + epoch].tobytes() == expected.indices.tobytes()
+
+    def test_a_three_epoch_regenerate_fit_builds_one_table_per_worker(self, small_problem, builds):
+        ISASGDSolver(step_size=0.1, epochs=3, num_workers=4, seed=2,
+                     async_mode="batched").fit(small_problem)
+        assert len(builds) == 4
+
+    def test_is_sgd_builds_one_table_per_fit(self, small_problem, builds):
+        ISSGDSolver(step_size=0.1, epochs=3, seed=2).fit(small_problem)
+        assert builds == [small_problem.n_samples]

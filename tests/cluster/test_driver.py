@@ -7,14 +7,16 @@ to within tolerance of the per-sample simulator on seeded problems.
 """
 
 import multiprocessing as mp
+import os
 
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterDriver, compare_traces
+from repro.cluster import ClusterDriver, compare_traces, default_start_method
 from repro.core.balancing import random_order
 from repro.core.is_asgd import ISASGDSolver
 from repro.core.partition import partition_dataset
+from repro.core.sampler import AliasSampler
 from repro.datasets.synthetic import SyntheticSpec, make_sparse_classification
 from repro.metrics.speedup import optimum_speedup, time_to_target
 from repro.objectives.logistic import LogisticObjective
@@ -164,6 +166,26 @@ class TestClusterDriver:
         assert summary["measured_iterations"] > 0
         assert summary["simulated_iterations"] > 0
         assert "conflict_rate_ratio" in summary
+
+    def test_each_worker_process_builds_one_alias_table(self, cluster_problem, tmp_path, monkeypatch):
+        if default_start_method() != "fork":
+            pytest.skip("the build counter reaches the worker processes through fork")
+        log = tmp_path / "builds"
+        original = AliasSampler._build
+
+        def logging_build(sampler, p):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            original(sampler, p)
+
+        part = _partition(cluster_problem, scheme="lipschitz")
+        monkeypatch.setattr(AliasSampler, "_build", logging_build)
+        ClusterDriver(
+            cluster_problem.X, cluster_problem.y, cluster_problem.objective, part,
+            step_size=0.1, seed=0,
+        ).run(3)
+        pids = log.read_text().split()
+        assert len(pids) == len(set(pids)) == NUM_WORKERS
 
     def test_single_worker_runs(self, cluster_problem):
         part = _partition(cluster_problem, workers=1)

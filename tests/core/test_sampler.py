@@ -140,3 +140,20 @@ class TestSampleSequence:
     def test_negative_length_rejected(self, skewed_probs):
         with pytest.raises(ValueError):
             SampleSequence.generate(skewed_probs, -1)
+
+
+class TestGenerateFromABuiltSampler:
+    """One table built per fit draws what a fresh build per epoch would."""
+
+    @pytest.mark.parametrize("kind, cls", [("alias", AliasSampler), ("inverse_cdf", InverseCDFSampler)])
+    def test_one_sampler_draws_every_seed_bit_for_bit(self, skewed_probs, kind, cls):
+        sampler = cls(skewed_probs)
+        for seed in (0, 1, 7, 2**31 - 2):
+            built = SampleSequence.generate(skewed_probs, 300, seed=seed, sampler=sampler)
+            fresh = SampleSequence.generate(skewed_probs, 300, seed=seed, sampler=kind)
+            assert built.indices.tobytes() == fresh.indices.tobytes()
+            np.testing.assert_array_equal(built.probabilities, fresh.probabilities)
+
+    def test_a_sampler_of_another_size_is_rejected(self, skewed_probs):
+        with pytest.raises(ValueError, match="5 probabilities"):
+            SampleSequence.generate(skewed_probs, 10, seed=0, sampler=AliasSampler(np.ones(3) / 3))
