@@ -6,7 +6,10 @@ The benchmarks regenerate every table and figure of the paper on the
 reproduces the full-scale sweep when more time is available.
 
 Every benchmark writes its rendered rows/series to ``benchmarks/results/``
-so the output can be inspected and recorded in EXPERIMENTS.md.
+so the output can be inspected and recorded in EXPERIMENTS.md.  The six
+``BENCH_*.json`` perf records also go to the repository root, but only
+when ``REPRO_BENCH_WRITE=1`` (the CI job that uploads them sets it), so an
+ordinary test run leaves the committed files alone.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.experiments.runner import ExperimentRunner
 BENCH_THREADS = (4, 8, 16)
 
 RESULTS_DIR = Path(__file__).parent / "results"
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def bench_environment() -> dict:
@@ -53,6 +57,15 @@ def write_result(name: str, text: str) -> Path:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / name
     path.write_text(text + "\n")
+    return path
+
+
+def write_bench(name: str, text: str) -> Path:
+    """Write a ``BENCH_*.json`` record: always under ``benchmarks/results/``,
+    and to the repository root only when ``REPRO_BENCH_WRITE=1``."""
+    path = write_result(name, text)
+    if os.environ.get("REPRO_BENCH_WRITE") == "1":
+        (REPO_ROOT / name).write_text(text + "\n")
     return path
 
 

@@ -7,8 +7,8 @@ sweep.  The warm re-invocation must train *nothing* — that is the whole
 point of the content-addressed store — and consequently be much faster
 than the cold sweep; the gate asserts both.
 
-Results are written to ``benchmarks/results/BENCH_cli.json`` and the
-repository root ``BENCH_cli.json``.
+Results are written to ``benchmarks/results/BENCH_cli.json``, and with
+``REPRO_BENCH_WRITE=1`` to the repository root ``BENCH_cli.json``.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from benchmarks.conftest import bench_environment, write_result
+from benchmarks.conftest import bench_environment, write_bench
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-ROOT_JSON = REPO_ROOT / "BENCH_cli.json"
 
 #: Reduced sweep: two datasets, two thread counts (12 training runs) —
 #: large enough that training dominates the cold path, small enough for CI.
@@ -55,8 +54,7 @@ def test_cli_sweep_warm_reuse_speedup(tmp_path):
     result["environment"] = bench_environment()
 
     payload = json.dumps(result, indent=2)
-    write_result("BENCH_cli.json", payload)
-    ROOT_JSON.write_text(payload + "\n")
+    write_bench("BENCH_cli.json", payload)
 
     # The cold pass trained every run; the warm pass trained none.
     assert result["cold_stats"]["trained"] == result["runs"]

@@ -23,20 +23,19 @@ benchmarks still run end-to-end and record the measured numbers, but the
 ratios are not asserted — CI runners provide the cores, so the gates are
 enforced there.
 
-Results are written to ``benchmarks/results/BENCH_cluster.json`` and the
-repository root ``BENCH_cluster.json``.
+Results are written to ``benchmarks/results/BENCH_cluster.json``, and with
+``REPRO_BENCH_WRITE=1`` to the repository root ``BENCH_cluster.json``.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from benchmarks.conftest import bench_environment, write_result
+from benchmarks.conftest import RESULTS_DIR, bench_environment, write_bench
 from repro.cluster import ClusterDriver, available_parallelism, occupancy_skew
 from repro.core.balancing import random_order
 from repro.core.partition import partition_dataset
@@ -46,22 +45,21 @@ from repro.objectives.regularizers import L2Regularizer
 
 from tests.cluster.faults import FaultInjector, KillPoint
 
-ROOT_JSON = Path(__file__).resolve().parent.parent / "BENCH_cluster.json"
+RESULTS_JSON = RESULTS_DIR / "BENCH_cluster.json"
 
 
 def _merge_bench_cluster(section: str, payload: dict) -> dict:
-    """Merge one section into BENCH_cluster.json (root + results copies)."""
+    """Merge one section into BENCH_cluster.json (from the results copy)."""
     merged: dict = {}
-    if ROOT_JSON.exists():
+    if RESULTS_JSON.exists():
         try:
-            merged = json.loads(ROOT_JSON.read_text())
+            merged = json.loads(RESULTS_JSON.read_text())
         except json.JSONDecodeError:
             merged = {}
     merged = {k: v for k, v in merged.items() if k in ("speedup", "recovery")}
     merged[section] = payload
     text = json.dumps(merged, indent=2, sort_keys=True)
-    write_result("BENCH_cluster.json", text)
-    ROOT_JSON.write_text(text + "\n")
+    write_bench("BENCH_cluster.json", text)
     return merged
 
 #: Cluster-scale surrogate: enough per-epoch NumPy work that the kernel

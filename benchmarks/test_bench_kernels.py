@@ -9,26 +9,25 @@ surrogate dataset:
   row loops;
 * one serial SGD epoch (the Algorithm-2 hot loop), fused raw-slice steps
   vs ``X.row`` → ``sample_grad`` → ``np.add.at``;
-* ``AliasSampler`` construction (runs once per worker per epoch when
-  sequences are regenerated), vectorized round-based build;
+* ``AliasSampler`` construction (runs once per worker per fit),
+  vectorized round-based build;
 * the fused per-sample block (``run_sample_block``): the ``native``
   cffi-compiled C loop against the per-step Python loop, gated at >= 3x
   wherever the extension compiles (recorded, not asserted, elsewhere).
 
-Results are written to ``benchmarks/results/BENCH_kernels.json`` and to the
-repository root ``BENCH_kernels.json`` so the perf trajectory across PRs
-has a recorded data point.
+Results are written to ``benchmarks/results/BENCH_kernels.json``, and with
+``REPRO_BENCH_WRITE=1`` to the repository root ``BENCH_kernels.json`` so
+the perf trajectory across PRs has a recorded data point.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from benchmarks.conftest import bench_environment, write_result
+from benchmarks.conftest import bench_environment, write_bench
 from repro.core.sampler import AliasSampler
 from repro.datasets.catalog import get_descriptor
 from repro.datasets.synthetic import make_sparse_classification
@@ -40,7 +39,6 @@ from repro.solvers.base import Problem
 from repro.solvers.sgd import SGDSolver
 from repro.utils.timer import measure_call
 
-ROOT_JSON = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 
 def _bench_problem():
@@ -136,8 +134,7 @@ def test_bench_kernel_backends(benchmark):
     payload = benchmark.pedantic(measure, rounds=1, iterations=1)
     text = json.dumps(payload, indent=2, default=float)
     print("\n" + text)
-    write_result("BENCH_kernels.json", text)
-    ROOT_JSON.write_text(text + "\n")
+    write_bench("BENCH_kernels.json", text)
 
     # Acceptance gate: batched metrics evaluation is >= 5x the per-row loop
     # (typically ~30x here), and the fused SGD step is no slower than the

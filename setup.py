@@ -1,8 +1,10 @@
-"""Legacy setup shim.
+"""Package metadata and build for ``repro``.
 
-Present only so that ``pip install -e . --no-use-pep517`` works on
-environments without the ``wheel`` package (offline machines); all project
-metadata lives in ``pyproject.toml``.
+The metadata lives here, with no ``pyproject.toml``, so that
+``pip install -e . --no-use-pep517`` works on machines without the
+``wheel`` package (offline machines).  numpy is the only install
+requirement: scipy, networkx and cffi are imported lazily by the features
+that use them.
 
 As a convenience, building the package also best-effort pre-compiles the
 ``native`` kernel extension so installed environments do not pay the
@@ -13,10 +15,19 @@ if the extension had never been built.
 """
 
 import os
+import re
 import sys
 
-from setuptools import setup
+from setuptools import find_packages, setup
 from setuptools.command.build_py import build_py
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def read_version() -> str:
+    """``repro.__version__``, read from the source without importing it."""
+    with open(os.path.join(HERE, "src", "repro", "__init__.py")) as fh:
+        return re.search(r'^__version__ = "([^"]+)"', fh.read(), re.M).group(1)
 
 
 class build_py_with_native(build_py):
@@ -24,7 +35,7 @@ class build_py_with_native(build_py):
 
     def run(self):
         super().run()
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
+        src = os.path.join(HERE, "src")
         sys.path.insert(0, src)
         try:
             from repro.kernels.native import builder
@@ -38,4 +49,13 @@ class build_py_with_native(build_py):
                 sys.path.pop(0)
 
 
-setup(cmdclass={"build_py": build_py_with_native})
+setup(
+    name="repro",
+    version=read_version(),
+    description="IS-ASGD: asynchronous SGD with importance sampling (Wang et al., ICPP 2018)",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+    python_requires=">=3.10",
+    cmdclass={"build_py": build_py_with_native},
+)

@@ -1,0 +1,46 @@
+"""Tests for ``tools/check_docs.py``'s rule against typed speedups."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[2] / "tools" / "check_docs.py"
+
+
+@pytest.fixture(scope="module")
+def check_docs():
+    spec = importlib.util.spec_from_file_location("check_docs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("text", [
+    "metrics evaluation ~30× faster", "~1.6x faster", "throughput is ~6–8× higher",
+    "(~6-8x iteration throughput)", "~ 35 × end to end", "~2x.",
+])
+def test_a_typed_speedup_is_flagged(check_docs, text):
+    assert check_docs.SPEEDUP_CLAIM_RE.search(text)
+
+
+@pytest.mark.parametrize("text", [
+    "gated at >= 5x", "held to ≥ 3× in CI", "a 0x1F mask", "~8 ms at n=100k", "~20 examples",
+    "`metrics_evaluation.speedup` in `BENCH_kernels.json`",
+])
+def test_a_gate_or_other_number_is_not_flagged(check_docs, text):
+    assert not check_docs.SPEEDUP_CLAIM_RE.search(text)
+
+
+def test_a_typed_speedup_in_a_page_fails_the_check(check_docs, tmp_path, monkeypatch):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "README.md").write_text("The fast path is ~7x faster.\n")
+    (tmp_path / "docs" / "page.md").write_text("It is held to >= 5x in CI.\n")
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    assert check_docs.check_speedup_claims() == [
+        "README.md:1: typed speedup '~7x'; cite the CI gate and the BENCH_*.json key instead"
+    ]
+
+
+def test_the_committed_docs_carry_no_typed_speedup(check_docs):
+    assert check_docs.check_speedup_claims() == []

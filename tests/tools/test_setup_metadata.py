@@ -1,0 +1,20 @@
+"""The distribution's metadata, as ``python setup.py --name --version`` reports it."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def test_setup_reports_the_package_name_and_version():
+    pytest.importorskip("setuptools")
+    out = subprocess.run(
+        [sys.executable, "setup.py", "--name", "--version"],
+        cwd=ROOT, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.split()[-2:] == ["repro", repro.__version__]

@@ -12,6 +12,9 @@ Checks performed:
 1. **Link check** — every relative markdown link in ``README.md`` and
    ``docs/*.md`` must point at an existing file or directory (anchors are
    stripped; external ``http(s)``/``mailto`` links are not fetched).
+   **No typed speedups** — the same pages may not claim ``~N×``/``~Nx``:
+   such a figure drifts from the measurement it was copied from.  Name the
+   CI gate (``>= 5x``) and the ``BENCH_*.json`` key that records the value.
 2. **Quickstart smoke** — every ``bash`` code block in the README's
    *Quickstart* section is executed with ``bash -euo pipefail`` from the
    repository root (with ``src`` prepended to ``PYTHONPATH``), so the first
@@ -64,6 +67,9 @@ EXECUTABLE_DOC_PAGES: list[str] = [
 #: Markdown inline links: [text](target) — images share the syntax.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
+#: A typed approximate speedup: "~30×", "~1.6x", "~6–8×".
+SPEEDUP_CLAIM_RE = re.compile(r"~\s*\d[\d.,]*(?:\s*[–-]\s*\d[\d.,]*)?\s*[×x](?![A-Za-z0-9])")
+
 #: Fenced code blocks with an info string, non-greedy across lines.
 FENCE_RE = re.compile(r"```(\w+)\n(.*?)```", re.DOTALL)
 
@@ -89,6 +95,19 @@ def check_links() -> list[str]:
             resolved = (doc.parent / path_part).resolve()
             if not resolved.exists():
                 problems.append(f"{doc.relative_to(REPO_ROOT)}: broken link -> {target}")
+    return problems
+
+
+def check_speedup_claims() -> list[str]:
+    """Return one description per typed ``~N×`` claim (empty when clean)."""
+    problems: list[str] = []
+    for doc in doc_files():
+        for lineno, line in enumerate(doc.read_text().splitlines(), 1):
+            for match in SPEEDUP_CLAIM_RE.finditer(line):
+                problems.append(
+                    f"{doc.relative_to(REPO_ROOT)}:{lineno}: typed speedup {match.group(0)!r}; "
+                    "cite the CI gate and the BENCH_*.json key instead"
+                )
     return problems
 
 
@@ -184,14 +203,14 @@ def main() -> int:
                         help="run the link check and quickstart but not the examples")
     args = parser.parse_args()
 
-    problems = check_links()
+    problems = check_links() + check_speedup_claims()
     checked = ", ".join(str(f.relative_to(REPO_ROOT)) for f in doc_files())
     if problems:
-        print("Broken markdown links:", file=sys.stderr)
+        print("Broken markdown links or typed speedups:", file=sys.stderr)
         for p in problems:
             print(f"  {p}", file=sys.stderr)
     else:
-        print(f"Link check OK ({checked})")
+        print(f"Link and speedup-claim check OK ({checked})")
 
     if not args.links_only:
         problems += check_reference_freshness()
