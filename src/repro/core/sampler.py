@@ -53,15 +53,16 @@ class AliasSampler:
 
         The classic Vose construction pops one (small, large) pair per
         interpreted iteration — O(n) Python overhead paid on every sampler
-        construction (once per worker per fit).  This variant lays the larges' surpluses end to end on
-        a cumulative axis and assigns each small's deficit to the large
-        whose surplus window it starts in; every small is finalised per
-        round with vectorised NumPy ops, and only larges demoted below 1 go
-        into the next round.  Any valid alias table (not necessarily Vose's)
-        represents the distribution exactly, which the test-suite verifies
-        by reconstruction.  Below :data:`VECTORIZED_BUILD_MIN_N` items the
-        classic sequential construction is kept (already sub-millisecond,
-        and its exact tables/draw streams stay reproducible).
+        construction (once per worker per fit).  This variant lays the
+        larges' surpluses end to end on a cumulative axis and assigns each
+        small's deficit to the large whose surplus window it starts in;
+        every small is finalised per round with vectorised NumPy ops, and
+        only larges demoted below 1 go into the next round.  Any valid alias
+        table (not necessarily Vose's) represents the distribution exactly,
+        which the test-suite verifies by reconstruction.  Below
+        :data:`VECTORIZED_BUILD_MIN_N` items the classic sequential
+        construction is kept (already sub-millisecond, and its exact
+        tables/draw streams stay reproducible).
         """
         scaled = (p * self.n).copy()
         prob = self._prob_table

@@ -101,6 +101,8 @@ def _parse_chunk(chunk: bytes, first: int, limit: Optional[int]) -> Optional[_Pa
     b = np.frombuffer(chunk, dtype=np.uint8)
     kind = _BYTE_CLASS.take(b)
     if not kind.all():
+        # Also keeps spelled-out values from np.fromstring, which reads
+        # "-nan" without its sign and accepts "nan(1)"; float() does not.
         return None
     cr = np.flatnonzero(b == 13)
     if cr.size and (cr[-1] == b.size - 1 or (b[cr + 1] != 10).any()):

@@ -184,7 +184,7 @@ READER_CASES = {
     "blank-and-whitespace-lines": "\n   \n\t\n1 1:1\n \t \n-1 2:2\n\n",
     "crlf-and-tabs": "1\t1:1\t3:2\r\n-1 2:0.5\r\n\r\n1 \t 4:8\r\n",
     "lone-cr": "1 1:1\r-1 2:2\n",
-    "nan-inf": "1 1:nan 2:inf 3:-inf\n-1 2:NaN 4:1e999\n",
+    "nan-inf": "1 1:nan 2:inf 3:-inf\n-1 2:NaN 3:-nan 4:1e999 5:1_0\n",
     "label-only-and-zeros": "1\n-1 1:0 2:0.0 3:-0\n2.5 2:1\n",
     "unsorted-and-duplicates": "1 3:1 1:2 3:4\n-1 2:1 2:-1\n",
     "signs-and-exponents": "+1 01:+.5 2:5. 3:-1E-5 4:1e+300 5:4.9e-324\n-1.5e0 6:1\n",
@@ -235,7 +235,9 @@ class TestBulkReaderParity:
         path = _write(tmp_path, text)
         _assert_bit_identical(load_libsvm(path, n_features=12), _per_line_load(text, n_features=12))
 
-    @pytest.mark.parametrize("token", ["3", "a:1", "1:2:3", "1.5:2", "1e3:1", "0:1", ":1", "1:", "1:2e"])
+    @pytest.mark.parametrize(
+        "token", ["3", "a:1", "1:2:3", "1.5:2", "1e3:1", "0:1", ":1", "1:", "1:2e", "1:nan(1)"]
+    )
     @pytest.mark.parametrize("line", ["-1 {} 7:1", "-1 2:1 {}"], ids=["first", "last"])
     def test_rejected_tokens_raise_the_per_line_error(self, tmp_path, chunk_bytes, token, line):
         text = "1 1:1\n" + line.format(token) + "\n1 3:1\n"
