@@ -6,10 +6,9 @@ The benchmarks regenerate every table and figure of the paper on the
 reproduces the full-scale sweep when more time is available.
 
 Every benchmark writes its rendered rows/series to ``benchmarks/results/``
-so the output can be inspected and recorded in EXPERIMENTS.md.  The six
-``BENCH_*.json`` perf records also go to the repository root, but only
-when ``REPRO_BENCH_WRITE=1`` (the CI job that uploads them sets it), so an
-ordinary test run leaves the committed files alone.
+so the output can be inspected and recorded in EXPERIMENTS.md.  A test
+run writes nothing else, so it leaves the committed root ``BENCH_*.json``
+alone; refresh one by copying its ``benchmarks/results/`` counterpart.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.experiments.runner import ExperimentRunner
 BENCH_THREADS = (4, 8, 16)
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def bench_environment() -> dict:
@@ -57,15 +55,6 @@ def write_result(name: str, text: str) -> Path:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / name
     path.write_text(text + "\n")
-    return path
-
-
-def write_bench(name: str, text: str) -> Path:
-    """Write a ``BENCH_*.json`` record: always under ``benchmarks/results/``,
-    and to the repository root only when ``REPRO_BENCH_WRITE=1``."""
-    path = write_result(name, text)
-    if os.environ.get("REPRO_BENCH_WRITE") == "1":
-        (REPO_ROOT / name).write_text(text + "\n")
     return path
 
 

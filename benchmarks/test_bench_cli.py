@@ -7,8 +7,8 @@ sweep.  The warm re-invocation must train *nothing* — that is the whole
 point of the content-addressed store — and consequently be much faster
 than the cold sweep; the gate asserts both.
 
-Results are written to ``benchmarks/results/BENCH_cli.json``, and with
-``REPRO_BENCH_WRITE=1`` to the repository root ``BENCH_cli.json``.
+Results are written to ``benchmarks/results/BENCH_cli.json`` (the
+committed root ``BENCH_cli.json`` is a copy of it).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from benchmarks.conftest import bench_environment, write_bench
+from benchmarks.conftest import bench_environment, write_result
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,7 +54,7 @@ def test_cli_sweep_warm_reuse_speedup(tmp_path):
     result["environment"] = bench_environment()
 
     payload = json.dumps(result, indent=2)
-    write_bench("BENCH_cli.json", payload)
+    write_result("BENCH_cli.json", payload)
 
     # The cold pass trained every run; the warm pass trained none.
     assert result["cold_stats"]["trained"] == result["runs"]

@@ -23,8 +23,8 @@ benchmarks still run end-to-end and record the measured numbers, but the
 ratios are not asserted — CI runners provide the cores, so the gates are
 enforced there.
 
-Results are written to ``benchmarks/results/BENCH_cluster.json``, and with
-``REPRO_BENCH_WRITE=1`` to the repository root ``BENCH_cluster.json``.
+Results are written to ``benchmarks/results/BENCH_cluster.json`` (the
+committed root ``BENCH_cluster.json`` is a copy of it).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import RESULTS_DIR, bench_environment, write_bench
+from benchmarks.conftest import RESULTS_DIR, bench_environment, write_result
 from repro.cluster import ClusterDriver, available_parallelism, occupancy_skew
 from repro.core.balancing import random_order
 from repro.core.partition import partition_dataset
@@ -49,7 +49,7 @@ RESULTS_JSON = RESULTS_DIR / "BENCH_cluster.json"
 
 
 def _merge_bench_cluster(section: str, payload: dict) -> dict:
-    """Merge one section into BENCH_cluster.json (from the results copy)."""
+    """Merge one section into ``benchmarks/results/BENCH_cluster.json``."""
     merged: dict = {}
     if RESULTS_JSON.exists():
         try:
@@ -59,7 +59,7 @@ def _merge_bench_cluster(section: str, payload: dict) -> dict:
     merged = {k: v for k, v in merged.items() if k in ("speedup", "recovery")}
     merged[section] = payload
     text = json.dumps(merged, indent=2, sort_keys=True)
-    write_bench("BENCH_cluster.json", text)
+    write_result("BENCH_cluster.json", text)
     return merged
 
 #: Cluster-scale surrogate: enough per-epoch NumPy work that the kernel

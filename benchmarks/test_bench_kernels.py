@@ -15,9 +15,9 @@ surrogate dataset:
   cffi-compiled C loop against the per-step Python loop, gated at >= 3x
   wherever the extension compiles (recorded, not asserted, elsewhere).
 
-Results are written to ``benchmarks/results/BENCH_kernels.json``, and with
-``REPRO_BENCH_WRITE=1`` to the repository root ``BENCH_kernels.json`` so
-the perf trajectory across PRs has a recorded data point.
+Results are written to ``benchmarks/results/BENCH_kernels.json``; the
+committed root ``BENCH_kernels.json`` is a copy of it, so the perf
+trajectory across PRs has a recorded data point.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import json
 import numpy as np
 import pytest
 
-from benchmarks.conftest import bench_environment, write_bench
+from benchmarks.conftest import bench_environment, write_result
 from repro.core.sampler import AliasSampler
 from repro.datasets.catalog import get_descriptor
 from repro.datasets.synthetic import make_sparse_classification
@@ -38,7 +38,6 @@ from repro.objectives.regularizers import L1Regularizer
 from repro.solvers.base import Problem
 from repro.solvers.sgd import SGDSolver
 from repro.utils.timer import measure_call
-
 
 
 def _bench_problem():
@@ -134,7 +133,7 @@ def test_bench_kernel_backends(benchmark):
     payload = benchmark.pedantic(measure, rounds=1, iterations=1)
     text = json.dumps(payload, indent=2, default=float)
     print("\n" + text)
-    write_bench("BENCH_kernels.json", text)
+    write_result("BENCH_kernels.json", text)
 
     # Acceptance gate: batched metrics evaluation is >= 5x the per-row loop
     # (typically ~30x here), and the fused SGD step is no slower than the

@@ -584,10 +584,11 @@ class BatchedSimulator:
         foreign = sworker[writers] != wids[readers]
         readers, writers = readers[foreign], writers[foreign]
         # One undone update counts once however many coordinates it hits:
-        # flag each (reader, reader - writer) pair, then count per reader.
-        seen = np.zeros((n_iter, max_width + 1), dtype=bool)
-        seen[readers, reader_q[readers] - writers] = True
-        conflicts += np.count_nonzero(seen, axis=1)
+        # keep each (reader, reader - writer) pair once, then count per
+        # reader.  Memory grows with the pairs found, not with the window.
+        width = max_width + 1
+        pairs = np.unique(readers * width + (reader_q[readers] - writers))
+        conflicts += np.bincount(pairs // width, minlength=n_iter)
         return conflicts
 
 
