@@ -4,7 +4,8 @@
 The paper's evaluation datasets are distributed in the LibSVM text format
 (``label index:value index:value ...``); this example shows the exact code
 path for running the solvers on a real file.  When no file is supplied it
-writes a small demonstration file first so the example is runnable offline.
+writes a small demonstration file to a temporary directory, removed on
+exit, so the example is runnable offline.
 
 Run with::
 
@@ -44,14 +45,13 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    if args.data is None:
-        tmp = Path(tempfile.mkdtemp()) / "demo.libsvm"
-        data_path = _write_demo_file(tmp, seed=args.seed)
-        print(f"no file supplied; wrote a demo LibSVM file to {data_path}")
-    else:
-        data_path = Path(args.data)
-
-    dataset = load_dataset(str(data_path))
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.data is None:
+            data_path = _write_demo_file(Path(tmp) / "demo.libsvm", seed=args.seed)
+            print(f"no file supplied; wrote a demo LibSVM file to {data_path}")
+        else:
+            data_path = Path(args.data)
+        dataset = load_dataset(str(data_path))
     print(f"loaded {dataset.n_samples} samples x {dataset.n_features} features "
           f"({dataset.X.nnz} non-zeros)")
 

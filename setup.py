@@ -3,8 +3,8 @@
 The metadata lives here, with no ``pyproject.toml``, so that
 ``pip install -e . --no-use-pep517`` works on machines without the
 ``wheel`` package (offline machines).  numpy is the only install
-requirement: scipy, networkx and cffi are imported lazily by the features
-that use them.
+requirement: scipy and cffi are imported lazily by the features that use
+them.
 
 As a convenience, building the package also best-effort pre-compiles the
 ``native`` kernel extension so installed environments do not pay the

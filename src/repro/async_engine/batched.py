@@ -141,8 +141,8 @@ class BatchedSimulator:
         ``epoch_begin``/``epoch_end`` (SVRG's snapshot sync, SAGA's table
         build), exactly as :class:`AsyncSimulator` wires them.
     epoch_callback:
-        Optional ``(epoch_index, model_snapshot)`` callable, as on
-        :class:`AsyncSimulator`.
+        Optional ``(epoch_index, weights)`` callable invoked once after
+        every epoch with a copy of the weights, as on :class:`AsyncSimulator`.
     count_sample_draws:
         Whether each iteration counts as one weighted sample draw in the
         trace (True for ASGD-style solvers, False for VR inner loops);
@@ -262,7 +262,6 @@ class BatchedSimulator:
         initial_weights: Optional[np.ndarray] = None,
         reshuffle: bool = True,
         regenerate: bool = False,
-        keep_epoch_weights: bool = False,
     ) -> SimulationResult:
         """Simulate ``epochs`` passes of batched asynchronous execution."""
         if epochs < 1:
@@ -292,7 +291,6 @@ class BatchedSimulator:
         block = self.resolved_batch_size()
 
         trace = ExecutionTrace(iterations=[] if self.record_iterations else None)
-        epoch_weights: List[np.ndarray] = []
         global_step = 0
 
         for epoch in range(epochs):
@@ -332,19 +330,12 @@ class BatchedSimulator:
             if self.epoch_end is not None:
                 self.epoch_end(self, epoch, event)
             trace.add_epoch(event)
-            snapshot = w.copy()
-            if keep_epoch_weights:
-                epoch_weights.append(snapshot)
             if self.epoch_callback is not None:
-                self.epoch_callback(epoch, snapshot)
+                self.epoch_callback(epoch, w.copy())
 
         self._w = None
         self._log = None
-        return SimulationResult(
-            weights=w.copy(),
-            trace=trace,
-            epoch_weights=epoch_weights if keep_epoch_weights else None,
-        )
+        return SimulationResult(weights=w.copy(), trace=trace)
 
     # ------------------------------------------------------------------ #
     def _run_block(

@@ -48,7 +48,6 @@ class SimulationResult:
 
     weights: np.ndarray
     trace: ExecutionTrace
-    epoch_weights: Optional[List[np.ndarray]] = None
 
 
 @dataclass
@@ -78,9 +77,9 @@ class AsyncSimulator:
     record_iterations:
         Keep per-iteration events (memory-heavy; tests only).
     epoch_callback:
-        Optional callable invoked after every epoch with
-        ``(epoch_index, model_snapshot)`` — used by solvers to record
-        convergence metrics without re-implementing the loop.
+        Optional callable invoked once after every epoch, in order, with
+        ``(epoch_index, weights)``; ``weights`` is a copy the callee may
+        keep.  Solvers evaluate their convergence curve through it.
     history:
         Size of the shared model's bounded update history; defaults to
         ``max(max_delay, 1) * num_workers`` (capped at 4096), which is
@@ -151,7 +150,6 @@ class AsyncSimulator:
         initial_weights: Optional[np.ndarray] = None,
         reshuffle: bool = True,
         regenerate: bool = False,
-        keep_epoch_weights: bool = False,
     ) -> SimulationResult:
         """Simulate ``epochs`` passes of asynchronous execution.
 
@@ -164,8 +162,6 @@ class AsyncSimulator:
             Starting model (zeros by default).
         reshuffle / regenerate:
             Per-epoch sequence refresh policy forwarded to the workers.
-        keep_epoch_weights:
-            Store a snapshot of the model after every epoch in the result.
         """
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
@@ -180,7 +176,6 @@ class AsyncSimulator:
         epoch_end = getattr(rule, "epoch_end", None)
 
         trace = ExecutionTrace(iterations=[] if self.record_iterations else None)
-        epoch_weights: List[np.ndarray] = []
         global_step = 0
 
         try:
@@ -241,19 +236,12 @@ class AsyncSimulator:
                 if epoch_end is not None:
                     epoch_end(self, epoch, event)
                 trace.add_epoch(event)
-                snapshot = model.snapshot()
-                if keep_epoch_weights:
-                    epoch_weights.append(snapshot)
                 if self.epoch_callback is not None:
-                    self.epoch_callback(epoch, snapshot)
+                    self.epoch_callback(epoch, model.snapshot())
         finally:
             self._model = None
 
-        return SimulationResult(
-            weights=model.snapshot(),
-            trace=trace,
-            epoch_weights=epoch_weights if keep_epoch_weights else None,
-        )
+        return SimulationResult(weights=model.snapshot(), trace=trace)
 
 
 __all__ = ["AsyncSimulator", "SimulationResult"]

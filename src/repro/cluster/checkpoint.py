@@ -108,7 +108,6 @@ class ClusterCheckpoint:
     epoch_mean_delay: List[float] = field(default_factory=list)
     epoch_occupancy_skew: List[float] = field(default_factory=list)
     epoch_steals: List[int] = field(default_factory=list)
-    epoch_weights: Optional[List[np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
@@ -131,10 +130,6 @@ class ClusterCheckpoint:
             "epoch_mean_delay": [float(s) for s in self.epoch_mean_delay],
             "epoch_occupancy_skew": [float(s) for s in self.epoch_occupancy_skew],
             "epoch_steals": [int(s) for s in self.epoch_steals],
-            "epoch_weights": (
-                [encode_array(w) for w in self.epoch_weights]
-                if self.epoch_weights is not None else None
-            ),
         }
 
     @classmethod
@@ -142,8 +137,10 @@ class ClusterCheckpoint:
         """Rebuild a checkpoint from :meth:`to_dict` output.
 
         Payloads written while the cluster still had a choice of parameter
-        layouts carry two more keys naming it; they are ignored.  A payload
-        missing a required key raises :class:`ValueError`.
+        layouts carry two more keys naming it, and payloads written while
+        checkpoints still held every completed epoch's weights carry them
+        under one more key; such keys are ignored.  A payload missing a
+        required key raises :class:`ValueError`.
         """
         try:
             return cls(
@@ -167,17 +164,9 @@ class ClusterCheckpoint:
                 epoch_mean_delay=list(payload.get("epoch_mean_delay", [])),
                 epoch_occupancy_skew=list(payload.get("epoch_occupancy_skew", [])),
                 epoch_steals=[int(s) for s in payload.get("epoch_steals", [])],
-                epoch_weights=(
-                    [decode_array(w) for w in payload["epoch_weights"]]
-                    if payload.get("epoch_weights") is not None else None
-                ),
             )
         except KeyError as exc:
             raise ValueError(f"checkpoint payload is missing the key {exc}") from exc
-
-    def copy(self) -> "ClusterCheckpoint":
-        """A deep, independent copy (the driver's in-memory checkpoint)."""
-        return ClusterCheckpoint.from_dict(self.to_dict())
 
 
 class CheckpointStore:

@@ -8,9 +8,10 @@ into a fleet of real OS processes sharing one parameter vector:
   stamps, block queues) through :class:`~repro.cluster.shm.ShmArena`;
 * it spawns one :func:`~repro.cluster.worker.run_worker` process per data
   shard and paces them with a barrier, twice per epoch — between epochs
-  the driver snapshots the weights, folds the measured counters into the
-  same :class:`~repro.async_engine.events.EpochEvent` records the
-  simulator emits, and (for SVRG) refreshes the snapshot state;
+  the driver folds the measured counters into the same
+  :class:`~repro.async_engine.events.EpochEvent` records the simulator
+  emits, hands the epoch's weights to ``epoch_callback`` and (for SVRG)
+  refreshes the snapshot state;
 * it returns a :class:`ClusterRunResult` whose trace plugs into the
   existing metrics/cost/experiments pipeline unchanged — but whose
   wall-clock is *measured*, not modelled.
@@ -168,7 +169,6 @@ class ClusterRunResult:
 
     weights: np.ndarray
     trace: ExecutionTrace
-    epoch_weights: Optional[List[np.ndarray]] = None
     epoch_seconds: List[float] = field(default_factory=list)
     epoch_mean_delay: List[float] = field(default_factory=list)
     epoch_occupancy_skew: List[float] = field(default_factory=list)
@@ -188,7 +188,6 @@ class _RunState:
 
     start_epoch: int = 0
     trace: ExecutionTrace = field(default_factory=ExecutionTrace)
-    epoch_weights: List[np.ndarray] = field(default_factory=list)
     epoch_seconds: List[float] = field(default_factory=list)
     epoch_mean_delay: List[float] = field(default_factory=list)
     epoch_occ: List[float] = field(default_factory=list)
@@ -261,6 +260,12 @@ class ClusterDriver:
         end barriers — the epoch cannot complete while the hook runs) and
         ``"respawn"``.  This is the seam the fault-injection test harness
         (``tests/cluster/faults.py``) uses to strike deterministically.
+    epoch_callback:
+        Optional ``(epoch, weights)`` callable invoked once per completed
+        epoch, in order, with a copy of the weights.  It runs at the end
+        barrier after the epoch's seconds are measured, so its own time is
+        not counted in them; an epoch replayed after a respawn is reported
+        once, and a resumed run reports only the epochs it runs.
     """
 
     def __init__(
@@ -285,6 +290,7 @@ class ClusterDriver:
         steal_skew_threshold: float = 0.05,
         run_id: Optional[str] = None,
         fault_hook: Optional[Callable[[str, Dict[str, Any]], None]] = None,
+        epoch_callback: Optional[Callable[[int, np.ndarray], None]] = None,
     ) -> None:
         if y.shape[0] != X.n_rows:
             raise ValueError("X and y row counts differ")
@@ -325,6 +331,7 @@ class ClusterDriver:
         self.steal_skew_threshold = float(steal_skew_threshold)
         self.run_id = run_id
         self.fault_hook = fault_hook
+        self.epoch_callback = epoch_callback
         # The sampler seed root: every per-(worker, epoch) sequence seed is
         # derived from it alone, independently of fleet size or epoch count
         # — the property checkpoint/resume and worker replacement rely on.
@@ -388,7 +395,6 @@ class ClusterDriver:
         epochs: int,
         *,
         initial_weights: Optional[np.ndarray] = None,
-        keep_epoch_weights: bool = True,
         resume: bool = False,
     ) -> ClusterRunResult:
         """Execute ``epochs`` epochs on the process cluster.
@@ -396,7 +402,8 @@ class ClusterDriver:
         With ``resume=True`` (requires ``checkpoint_store``) the newest
         stored checkpoint of this run identity at or below ``epochs`` is
         restored — whatever fleet size wrote it — and only the remaining
-        epochs execute; ``initial_weights`` is ignored when a checkpoint is
+        epochs execute (and reach ``epoch_callback``; the trace still covers
+        every epoch); ``initial_weights`` is ignored when a checkpoint is
         found.
         """
         if epochs < 1:
@@ -427,15 +434,15 @@ class ClusterDriver:
             state.base_shard_totals = np.zeros(self._num_shards, np.int64)
 
             if restored is not None:
-                self._restore(arena, state, restored, keep_epoch_weights)
+                self._restore(arena, state, restored)
                 state.start_epoch = state.resumed_from = restored.epoch
             else:
                 if initial_weights is not None:
                     arena["weights"][...] = initial_weights
                 if self.rule == "saga":
                     self._init_saga_state(arena)
-            state.mem_ckpt = self._capture(arena, state, state.start_epoch, keep_epoch_weights)
-            return self._drive(epochs, arena, state, sampling, keep_epoch_weights)
+            state.mem_ckpt = self._capture(arena, state, state.start_epoch)
+            return self._drive(epochs, arena, state, sampling)
         finally:
             arena.close()
 
@@ -535,15 +542,8 @@ class ClusterDriver:
         arena["saga_avg"][...] = avg0
 
     # ------------------------------------------------------------------ #
-    def _capture(
-        self, arena: ShmArena, state: _RunState, epoch: int, keep_epoch_weights: bool
-    ) -> ClusterCheckpoint:
-        """A consistent checkpoint of the quiescent arena at ``epoch``.
-
-        The per-epoch weight snapshots are never written after they are
-        appended (and :meth:`CheckpointStore.save` serialises at call
-        time), so the checkpoint shares them instead of copying them.
-        """
+    def _capture(self, arena: ShmArena, state: _RunState, epoch: int) -> ClusterCheckpoint:
+        """A consistent checkpoint of the quiescent arena at ``epoch``."""
         rule_state: Dict[str, np.ndarray] = {}
         if self.rule == "saga":
             rule_state = {
@@ -571,16 +571,9 @@ class ClusterDriver:
             epoch_mean_delay=list(state.epoch_mean_delay),
             epoch_occupancy_skew=list(state.epoch_occ),
             epoch_steals=list(state.epoch_steals),
-            epoch_weights=list(state.epoch_weights) if keep_epoch_weights else None,
         )
 
-    def _restore(
-        self,
-        arena: ShmArena,
-        state: _RunState,
-        checkpoint: ClusterCheckpoint,
-        keep_epoch_weights: bool,
-    ) -> None:
+    def _restore(self, arena: ShmArena, state: _RunState, checkpoint: ClusterCheckpoint) -> None:
         """Load ``checkpoint`` into the arena and roll the run state back.
 
         Arena and checkpoint share one layout, so a checkpoint written at
@@ -595,10 +588,6 @@ class ClusterDriver:
                 (name, checkpoint.rule_state.get(name), arena[name].shape)
                 for name in ("saga_coefs", "saga_avg")
             ]
-        arrays += [
-            (f"epoch_weights[{k}]", w, shape)
-            for k, w in enumerate(checkpoint.epoch_weights or ())
-        ]
         for name, array, expected in arrays:
             if array is None:
                 raise ValueError(f"checkpoint array {name} is missing")
@@ -640,11 +629,6 @@ class ClusterDriver:
         state.epoch_mean_delay = list(checkpoint.epoch_mean_delay)
         state.epoch_occ = list(checkpoint.epoch_occupancy_skew)
         state.epoch_steals = list(checkpoint.epoch_steals)
-        state.epoch_weights = (
-            list(checkpoint.epoch_weights)
-            if keep_epoch_weights and checkpoint.epoch_weights is not None
-            else []
-        )
         state.last_work_skew = 0.0
 
     # ------------------------------------------------------------------ #
@@ -775,7 +759,6 @@ class ClusterDriver:
         arena: ShmArena,
         procs,
         state: _RunState,
-        keep_epoch_weights: bool,
         total_inner: int,
     ) -> None:
         """Drive one epoch: prep, two barrier generations, counter folding."""
@@ -848,8 +831,8 @@ class ClusterDriver:
         if armed:
             state.steal_epochs += 1
         state.last_work_skew = work_skew(delta[:, COL_ITERATIONS].astype(np.float64))
-        if keep_epoch_weights:
-            state.epoch_weights.append(w.copy())
+        if self.epoch_callback is not None:
+            self.epoch_callback(epoch, w.copy())
         # Everything above read the arena while every worker was parked at
         # the end generation (fully quiescent); now let them move on.
         self._release(arena, gen_end)
@@ -860,7 +843,6 @@ class ClusterDriver:
         arena: ShmArena,
         state: _RunState,
         sampling,
-        keep_epoch_weights: bool,
     ) -> ClusterRunResult:
         ctx = mp.get_context(self.start_method)
         total_inner = sum(self._iterations)
@@ -872,10 +854,7 @@ class ClusterDriver:
             epoch = state.start_epoch
             while epoch < epochs:
                 try:
-                    self._run_epoch(
-                        epoch, fleet_start, arena, procs, state,
-                        keep_epoch_weights, total_inner,
-                    )
+                    self._run_epoch(epoch, fleet_start, arena, procs, state, total_inner)
                 except WorkerFailure:
                     self._reap(procs)
                     state.respawns += 1
@@ -889,11 +868,11 @@ class ClusterDriver:
                         "respawn",
                         {"epoch": epoch, "respawns": state.respawns},
                     )
-                    self._restore(arena, state, state.mem_ckpt, keep_epoch_weights)
+                    self._restore(arena, state, state.mem_ckpt)
                     procs = self._spawn_fleet(ctx, arena, sampling, epoch, epochs)
                     continue
                 epoch += 1
-                state.mem_ckpt = self._capture(arena, state, epoch, keep_epoch_weights)
+                state.mem_ckpt = self._capture(arena, state, epoch)
                 if self.checkpoint_store is not None and (
                     epoch % self.checkpoint_every == 0 or epoch == epochs
                 ):
@@ -945,7 +924,6 @@ class ClusterDriver:
         return ClusterRunResult(
             weights=final,
             trace=state.trace,
-            epoch_weights=state.epoch_weights if keep_epoch_weights else None,
             epoch_seconds=state.epoch_seconds,
             epoch_mean_delay=state.epoch_mean_delay,
             epoch_occupancy_skew=state.epoch_occ,

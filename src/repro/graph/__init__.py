@@ -12,7 +12,6 @@ constant.
 from repro.graph.conflict import (
     ConflictGraphStats,
     average_conflict_degree,
-    build_conflict_graph,
     conflict_graph_stats,
     estimate_average_degree,
     pairwise_conflicts,
@@ -20,7 +19,6 @@ from repro.graph.conflict import (
 
 __all__ = [
     "ConflictGraphStats",
-    "build_conflict_graph",
     "average_conflict_degree",
     "estimate_average_degree",
     "conflict_graph_stats",

@@ -1,17 +1,17 @@
-"""Conflict-graph construction and degree statistics.
+"""Conflict-graph degree statistics.
 
 Two data samples conflict when their feature supports intersect (they would
-race on at least one model coordinate under lock-free updates).  Building
-the full graph is quadratic in the worst case, so besides the exact
-construction (fine up to a few thousand samples) the module offers an
-unbiased sampling estimator of the average degree Δ̄ that scales to the
-large surrogate datasets.
+race on at least one model coordinate under lock-free updates).  A row's
+degree in the conflict graph is counted exactly from a column -> rows index;
+the exact average degree Δ̄ counts every row (fine up to a few thousand
+samples), and an unbiased sampling estimator counts a uniform sample of
+rows, which scales to the large surrogate datasets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from typing import Optional, Set
 
 import numpy as np
 
@@ -29,51 +29,44 @@ def pairwise_conflicts(X: CSRMatrix, i: int, j: int) -> bool:
     return bool(np.intersect1d(idx_i, idx_j, assume_unique=False).size > 0)
 
 
-def build_conflict_graph(X: CSRMatrix, *, max_rows: Optional[int] = 4000):
-    """Build the exact conflict graph as a :class:`networkx.Graph`.
+def _anchor_degrees(X: CSRMatrix, anchors: np.ndarray) -> np.ndarray:
+    """The exact conflict degree of each anchor row.
 
-    The construction iterates features and connects all samples sharing a
-    feature (clique per feature), which is much faster than the naive
-    pairwise check for sparse data.  Guarded by ``max_rows`` because the
-    graph itself can be quadratic in size for dense datasets.
+    For each anchor the features it touches are looked up in a column ->
+    rows index (built once by a stable sort of the entries) and the other
+    rows found there are counted once each.
     """
-    import networkx as nx
+    row_of_entry = np.repeat(np.arange(X.n_rows), np.diff(X.indptr))
+    order = np.argsort(X.indices, kind="stable")
+    sorted_rows = row_of_entry[order]
+    boundaries = np.searchsorted(X.indices[order], np.arange(X.n_cols + 1))
 
-    if max_rows is not None and X.n_rows > max_rows:
-        raise ValueError(
-            f"refusing to build the exact conflict graph for {X.n_rows} rows "
-            f"(limit {max_rows}); use estimate_average_degree instead"
-        )
-    graph = nx.Graph()
-    graph.add_nodes_from(range(X.n_rows))
-    # Invert the matrix: feature -> rows touching it.
-    rows_by_feature: dict[int, list[int]] = {}
-    for i in range(X.n_rows):
-        idx, _ = X.row(i)
+    degrees = np.empty(anchors.size, dtype=np.float64)
+    for k, anchor in enumerate(anchors):
+        idx, _ = X.row(int(anchor))
+        neighbours: Set[int] = set()
         for f in idx:
-            rows_by_feature.setdefault(int(f), []).append(i)
-    for rows in rows_by_feature.values():
-        if len(rows) < 2:
-            continue
-        anchor = rows[0]
-        # Adding a clique can be quadratic; for degree statistics connecting
-        # every pair is required, so we do add the full clique but bail out
-        # for absurdly hot features to keep memory bounded.
-        if len(rows) > 2000:
-            rows = rows[:2000]
-        for a_pos in range(len(rows)):
-            for b_pos in range(a_pos + 1, len(rows)):
-                graph.add_edge(rows[a_pos], rows[b_pos])
-    return graph
+            f = int(f)
+            neighbours.update(sorted_rows[boundaries[f]:boundaries[f + 1]].tolist())
+        neighbours.discard(int(anchor))
+        degrees[k] = float(len(neighbours))
+    return degrees
 
 
 def average_conflict_degree(X: CSRMatrix, *, max_rows: Optional[int] = 4000) -> float:
-    """Exact average degree Δ̄ of the conflict graph."""
-    graph = build_conflict_graph(X, max_rows=max_rows)
-    n = graph.number_of_nodes()
-    if n == 0:
+    """Exact average degree Δ̄ of the conflict graph: the mean degree of every row.
+
+    Guarded by ``max_rows`` because the count can take time quadratic in
+    the number of rows on dense data.
+    """
+    if max_rows is not None and X.n_rows > max_rows:
+        raise ValueError(
+            f"refusing to count exact conflict degrees for {X.n_rows} rows "
+            f"(limit {max_rows}); use estimate_average_degree instead"
+        )
+    if X.n_rows == 0:
         return 0.0
-    return 2.0 * graph.number_of_edges() / n
+    return float(_anchor_degrees(X, np.arange(X.n_rows)).mean())
 
 
 def estimate_average_degree(
@@ -84,39 +77,15 @@ def estimate_average_degree(
 ) -> float:
     """Monte-Carlo estimate of the average conflict degree Δ̄.
 
-    For each of ``sample_size`` uniformly chosen anchor rows the exact
-    degree is computed by marking the features of the anchor and counting
-    how many other rows touch any marked feature; the mean over anchors is
-    an unbiased estimator of Δ̄.
+    The exact degree of each of ``sample_size`` uniformly chosen anchor
+    rows is counted; the mean over anchors is an unbiased estimator of Δ̄.
     """
     if X.n_rows == 0:
         return 0.0
     rng = as_rng(seed)
     sample_size = min(sample_size, X.n_rows)
     anchors = rng.choice(X.n_rows, size=sample_size, replace=False)
-
-    # Precompute column -> rows map lazily using the transpose trick.
-    col_rows: dict[int, np.ndarray] = {}
-    row_of_entry = np.repeat(np.arange(X.n_rows), np.diff(X.indptr))
-    order = np.argsort(X.indices, kind="stable")
-    sorted_cols = X.indices[order]
-    sorted_rows = row_of_entry[order]
-    boundaries = np.searchsorted(sorted_cols, np.arange(X.n_cols + 1))
-
-    degrees = np.empty(anchors.size, dtype=np.float64)
-    for k, anchor in enumerate(anchors):
-        idx, _ = X.row(int(anchor))
-        if idx.size == 0:
-            degrees[k] = 0.0
-            continue
-        neighbours: Set[int] = set()
-        for f in idx:
-            f = int(f)
-            lo, hi = boundaries[f], boundaries[f + 1]
-            neighbours.update(sorted_rows[lo:hi].tolist())
-        neighbours.discard(int(anchor))
-        degrees[k] = float(len(neighbours))
-    return float(degrees.mean())
+    return float(_anchor_degrees(X, anchors).mean())
 
 
 @dataclass
@@ -161,7 +130,6 @@ def conflict_graph_stats(
 
 __all__ = [
     "pairwise_conflicts",
-    "build_conflict_graph",
     "average_conflict_degree",
     "estimate_average_degree",
     "ConflictGraphStats",

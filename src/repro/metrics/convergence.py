@@ -221,8 +221,15 @@ class MetricsRecorder:
         """One full-dataset evaluation of ``weights`` (no curve mutation)."""
         return self.kernel.evaluate(self.objective, self.X, self.y, weights)
 
-    def record(self, *, epoch: int, iterations: int, wall_clock: float, weights: np.ndarray) -> EpochMetrics:
-        """Evaluate ``weights`` and append the metrics to the curve."""
+    def record(
+        self, *, epoch: int, weights: np.ndarray, iterations: int = 0, wall_clock: float = 0.0
+    ) -> EpochMetrics:
+        """Evaluate ``weights`` and append the metrics to the curve.
+
+        Solvers record each epoch as it ends, before the run's trace is
+        priced, and set the curve's ``iterations`` and ``wall_clock`` axes
+        once the run returns; those two arguments then keep their default.
+        """
         evaluation = self.evaluate(weights)
         metrics = EpochMetrics(
             epoch=epoch,

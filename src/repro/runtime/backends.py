@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -133,7 +133,9 @@ class ExecutionRequest:
 
     Built by the solvers from their configuration; deliberately free of any
     engine-specific object so the same request can be handed to any
-    registered backend.
+    registered backend.  A backend calls ``epoch_callback`` (when set)
+    exactly once per completed epoch, in order, with ``(epoch, weights)``;
+    ``weights`` is a copy the callee may keep.
     """
 
     X: Any                                  # CSRMatrix
@@ -154,6 +156,7 @@ class ExecutionRequest:
     reshuffle: bool = True
     regenerate: bool = False
     iterations_per_worker: Optional[int] = None
+    epoch_callback: Optional[Callable[[int, np.ndarray], None]] = None
 
     def build_rule(self):
         """Instantiate the requested update rule from the registry."""
@@ -190,11 +193,10 @@ class ExecutionRequest:
 
 @dataclass
 class ExecutionResult:
-    """What every backend returns: iterates, trace, optional measured time."""
+    """What every backend returns: final weights, trace, optional measured time."""
 
     weights: np.ndarray
     trace: Any                              # ExecutionTrace
-    epoch_weights: Optional[List[np.ndarray]] = None
     wall_clock: Optional[np.ndarray] = None  # measured cumulative seconds, or None
     info: Dict[str, Any] = field(default_factory=dict)
 
@@ -246,6 +248,7 @@ class PerSampleBackend(ExecutionBackend):
             staleness=staleness,
             seed=request.engine_seed,
             kernel=request.kernel,
+            epoch_callback=request.epoch_callback,
             **engine_kwargs,
         )
         sim = simulator.run(
@@ -253,12 +256,10 @@ class PerSampleBackend(ExecutionBackend):
             initial_weights=request.initial_weights,
             reshuffle=request.reshuffle,
             regenerate=request.regenerate,
-            keep_epoch_weights=True,
         )
         return ExecutionResult(
             weights=sim.weights,
             trace=sim.trace,
-            epoch_weights=sim.epoch_weights,
             info={
                 "async_mode": self.capabilities.name,
                 "max_delay": staleness.max_delay,
@@ -321,6 +322,7 @@ class ProcessBackend(ExecutionBackend):
             batch_size=request.batch_size,
             kernel_name=resolve_backend(request.kernel).name,
             seed=request.engine_seed,
+            epoch_callback=request.epoch_callback,
         )
         run = driver.run(request.epochs, initial_weights=request.initial_weights)
         info = {
@@ -331,7 +333,6 @@ class ProcessBackend(ExecutionBackend):
         return ExecutionResult(
             weights=run.weights,
             trace=run.trace,
-            epoch_weights=run.epoch_weights,
             wall_clock=run.wall_clock,
             info=info,
         )

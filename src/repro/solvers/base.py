@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -87,13 +87,13 @@ class Problem:
 
 
 class EpochEngine:
-    """Shared serial epoch-loop state: weights, trace and per-epoch snapshots.
+    """Shared serial epoch-loop state: weights and trace.
 
     Every serial solver runs the same outer loop — initialise the weight
     vector, execute one epoch body, aggregate the epoch's operation counters
-    into an :class:`EpochEvent` and snapshot the weights.  The engine owns
-    that machinery; the solver supplies only the epoch body, which performs
-    its arithmetic through the solver's kernel backend.
+    into an :class:`EpochEvent` and report the epoch's weights.  The engine
+    owns that machinery; the solver supplies only the epoch body, which
+    performs its arithmetic through the solver's kernel backend.
     """
 
     def __init__(self, problem: Problem, initial_weights: Optional[np.ndarray] = None) -> None:
@@ -106,20 +106,20 @@ class EpochEngine:
             if self.w.shape != (d,):
                 raise ValueError(f"initial_weights must have shape ({d},), got {self.w.shape}")
         self.trace = ExecutionTrace()
-        self.weights_by_epoch: list[np.ndarray] = []
 
-    def run(self, epochs: int, body) -> None:
+    def run(self, epochs: int, body, on_epoch: Callable[[int, np.ndarray], None]) -> None:
         """Execute ``epochs`` iterations of ``body(epoch, event)``.
 
         The body mutates ``self.w`` (in place or by rebinding ``engine.w``)
-        and folds its operation counts into ``event``; the engine appends
-        the event to the trace and snapshots the weights after each epoch.
+        and folds its operation counts into ``event``; after each epoch the
+        engine appends the event to the trace and calls
+        ``on_epoch(epoch, weights)`` with a copy of the weights.
         """
         for epoch in range(epochs):
             event = EpochEvent(epoch=epoch)
             body(epoch, event)
             self.trace.add_epoch(event)
-            self.weights_by_epoch.append(self.w.copy())
+            on_epoch(epoch, self.w.copy())
 
     def run_sample_block(
         self, kernel: KernelBackend, obj: Objective, rows: np.ndarray, scales: np.ndarray
@@ -199,27 +199,43 @@ class BaseSolver(ABC):
     #: the trace (1 for serial solvers; :class:`AsyncSolver` overrides it).
     parallel_workers: int = 1
 
+    def _recording(
+        self, problem: Problem
+    ) -> Tuple[MetricsRecorder, Callable[[int, np.ndarray], None]]:
+        """A metrics recorder and the epoch hook that fills it.
+
+        The hook evaluates every ``record_every``-th epoch, and the last
+        one, as it ends, through :meth:`MetricsRecorder.record`; no weight
+        vector outlives its evaluation.  :meth:`_finalize` adds the
+        iteration and wall-clock axes once the run returns.
+        """
+        recorder = problem.recorder(label=f"{self.name}[{problem.name}]", kernel=self.kernel)
+        last = self.epochs - 1
+
+        def on_epoch(epoch: int, weights: np.ndarray) -> None:
+            if epoch % self.record_every == 0 or epoch == last:
+                recorder.record(epoch=epoch, weights=weights)
+
+        return recorder, on_epoch
+
     def _finalize(
         self,
-        problem: Problem,
-        weights_by_epoch: list[np.ndarray],
+        recorder: MetricsRecorder,
+        weights: np.ndarray,
         trace: ExecutionTrace,
         *,
-        label: Optional[str] = None,
         info: Optional[Dict[str, Any]] = None,
         include_sampling: bool = True,
         wall_clock: Optional[np.ndarray] = None,
     ) -> TrainResult:
-        """Turn epoch snapshots + trace into a :class:`TrainResult`.
+        """Turn the recorded curve, final weights and trace into a :class:`TrainResult`.
 
-        Evaluates the metrics for every recorded epoch and prices the trace
-        with the cost model — unless ``wall_clock`` (cumulative seconds per
-        epoch) is supplied, in which case the curve carries that *measured*
-        time axis instead (the process-cluster backend's case).
+        Prices the trace with the cost model — unless ``wall_clock``
+        (cumulative seconds per epoch) is supplied, in which case the curve
+        carries that *measured* time axis instead (the process-cluster
+        backend's case) — and sets each recorded epoch's iteration and
+        wall-clock values from it.
         """
-        recorder = problem.recorder(
-            label=label or f"{self.name}[{problem.name}]", kernel=self.kernel
-        )
         if wall_clock is not None:
             wall = np.ascontiguousarray(wall_clock, dtype=np.float64)
             if wall.shape[0] != len(trace.epochs):
@@ -229,23 +245,11 @@ class BaseSolver(ABC):
                 trace, self.parallel_workers, include_sampling=include_sampling
             )
         iterations = np.cumsum([e.iterations for e in trace.epochs])
-        for k, weights in enumerate(weights_by_epoch):
-            epoch = trace.epochs[k].epoch
-            if (epoch % self.record_every) and (k != len(weights_by_epoch) - 1):
-                continue
-            recorder.record(
-                epoch=epoch,
-                iterations=int(iterations[k]),
-                wall_clock=float(wall[k]),
-                weights=weights,
-            )
-        final_weights = weights_by_epoch[-1]
+        curve = recorder.curve
+        curve.iterations = [int(iterations[epoch]) for epoch in curve.epochs]
+        curve.wall_clock = [float(wall[epoch]) for epoch in curve.epochs]
         return TrainResult(
-            solver=self.name,
-            weights=final_weights,
-            curve=recorder.curve,
-            trace=trace,
-            info=dict(info or {}),
+            solver=self.name, weights=weights, curve=curve, trace=trace, info=dict(info or {})
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -363,6 +367,7 @@ class AsyncSolver(BaseSolver):
         diagnostics into the result's info dict (backend info wins on
         shared keys).
         """
+        recorder, on_epoch = self._recording(problem)
         request = ExecutionRequest(
             X=problem.X,
             y=problem.y,
@@ -381,13 +386,14 @@ class AsyncSolver(BaseSolver):
             initial_weights=initial_weights,
             reshuffle=reshuffle,
             regenerate=regenerate,
+            epoch_callback=on_epoch,
         )
         result = execute(self.async_mode, request)
         info = dict(extra_info or {})
         info.update(result.info)
         return self._finalize(
-            problem,
-            result.epoch_weights or [result.weights],
+            recorder,
+            result.weights,
             result.trace,
             include_sampling=include_sampling,
             info=info,

@@ -57,8 +57,9 @@ class GradientDescentSolver(BaseSolver):
                 grad_nnz=X.nnz, dense_coords=X.n_cols, conflicts=0, delay=0, drew_sample=False
             )
 
-        engine.run(self.epochs, epoch_body)
-        return self._finalize(problem, engine.weights_by_epoch, engine.trace,
+        recorder, on_epoch = self._recording(problem)
+        engine.run(self.epochs, epoch_body, on_epoch)
+        return self._finalize(recorder, engine.w, engine.trace,
                               include_sampling=False, info={"final_step": state["step"]})
 
 

@@ -100,12 +100,13 @@ class ISSGDSolver(BaseSolver):
             total_nnz = engine.run_sample_block(kernel, obj, seq, -lam * reweight[seq])
             event.merge_bulk(iterations=n, grad_nnz=total_nnz, sample_draws=n)
 
-        engine.run(self.epochs, epoch_body)
+        recorder, on_epoch = self._recording(problem)
+        engine.run(self.epochs, epoch_body, on_epoch)
         info = {
             "psi": float((L.sum() ** 2) / (L.size * float(np.dot(L, L)))) if L.size else 1.0,
             "step_clip": self.step_clip,
         }
-        return self._finalize(problem, engine.weights_by_epoch, engine.trace, info=info)
+        return self._finalize(recorder, engine.w, engine.trace, info=info)
 
 
 __all__ = ["ISSGDSolver"]

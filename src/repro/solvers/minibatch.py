@@ -112,12 +112,13 @@ class MiniBatchSGDSolver(BaseSolver):
                 sample_draws=batches_per_epoch,
             )
 
-        engine.run(self.epochs, epoch_body)
+        recorder, on_epoch = self._recording(problem)
+        engine.run(self.epochs, epoch_body, on_epoch)
         info = {
             "batch_size": self.batch_size,
             "importance_sampling": self.importance_sampling,
         }
-        return self._finalize(problem, engine.weights_by_epoch, engine.trace,
+        return self._finalize(recorder, engine.w, engine.trace,
                               include_sampling=self.importance_sampling, info=info)
 
 

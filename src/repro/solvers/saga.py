@@ -73,10 +73,9 @@ class SAGASolver(BaseSolver):
                 total_nnz += 2 * int(x_idx.size)
             event.merge_bulk(iterations=n, grad_nnz=total_nnz, dense_coords=2 * d * n)
 
-        engine.run(self.epochs, epoch_body)
-        return self._finalize(
-            problem, engine.weights_by_epoch, engine.trace, include_sampling=False
-        )
+        recorder, on_epoch = self._recording(problem)
+        engine.run(self.epochs, epoch_body, on_epoch)
+        return self._finalize(recorder, engine.w, engine.trace, include_sampling=False)
 
 
 __all__ = ["SAGASolver"]

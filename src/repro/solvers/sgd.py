@@ -41,10 +41,9 @@ class SGDSolver(BaseSolver):
             total_nnz = engine.run_sample_block(kernel, obj, order, np.full(n, -lam))
             event.merge_bulk(iterations=n, grad_nnz=total_nnz)
 
-        engine.run(self.epochs, epoch_body)
-        return self._finalize(
-            problem, engine.weights_by_epoch, engine.trace, include_sampling=False
-        )
+        recorder, on_epoch = self._recording(problem)
+        engine.run(self.epochs, epoch_body, on_epoch)
+        return self._finalize(recorder, engine.w, engine.trace, include_sampling=False)
 
 
 __all__ = ["SGDSolver"]

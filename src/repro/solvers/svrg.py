@@ -91,10 +91,11 @@ class SVRGSolver(BaseSolver):
                     grad_nnz=0, dense_coords=d, conflicts=0, delay=0, drew_sample=False
                 )
 
-        engine.run(self.epochs, epoch_body)
+        recorder, on_epoch = self._recording(problem)
+        engine.run(self.epochs, epoch_body, on_epoch)
         return self._finalize(
-            problem,
-            engine.weights_by_epoch,
+            recorder,
+            engine.w,
             engine.trace,
             include_sampling=False,
             info={"skip_dense_term": self.skip_dense_term},

@@ -181,8 +181,7 @@ def _read_libsvm(
 ) -> Tuple[CSRMatrix, np.ndarray]:
     """Read a binary LibSVM stream chunk by chunk (see :func:`load_libsvm`)."""
     first = 0 if zero_based else 1
-    # A row is counted before the cap is tested, so a cap below 1 reads one.
-    limit = None if max_rows is None else max(int(max_rows), 1)
+    limit = None if max_rows is None else int(max_rows)
     parts: List[_Part] = []
     n_rows = 0
     while limit is None or n_rows < limit:
@@ -240,13 +239,16 @@ def load_libsvm(
         Set to True if the file already uses 0-based indices.
     max_rows:
         Optional cap on the number of rows read (useful for sub-sampling the
-        very large KDD files); reading stops once it is reached.
+        very large KDD files); reading stops once it is reached.  A cap
+        below 1 raises :class:`ValueError`.
 
     Returns
     -------
     (X, y):
         The design matrix as :class:`CSRMatrix` and labels as a float array.
     """
+    if max_rows is not None and int(max_rows) < 1:
+        raise ValueError(f"max_rows must be at least 1, got {max_rows}")
     with _open(path, "rb") as handle:
         return _read_libsvm(handle, n_features, zero_based, max_rows)
 

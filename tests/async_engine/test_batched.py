@@ -200,14 +200,13 @@ class TestBatchedSimulator:
         np.testing.assert_allclose(r1.weights, r2.weights)
         assert _epoch_counters(r1.trace) == _epoch_counters(r2.trace)
 
-    def test_keep_epoch_weights_and_callback(self, small_problem):
+    def test_epoch_callback(self, small_problem):
         calls = []
         sim = _make_batched(small_problem, batch_size=16)
-        sim.epoch_callback = lambda epoch, w: calls.append(epoch)
-        result = sim.run(2, keep_epoch_weights=True)
-        assert len(result.epoch_weights) == 2
-        np.testing.assert_allclose(result.epoch_weights[-1], result.weights)
-        assert calls == [0, 1]
+        sim.epoch_callback = lambda epoch, w: calls.append((epoch, w))
+        result = sim.run(2)
+        assert [c[0] for c in calls] == [0, 1]
+        np.testing.assert_allclose(calls[-1][1], result.weights)
 
     def test_initial_weights_respected(self, small_problem):
         init = np.full(small_problem.n_features, 0.01)

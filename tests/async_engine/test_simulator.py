@@ -44,18 +44,13 @@ class TestRun:
             np.zeros(small_problem.n_features), small_problem.X, small_problem.y
         )
 
-    def test_keep_epoch_weights(self, small_problem):
-        sim = _make_simulator(small_problem)
-        result = sim.run(2, keep_epoch_weights=True)
-        assert len(result.epoch_weights) == 2
-        np.testing.assert_allclose(result.epoch_weights[-1], result.weights)
-
     def test_epoch_callback_invoked(self, small_problem):
         calls = []
         sim = _make_simulator(small_problem)
-        sim.epoch_callback = lambda epoch, w: calls.append((epoch, w.copy()))
-        sim.run(3)
+        sim.epoch_callback = lambda epoch, w: calls.append((epoch, w))
+        result = sim.run(3)
         assert [c[0] for c in calls] == [0, 1, 2]
+        np.testing.assert_allclose(calls[-1][1], result.weights)
 
     def test_reproducible(self, small_problem):
         r1 = _make_simulator(small_problem, seed=5).run(2)

@@ -194,19 +194,28 @@ class TestResumeRoundTrip:
         store_b = CheckpointStore(tmp_path / "b")
         step = 0.05 if rule == "saga" else 0.15
 
-        full = _driver(ckpt_problem, 1, store_a, rule=rule, step_size=step).run(EPOCHS)
+        full_weights, resumed_epochs = {}, []
+        full = _driver(
+            ckpt_problem, 1, store_a, rule=rule, step_size=step,
+            epoch_callback=full_weights.__setitem__,
+        ).run(EPOCHS)
 
         _driver(ckpt_problem, 1, store_b, rule=rule, step_size=step).run(HALF)
-        resumed_driver = _driver(ckpt_problem, 1, store_b, rule=rule, step_size=step)
+        resumed_driver = _driver(
+            ckpt_problem, 1, store_b, rule=rule, step_size=step,
+            epoch_callback=lambda epoch, w: resumed_epochs.append(epoch),
+        )
         resumed = resumed_driver.run(EPOCHS, resume=True)
 
         assert resumed.info["resumed_from_epoch"] == HALF
         assert full.weights.tobytes() == resumed.weights.tobytes()
         assert full.trace.to_dict() == resumed.trace.to_dict()
+        # The resumed run reports only the epochs it ran.
+        assert resumed_epochs == list(range(HALF, EPOCHS))
         # The stored mid-run checkpoint equals the uninterrupted run's
         # epoch snapshot bit-for-bit.
         ckpt = store_b.load(resumed_driver.checkpoint_identity(), HALF)
-        assert ckpt.weights.tobytes() == full.epoch_weights[HALF - 1].tobytes()
+        assert ckpt.weights.tobytes() == full_weights[HALF - 1].tobytes()
         # Sampler stream position: the seeds the resumed fleet used are
         # exactly the ones the checkpoint advertised.
         assert ckpt.sampler["next_epoch_seeds"] == [resumed_driver.epoch_seed(0, HALF)]
@@ -281,13 +290,11 @@ class TestElasticResume:
         path = store.path_for(writer.checkpoint_identity(), HALF)
         good = path.read_text()
         short = encode_array(np.ones(1))
-        for name in ("weights", "saga_coefs", "saga_avg", "epoch_weights[1]"):
+        for name in ("weights", "saga_coefs", "saga_avg"):
             entry = json.loads(good)
             ckpt = entry["checkpoint"]
             if name == "weights":
                 ckpt["weights"] = short
-            elif name.startswith("epoch_weights"):
-                ckpt["epoch_weights"][1] = short
             else:
                 ckpt["rule_state"][name] = short
             path.write_text(json.dumps(entry))
@@ -318,4 +325,29 @@ class TestElasticResume:
         assert resumed.info["resumed_from_epoch"] == HALF
         assert resumed.weights.tobytes() == ckpt.weights.tobytes()
         finished = _driver(ckpt_problem, 3, store).run(EPOCHS, resume=True)
+        assert [e.epoch for e in finished.trace.epochs] == list(range(EPOCHS))
+
+    def test_checkpoint_with_every_epochs_weights_resumes(self, ckpt_problem, tmp_path):
+        """Checkpoint files written while checkpoints held every completed
+        epoch's weights carry them under ``epoch_weights``; the key is
+        ignored, whatever its arrays' shapes."""
+        import json
+
+        store = CheckpointStore(tmp_path)
+        writer = _driver(ckpt_problem, 2, store)
+        writer.run(HALF)
+        path = store.path_for(writer.checkpoint_identity(), HALF)
+        entry = json.loads(path.read_text())
+        weights = entry["checkpoint"]["weights"]
+        entry["checkpoint"]["epoch_weights"] = [weights, encode_array(np.ones(1))]
+        path.write_text(json.dumps(entry))
+
+        ckpt = store.load(writer.checkpoint_identity(), HALF)
+        assert "epoch_weights" not in ckpt.to_dict()
+        reported = []
+        finished = _driver(
+            ckpt_problem, 2, store, epoch_callback=lambda epoch, w: reported.append(epoch)
+        ).run(EPOCHS, resume=True)
+        assert finished.info["resumed_from_epoch"] == HALF
+        assert reported == list(range(HALF, EPOCHS))
         assert [e.epoch for e in finished.trace.epochs] == list(range(EPOCHS))

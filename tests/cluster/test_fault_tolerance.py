@@ -112,15 +112,22 @@ class TestMidEpochRecovery:
         snapshot equal a clean run's byte for byte."""
         epochs = 4
         part = _partition(chaos_problem, workers=1)
-        clean = _driver(chaos_problem, part).run(epochs)
+        clean_epochs, struck_epochs = [], []
+        clean = _driver(
+            chaos_problem, part, epoch_callback=lambda e, w: clean_epochs.append((e, w))
+        ).run(epochs)
         injector = FaultInjector(kill_point=KillPoint(epoch=2, fraction=0.5))
-        struck = _driver(chaos_problem, part, fault_hook=injector).run(epochs)
+        struck = _driver(
+            chaos_problem, part, fault_hook=injector,
+            epoch_callback=lambda e, w: struck_epochs.append((e, w)),
+        ).run(epochs)
 
         assert len(injector.strikes) == 1
         assert struck.info["respawns"] >= 1
         assert struck.weights.tobytes() == clean.weights.tobytes()
-        assert len(struck.epoch_weights) == len(clean.epoch_weights) == epochs
-        for got, want in zip(struck.epoch_weights, clean.epoch_weights):
+        # The replayed epoch is reported once: exactly 0..E-1 on both runs.
+        assert [e for e, _ in struck_epochs] == [e for e, _ in clean_epochs] == list(range(epochs))
+        for (_, got), (_, want) in zip(struck_epochs, clean_epochs):
             assert got.tobytes() == want.tobytes()
 
     def test_recovery_with_persistent_store(self, chaos_problem, tmp_path):

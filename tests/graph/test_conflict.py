@@ -5,7 +5,6 @@ import pytest
 
 from repro.graph.conflict import (
     average_conflict_degree,
-    build_conflict_graph,
     conflict_graph_stats,
     estimate_average_degree,
     pairwise_conflicts,
@@ -41,19 +40,30 @@ class TestPairwiseConflicts:
         assert not pairwise_conflicts(X, 0, 1)
 
 
-class TestExactGraph:
-    def test_edges_match_expectation(self, toy_matrix):
-        graph = build_conflict_graph(toy_matrix)
-        assert set(graph.edges()) == {(0, 1), (1, 3)}
+def _brute_force_degrees(X):
+    """Each row's conflict degree from ``pairwise_conflicts`` over every pair."""
+    return [
+        sum(pairwise_conflicts(X, i, j) for j in range(X.n_rows) if j != i)
+        for i in range(X.n_rows)
+    ]
 
-    def test_pairwise_conflicts_matches_graph_edges(self):
-        X = CSRMatrix.from_rows(
-            [([0, 1], [1.0, 1.0]), ([1, 2], [1.0, 1.0]), ([3], [1.0]), ([], [])], n_cols=4
-        )
-        graph = build_conflict_graph(X)
-        for i in range(X.n_rows):
-            for j in range(i + 1, X.n_rows):
-                assert graph.has_edge(i, j) == pairwise_conflicts(X, i, j)
+
+class TestExactDegree:
+    def test_degrees_match_expectation(self, toy_matrix):
+        # Edges 0-1 and 1-3.
+        assert _brute_force_degrees(toy_matrix) == [1, 2, 0, 1]
+        assert average_conflict_degree(toy_matrix) == 1.0
+
+    @pytest.mark.parametrize("which", ["small", "empty-row"])
+    def test_average_degree_equals_pairwise_brute_force(self, small_dataset, which):
+        if which == "small":
+            X = small_dataset[0]
+        else:
+            X = CSRMatrix.from_rows(
+                [([0, 1], [1.0, 1.0]), ([1, 2], [1.0, 1.0]), ([3], [1.0]), ([], [])], n_cols=4
+            )
+        degrees = _brute_force_degrees(X)
+        assert average_conflict_degree(X) == sum(degrees) / X.n_rows
 
     def test_average_degree(self, toy_matrix):
         # Degrees: 1, 2, 0, 1 -> mean 1.0
@@ -61,8 +71,8 @@ class TestExactGraph:
 
     def test_max_rows_guard(self):
         X = CSRMatrix.from_dense(np.eye(10))
-        with pytest.raises(ValueError):
-            build_conflict_graph(X, max_rows=5)
+        with pytest.raises(ValueError, match="limit 5"):
+            average_conflict_degree(X, max_rows=5)
 
     def test_disjoint_features_degree_zero(self):
         X = CSRMatrix.from_dense(np.eye(6))

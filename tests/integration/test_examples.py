@@ -7,6 +7,7 @@ renamed API, broken argument parsing) fails the suite.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +17,9 @@ import pytest
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 
 
-def _run(script: str, *args: str, timeout: int = 240) -> subprocess.CompletedProcess:
+def _run(script: str, *args: str, timeout: int = 240, env=None) -> subprocess.CompletedProcess:
     cmd = [sys.executable, str(EXAMPLES_DIR / script), *args]
-    return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout, env=env)
 
 
 @pytest.mark.parametrize(
@@ -39,10 +40,15 @@ def _run(script: str, *args: str, timeout: int = 240) -> subprocess.CompletedPro
         ("custom_libsvm_data.py", ["--epochs", "2", "--workers", "4"], "final model"),
     ],
 )
-def test_example_runs(script, args, expect):
-    result = _run(script, *args)
+def test_example_runs(script, args, expect, tmp_path):
+    # Temporary files go to a directory of the test's own, which the
+    # example must leave empty.
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    result = _run(script, *args, env={**os.environ, "TMPDIR": str(scratch)})
     assert result.returncode == 0, f"{script} failed:\n{result.stdout}\n{result.stderr}"
     assert expect in result.stdout
+    assert list(scratch.iterdir()) == []
 
 
 def test_reproduce_figures_smoke(tmp_path):

@@ -168,7 +168,18 @@ class TestExecute:
         assert len(result.trace.epochs) == 1
         assert result.wall_clock is None
         assert result.info["async_mode"] == "per_sample"
-        assert len(result.epoch_weights) == 1
+
+    @pytest.mark.parametrize("mode", ["per_sample", "batched", "process"])
+    def test_epoch_callback_fires_once_per_epoch_with_a_copy(self, small_problem, mode):
+        calls = []
+        request = _request(small_problem, epochs=3,
+                           epoch_callback=lambda epoch, w: calls.append((epoch, w)))
+        result = execute(mode, request)
+        assert [epoch for epoch, _ in calls] == [0, 1, 2]
+        # The callee keeps what it is handed: distinct copies, the last
+        # equal to the final weights.
+        assert calls[0][1].tobytes() != calls[-1][1].tobytes()
+        assert calls[-1][1].tobytes() == result.weights.tobytes()
 
     def test_custom_backend_is_dispatchable(self, small_problem):
         class EchoBackend(ExecutionBackend):
@@ -187,10 +198,9 @@ class TestExecute:
                 trace = ExecutionTrace()
                 trace.add_epoch(EpochEvent(epoch=0, iterations=1))
                 w = np.zeros(request.X.n_cols)
-                return ExecutionResult(
-                    weights=w, trace=trace, epoch_weights=[w],
-                    info={"async_mode": "echo"},
-                )
+                if request.epoch_callback is not None:
+                    request.epoch_callback(0, w.copy())
+                return ExecutionResult(weights=w, trace=trace, info={"async_mode": "echo"})
 
         register_backend(EchoBackend())
         try:

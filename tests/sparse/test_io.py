@@ -95,6 +95,14 @@ class TestFileRoundtrip:
         X2, y2 = load_libsvm(path, max_rows=2, n_features=3)
         assert X2.n_rows == 2
 
+    @pytest.mark.parametrize("max_rows", [0, -1])
+    def test_max_rows_below_one_is_rejected(self, tmp_path, max_rows):
+        X, y = self._example()
+        path = tmp_path / "data.libsvm"
+        save_libsvm(X, y, path)
+        with pytest.raises(ValueError, match="max_rows must be at least 1"):
+            load_libsvm(path, max_rows=max_rows)
+
     def test_n_features_too_small(self, tmp_path):
         X, y = self._example()
         path = tmp_path / "data.libsvm"
@@ -214,7 +222,7 @@ class TestBulkReaderParity:
         _assert_bit_identical(load_libsvm(path, zero_based=True),
                               _per_line_load(text, zero_based=True))
 
-    @pytest.mark.parametrize("max_rows", [0, 1, 2, 3, 10])
+    @pytest.mark.parametrize("max_rows", [1, 2, 3, 10])
     @pytest.mark.parametrize("tail", ["", "this line is malformed\n"], ids=["plain", "bad-line-after"])
     def test_max_rows(self, tmp_path, chunk_bytes, max_rows, tail):
         text = "1 1:1\n\n-1 2:2 5:1\n1 3:3\n" + (tail if max_rows <= 3 else "")
