@@ -126,7 +126,8 @@ class TestMidEpochRecovery:
         assert struck.info["respawns"] >= 1
         assert struck.weights.tobytes() == clean.weights.tobytes()
         # The replayed epoch is reported once: exactly 0..E-1 on both runs.
-        assert [e for e, _ in struck_epochs] == [e for e, _ in clean_epochs] == list(range(epochs))
+        assert [e for e, _ in struck_epochs] == list(range(epochs))
+        assert [e for e, _ in clean_epochs] == list(range(epochs))
         for (_, got), (_, want) in zip(struck_epochs, clean_epochs):
             assert got.tobytes() == want.tobytes()
 

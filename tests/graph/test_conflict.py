@@ -52,18 +52,14 @@ class TestExactDegree:
     def test_degrees_match_expectation(self, toy_matrix):
         # Edges 0-1 and 1-3.
         assert _brute_force_degrees(toy_matrix) == [1, 2, 0, 1]
-        assert average_conflict_degree(toy_matrix) == 1.0
 
-    @pytest.mark.parametrize("which", ["small", "empty-row"])
-    def test_average_degree_equals_pairwise_brute_force(self, small_dataset, which):
-        if which == "small":
-            X = small_dataset[0]
-        else:
-            X = CSRMatrix.from_rows(
-                [([0, 1], [1.0, 1.0]), ([1, 2], [1.0, 1.0]), ([3], [1.0]), ([], [])], n_cols=4
-            )
-        degrees = _brute_force_degrees(X)
-        assert average_conflict_degree(X) == sum(degrees) / X.n_rows
+    def test_average_degree_equals_pairwise_brute_force(self, small_dataset):
+        with_empty_row = CSRMatrix.from_rows(
+            [([0, 1], [1.0, 1.0]), ([1, 2], [1.0, 1.0]), ([3], [1.0]), ([], [])], n_cols=4
+        )
+        for X in (with_empty_row, small_dataset[0]):
+            degrees = _brute_force_degrees(X)
+            assert average_conflict_degree(X) == sum(degrees) / X.n_rows
 
     def test_average_degree(self, toy_matrix):
         # Degrees: 1, 2, 0, 1 -> mean 1.0

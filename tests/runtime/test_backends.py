@@ -198,8 +198,6 @@ class TestExecute:
                 trace = ExecutionTrace()
                 trace.add_epoch(EpochEvent(epoch=0, iterations=1))
                 w = np.zeros(request.X.n_cols)
-                if request.epoch_callback is not None:
-                    request.epoch_callback(0, w.copy())
                 return ExecutionResult(weights=w, trace=trace, info={"async_mode": "echo"})
 
         register_backend(EchoBackend())
