@@ -38,8 +38,6 @@ from repro.solvers import (
     ASGDSolver,
     ISSGDSolver,
     Problem,
-    SAGAASGDSolver,
-    SAGASolver,
     SGDSolver,
     SVRGASGDSolver,
     SVRGSolver,
@@ -50,7 +48,7 @@ from repro.sparse import CSRMatrix, load_libsvm
 from repro.async_engine import CostModel
 from repro.cluster import ClusterDriver
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -80,10 +78,8 @@ __all__ = [
     "SGDSolver",
     "ISSGDSolver",
     "SVRGSolver",
-    "SAGASolver",
     "ASGDSolver",
     "SVRGASGDSolver",
-    "SAGAASGDSolver",
     "make_solver",
     # runtime (rules × backends)
     "UpdateRuleKernel",

@@ -138,8 +138,8 @@ class BatchedSimulator:
     epoch_begin / epoch_end:
         Optional hooks ``(simulator, epoch, event)`` invoked around every
         epoch; when omitted they default to the update rule's own
-        ``epoch_begin``/``epoch_end`` (SVRG's snapshot sync, SAGA's table
-        build), exactly as :class:`AsyncSimulator` wires them.
+        ``epoch_begin``/``epoch_end`` (SVRG's snapshot sync), exactly as
+        :class:`AsyncSimulator` wires them.
     epoch_callback:
         Optional ``(epoch_index, weights)`` callable invoked once after
         every epoch with a copy of the weights, as on :class:`AsyncSimulator`.

@@ -19,8 +19,7 @@ The simulator is solver-agnostic: it executes any
 :class:`~repro.rules.base.UpdateRuleKernel` through the rule's scalar entry
 point, and
 invokes the rule's epoch hooks around every epoch — SVRG's snapshot sync
-and SAGA's table initialisation run here without the simulator knowing
-either rule exists.
+runs here without the simulator knowing the rule exists.
 """
 
 from __future__ import annotations

@@ -6,10 +6,9 @@ next release barrier, no lock-free write is in flight — so the driver can
 take a consistent cut of the whole run:
 
 * the parameter vector (in global coordinate order, the arena's own
-  layout, so it restores bit-identically at any fleet size);
-* per-rule shared state (SAGA's coefficient table and running average;
-  SVRG's snapshot blocks are *recomputed* from the weights at every epoch
-  start and need no extra state);
+  layout, so it restores bit-identically at any fleet size).  It is the
+  only rule state a checkpoint needs: SVRG's snapshot blocks are
+  *recomputed* from the weights at every epoch start;
 * the sampler stream (the seed root plus the per-worker seeds of the next
   epoch — each worker's per-epoch sequence is derived from
   ``(seed_root, worker_id, epoch)`` alone, so a resumed fleet replays the
@@ -77,9 +76,6 @@ class ClusterCheckpoint:
         Parameter vector in global coordinate order.
     rule:
         Update-rule registry name of the run.
-    rule_state:
-        Rule-specific shared state (SAGA: ``saga_coefs``, ``saga_avg``;
-        empty for rules whose epoch state is derived from the weights).
     sampler:
         ``{"seed_root": int, "next_epoch_seeds": [int, ...]}`` — the
         deterministic sampler stream position.
@@ -99,7 +95,6 @@ class ClusterCheckpoint:
     num_workers: int
     weights: np.ndarray
     rule: str
-    rule_state: Dict[str, np.ndarray] = field(default_factory=dict)
     sampler: Dict[str, Any] = field(default_factory=dict)
     counters: Optional[np.ndarray] = None
     shard_write_totals: Optional[np.ndarray] = None
@@ -118,7 +113,8 @@ class ClusterCheckpoint:
             "num_workers": int(self.num_workers),
             "weights": encode_array(self.weights),
             "rule": self.rule,
-            "rule_state": {k: encode_array(v) for k, v in self.rule_state.items()},
+            # Always empty; readers of format 1 before 2.0.0 require the key.
+            "rule_state": {},
             "sampler": self.sampler,
             "counters": encode_array(self.counters) if self.counters is not None else None,
             "shard_write_totals": (
@@ -137,10 +133,12 @@ class ClusterCheckpoint:
         """Rebuild a checkpoint from :meth:`to_dict` output.
 
         Payloads written while the cluster still had a choice of parameter
-        layouts carry two more keys naming it, and payloads written while
+        layouts carry two more keys naming it, payloads written while
         checkpoints still held every completed epoch's weights carry them
-        under one more key; such keys are ignored.  A payload missing a
-        required key raises :class:`ValueError`.
+        under one more key, and payloads written while a rule could keep
+        shared state of its own carry it under ``rule_state``; such keys
+        are ignored.  A payload missing a required key raises
+        :class:`ValueError`.
         """
         try:
             return cls(
@@ -149,7 +147,6 @@ class ClusterCheckpoint:
                 num_workers=int(payload["num_workers"]),
                 weights=decode_array(payload["weights"]),
                 rule=payload["rule"],
-                rule_state={k: decode_array(v) for k, v in payload["rule_state"].items()},
                 sampler=dict(payload["sampler"]),
                 counters=(
                     decode_array(payload["counters"])

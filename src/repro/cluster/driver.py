@@ -19,7 +19,7 @@ into a fleet of real OS processes sharing one parameter vector:
 The cluster is **elastic and fault-tolerant**:
 
 * every epoch barrier the driver captures a consistent in-memory
-  checkpoint (weights, rule state, sampler stream, folded counters — see
+  checkpoint (weights, sampler stream, folded counters — see
   :mod:`repro.cluster.checkpoint`), optionally persisting it to a
   :class:`~repro.cluster.checkpoint.CheckpointStore` every
   ``checkpoint_every`` epochs;
@@ -72,7 +72,7 @@ from repro.cluster.worker import (
 from repro.core.partition import Partition
 from repro.objectives.base import Objective
 from repro.runtime.trace_fold import fold_sync_step, fold_worker_counters
-from repro.rules import available_rules, make_rule
+from repro.rules import available_rules
 from repro.sparse.csr import CSRMatrix
 from repro.utils.rng import RandomState, as_rng
 
@@ -223,10 +223,9 @@ class ClusterDriver:
         uniformly otherwise.
     rule:
         A registered :mod:`repro.rules` name (``"sgd"``, ``"is_sgd"``,
-        ``"svrg"``, ``"svrg_skip_dense"``, ``"saga"``); the workers execute
-        the rule's single block definition, and the driver provisions its
-        shared state (SVRG's per-epoch µ/snapshot blocks, SAGA's
-        coefficient table + running average).  Custom rules registered at
+        ``"svrg"``, ``"svrg_skip_dense"``); the workers execute the rule's
+        single block definition, and the driver provisions its shared
+        state (SVRG's per-epoch µ/snapshot blocks).  Custom rules registered at
         runtime are only constructible inside the worker processes when
         they inherit the parent's registry (the ``fork`` start method) —
         the runtime dispatch therefore routes them to the in-process tiers
@@ -252,8 +251,6 @@ class ClusterDriver:
         ``"auto"`` (default) arms stealing for an epoch when the planned or
         previously measured :func:`~repro.cluster.cost_model.work_skew`
         exceeds ``steal_skew_threshold``; ``True``/``False`` force it.
-        SAGA never steals (its coefficient-table rows are owned per sample
-        shard).
     fault_hook:
         Optional observer ``hook(kind, payload)`` called at
         ``"fleet_spawned"``, ``"epoch_running"`` (between the release and
@@ -436,11 +433,8 @@ class ClusterDriver:
             if restored is not None:
                 self._restore(arena, state, restored)
                 state.start_epoch = state.resumed_from = restored.epoch
-            else:
-                if initial_weights is not None:
-                    arena["weights"][...] = initial_weights
-                if self.rule == "saga":
-                    self._init_saga_state(arena)
+            elif initial_weights is not None:
+                arena["weights"][...] = initial_weights
             state.mem_ckpt = self._capture(arena, state, state.start_epoch)
             return self._drive(epochs, arena, state, sampling)
         finally:
@@ -526,37 +520,21 @@ class ClusterDriver:
         if self.rule in ("svrg", "svrg_skip_dense"):
             arena.create("mu", (d,), "float64")
             arena.create("snap_margins", (self.X.n_rows,), "float64")
-        if self.rule == "saga":
-            arena.create("saga_coefs", (self.X.n_rows,), "float64")
-            arena.create("saga_avg", (d,), "float64")
-
-    def _init_saga_state(self, arena: ShmArena) -> None:
-        """SAGA's shared table state at the starting iterate (one kernel pass)."""
-        from repro.kernels.registry import resolve_backend
-
-        rule = make_rule(self.rule, self.objective, self.step_size)
-        coefs0, avg0 = rule.initial_state(
-            self.X, self.y, arena["weights"], resolve_backend(self.kernel_name)
-        )
-        arena["saga_coefs"][...] = coefs0
-        arena["saga_avg"][...] = avg0
 
     # ------------------------------------------------------------------ #
     def _capture(self, arena: ShmArena, state: _RunState, epoch: int) -> ClusterCheckpoint:
-        """A consistent checkpoint of the quiescent arena at ``epoch``."""
-        rule_state: Dict[str, np.ndarray] = {}
-        if self.rule == "saga":
-            rule_state = {
-                "saga_coefs": arena["saga_coefs"].copy(),
-                "saga_avg": arena["saga_avg"].copy(),
-            }
+        """A consistent checkpoint of the quiescent arena at ``epoch``.
+
+        The trace is a new list over the same folded events (an event does
+        not change once folded), so a capture costs the same at every
+        epoch; the events are serialised only when a store saves them.
+        """
         return ClusterCheckpoint(
             identity=self.checkpoint_identity(),
             epoch=int(epoch),
             num_workers=self.num_workers,
             weights=arena["weights"].copy(),
             rule=self.rule,
-            rule_state=rule_state,
             sampler={
                 "seed_root": self._seed_root,
                 "next_epoch_seeds": [
@@ -566,7 +544,7 @@ class ClusterDriver:
             counters=state.base_counters + state.prev_counters.sum(axis=0),
             shard_write_totals=state.base_shard_totals
             + state.prev_shard_writes.sum(axis=0),
-            trace=ExecutionTrace.from_dict(state.trace.to_dict()),
+            trace=ExecutionTrace(epochs=list(state.trace.epochs)),
             epoch_seconds=list(state.epoch_seconds),
             epoch_mean_delay=list(state.epoch_mean_delay),
             epoch_occupancy_skew=list(state.epoch_occ),
@@ -577,28 +555,17 @@ class ClusterDriver:
         """Load ``checkpoint`` into the arena and roll the run state back.
 
         Arena and checkpoint share one layout, so a checkpoint written at
-        any fleet size restores bit-identically.  An array of another shape
-        raises :class:`ValueError` before anything is copied: assigned into
-        the arena, a short one would be broadcast over every coordinate.
+        any fleet size restores bit-identically.  Weights of another shape
+        raise :class:`ValueError` before anything is copied: assigned into
+        the arena, a short vector would be broadcast over every coordinate.
         """
-        shape = arena["weights"].shape
-        arrays = [("weights", checkpoint.weights, shape)]
-        if self.rule == "saga":
-            arrays += [
-                (name, checkpoint.rule_state.get(name), arena[name].shape)
-                for name in ("saga_coefs", "saga_avg")
-            ]
-        for name, array, expected in arrays:
-            if array is None:
-                raise ValueError(f"checkpoint array {name} is missing")
-            if array.shape != expected:
-                raise ValueError(
-                    f"checkpoint array {name} has shape {array.shape}, expected {expected}"
-                )
+        expected = arena["weights"].shape
+        if checkpoint.weights.shape != expected:
+            raise ValueError(
+                f"checkpoint array weights has shape {checkpoint.weights.shape}, "
+                f"expected {expected}"
+            )
         arena["weights"][...] = checkpoint.weights
-        if self.rule == "saga":
-            arena["saga_coefs"][...] = checkpoint.rule_state["saga_coefs"]
-            arena["saga_avg"][...] = checkpoint.rule_state["saga_avg"]
         arena["counters"][...] = 0
         arena["shard_writes"][...] = 0
         arena["progress"][...] = 0
@@ -624,7 +591,7 @@ class ClusterDriver:
             # Range count changed across the restore: per-range attribution
             # of the earlier segment no longer maps; fractions restart.
             state.base_shard_totals = np.zeros(self._num_shards, np.int64)
-        state.trace = ExecutionTrace.from_dict(checkpoint.trace.to_dict())
+        state.trace = ExecutionTrace(epochs=list(checkpoint.trace.epochs))
         state.epoch_seconds = list(checkpoint.epoch_seconds)
         state.epoch_mean_delay = list(checkpoint.epoch_mean_delay)
         state.epoch_occ = list(checkpoint.epoch_occupancy_skew)
@@ -673,10 +640,6 @@ class ClusterDriver:
                 kernel_name=self.kernel_name,
                 dim=self.X.n_cols,
                 start_epoch=start_epoch,
-                # SAGA's coefficient-table rows are owned per sample shard;
-                # a thief executing a stolen block would write rows the
-                # owner assumes private, so SAGA never steals.
-                steal_ok=self.rule != "saga",
             )
             procs.append(ctx.Process(target=run_worker, args=(task, lock), daemon=True))
         for proc in procs:
@@ -686,7 +649,7 @@ class ClusterDriver:
 
     def _arm_stealing(self, arena: ShmArena, state: _RunState) -> bool:
         """Decide (and publish) whether this epoch's workers may steal."""
-        if self.num_workers < 2 or self.rule == "saga":
+        if self.num_workers < 2:
             armed = False
         elif self.work_stealing is True:
             armed = True
@@ -777,11 +740,6 @@ class ClusterDriver:
         # an SVRG epoch) and the skip-µ epoch-level dense add.  Only
         # metrics bookkeeping (snapshots, counter reads) stays out.
         started = time.perf_counter()
-        if self.rule == "saga" and epoch == 0:
-            # Table initialisation at the starting iterate (performed
-            # before the workers launched) — priced like every other
-            # once-per-run sync step.
-            fold_sync_step(event, nnz=self.X.nnz, dim=d)
         if is_svrg:
             arena["mu"][...] = self.objective.full_gradient(w, self.X, self.y)
             arena["snap_margins"][...] = self.X.dot(w)

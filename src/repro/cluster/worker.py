@@ -42,12 +42,7 @@ which coordinates were overwritten by other workers in that window
 emits, so measured and simulated traces are directly comparable.
 
 Rule-specific shared state rides in the arena: SVRG's per-epoch snapshot
-blocks (``mu``, ``snap_margins``, refreshed by the driver between epochs)
-and SAGA's coefficient table + lock-free running average (``saga_coefs``,
-``saga_avg``).  SAGA's table rows are owned per *sample shard*, so the
-driver never arms stealing for SAGA runs (a thief would write rows the
-owner assumes private); the task-level ``steal_ok`` flag enforces it on
-the worker side too.
+blocks (``mu``, ``snap_margins``, refreshed by the driver between epochs).
 """
 
 from __future__ import annotations
@@ -141,7 +136,6 @@ class WorkerTask:
     kernel_name: Optional[str] = None
     dim: int = 0
     start_epoch: int = 0                # global index of the first epoch to run
-    steal_ok: bool = True               # rule allows executing stolen blocks
 
 
 def run_worker(task: WorkerTask, lock=None) -> None:
@@ -247,10 +241,6 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
     is_svrg = task.rule in ("svrg", "svrg_skip_dense")
     mu = arena["mu"] if is_svrg else None
     snap_margins = arena["snap_margins"] if is_svrg else None
-    if task.rule == "saga":
-        # Table rows of this worker's shard are written by this worker
-        # only; the running average is genuinely shared (Hogwild writes).
-        rule.attach_state(arena["saga_coefs"], arena["saga_avg"], X.n_rows)
     grad_nnz_mult = int(rule.grad_nnz_multiplier)
     count_sample_draws = bool(rule.counts_sample_draws)
 
@@ -259,9 +249,7 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
     for k in range(task.epochs):
         tag = task.start_epoch + k
         barrier_phase(barrier_arrive, barrier_state, wid, 2 * k + 1)  # epoch start
-        steal_ok = (
-            task.steal_ok and task.num_workers > 1 and int(steal_enabled[0]) == 1
-        )
+        steal_ok = task.num_workers > 1 and int(steal_enabled[0]) == 1
         sequence = SampleSequence.generate(
             task.probabilities, task.iterations_per_epoch, seed=int(epoch_seeds[k]),
             sampler=sampler,

@@ -4,15 +4,16 @@ A :class:`KernelBackend` bundles every numeric primitive the solvers,
 objectives and metrics need into one swappable object:
 
 * CSR linear algebra — full and subset matrix-vector products
-  (:meth:`matvec`, :meth:`rmatvec`, :meth:`margins`) and the scatter-add of
-  scaled sparse rows (:meth:`accumulate_rows`);
-* the per-sample hot path — :meth:`row_margin`, :meth:`sample_grad`,
-  :meth:`row_update`, the fused :meth:`sample_update` that one SGD-style
-  iteration consists of, and the block primitives
-  :meth:`run_sample_block` / :meth:`run_frozen_block` that execute a whole
-  schedule block of such steps in one call;
-* batched objective math — per-sample losses and loss derivatives
-  (:meth:`losses`, :meth:`grad_coeffs`) built on the
+  (:meth:`matvec`, :meth:`rmatvec`, :meth:`margins`);
+* gathered-row batch primitives — :meth:`segment_margins` and the
+  scatter-add of per-entry deltas (:meth:`scatter_add`);
+* the per-sample hot path — :meth:`sample_grad`, :meth:`row_update`, the
+  fused :meth:`sample_update` that one SGD-style iteration consists of,
+  and the block primitives :meth:`run_sample_block` /
+  :meth:`run_frozen_block` that execute a whole schedule block of such
+  steps in one call;
+* batched objective math — per-sample losses (:meth:`losses`) and the
+  mini-batch gradient (:meth:`batch_grad`), built on the
   :class:`~repro.objectives.base.Objective` batch API;
 * full-dataset quantities — :meth:`full_loss`, :meth:`full_gradient` and
   the one-pass metrics evaluation :meth:`evaluate`.
@@ -89,15 +90,6 @@ class KernelBackend(ABC):
     ) -> np.ndarray:
         """Margins ``<x_i, w>`` for ``rows`` (all rows when ``None``)."""
 
-    @abstractmethod
-    def accumulate_rows(
-        self, X: CSRMatrix, rows: np.ndarray, coeffs: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """Scatter-add of scaled sparse rows: ``out += Σ_t coeffs[t] * x_{rows[t]}``.
-
-        ``rows`` may repeat; ``out`` is modified in place and returned.
-        """
-
     # ------------------------------------------------------------------ #
     # Gathered-row (pre-sliced CSR) batch primitives
     # ------------------------------------------------------------------ #
@@ -135,14 +127,6 @@ class KernelBackend(ABC):
     # ------------------------------------------------------------------ #
     # Per-sample hot path
     # ------------------------------------------------------------------ #
-    def row(self, X: CSRMatrix, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(indices, values)`` views of row ``i``."""
-        return X.row(i)
-
-    @abstractmethod
-    def row_margin(self, X: CSRMatrix, i: int, w: np.ndarray) -> float:
-        """Margin ``<x_i, w>`` of one row."""
-
     @abstractmethod
     def row_update(
         self, w: np.ndarray, X: CSRMatrix, i: int, values: np.ndarray, scale: float = 1.0
@@ -246,17 +230,6 @@ class KernelBackend(ABC):
         rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Unregularised per-sample losses ``phi_i(w)`` for ``rows`` (all when ``None``)."""
-
-    @abstractmethod
-    def grad_coeffs(
-        self,
-        obj: "Objective",
-        X: CSRMatrix,
-        y: np.ndarray,
-        w: np.ndarray,
-        rows: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Per-sample loss derivatives w.r.t. the margin for ``rows`` (all when ``None``)."""
 
     # ------------------------------------------------------------------ #
     # Full-dataset quantities

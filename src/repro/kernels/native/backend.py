@@ -158,24 +158,6 @@ class NativeKernel(VectorizedKernel):
         )
         return out
 
-    def accumulate_rows(
-        self, X: CSRMatrix, rows: np.ndarray, coeffs: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        rows_arr, rows_ptr = self._i64(rows)
-        out_ptr = self._wptr(out)
-        if rows_arr.size == 0:
-            return out
-        if out_ptr is None:
-            return super().accumulate_rows(X, rows_arr, coeffs, out)
-        coeffs_arr, coeffs_ptr = self._f64(coeffs)
-        _, indptr = self._i32(X.indptr)
-        _, indices = self._i32(X.indices)
-        _, data = self._f64(X.data)
-        self._lib.repro_accumulate_rows(
-            rows_arr.size, rows_ptr, indptr, indices, data, coeffs_ptr, out_ptr
-        )
-        return out
-
     # ------------------------------------------------------------------ #
     # Gathered-row batch primitives
     # ------------------------------------------------------------------ #
@@ -320,29 +302,6 @@ class NativeKernel(VectorizedKernel):
         margins = self.margins(X, w, rows)
         y_sel = y if rows is None else y[np.asarray(rows, dtype=np.int64)]
         return self._native_losses(disp, margins, y_sel)
-
-    def grad_coeffs(
-        self,
-        obj,
-        X: CSRMatrix,
-        y: np.ndarray,
-        w: np.ndarray,
-        rows: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        disp = self._dispatch(obj)
-        if disp is None:
-            return super().grad_coeffs(obj, X, y, w, rows)
-        margins = self.margins(X, w, rows)
-        y_sel = y if rows is None else y[np.asarray(rows, dtype=np.int64)]
-        out = np.empty(margins.size, dtype=np.float64)
-        if margins.size:
-            margins_arr, margins_ptr = self._f64(margins)
-            y_arr, y_ptr = self._f64(y_sel)
-            self._lib.repro_grad_coeffs(
-                disp[0], margins_arr.size, margins_ptr, y_ptr,
-                self._ffi.from_buffer("double[]", out),
-            )
-        return out
 
     # ------------------------------------------------------------------ #
     # Full-dataset quantities

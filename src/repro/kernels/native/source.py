@@ -40,17 +40,12 @@ void repro_rmatvec(int64_t n_rows, const int32_t *indptr, const int32_t *indices
 void repro_margins_rows(int64_t n_sel, const int64_t *rows, const int32_t *indptr,
                         const int32_t *indices, const double *data,
                         const double *w, double *out);
-void repro_accumulate_rows(int64_t n_sel, const int64_t *rows, const int32_t *indptr,
-                           const int32_t *indices, const double *data,
-                           const double *coeffs, double *out);
 void repro_segment_margins(int64_t n_seg, const int64_t *lengths, const int32_t *idx,
                            const double *val, const double *w, double *out);
 void repro_scatter_add(int64_t nnz, const int32_t *idx, const double *weights,
                        double *w);
 void repro_losses(int obj_id, int64_t n, const double *margins, const double *y,
                   double *out);
-void repro_grad_coeffs(int obj_id, int64_t n, const double *margins, const double *y,
-                       double *out);
 int64_t repro_sample_update(int obj_id, int has_reg, double r1, double r2,
                             const int32_t *indptr, const int32_t *indices,
                             const double *data, int64_t i, double y_i,
@@ -169,18 +164,6 @@ void repro_margins_rows(int64_t n_sel, const int64_t *rows, const int32_t *indpt
     }
 }
 
-void repro_accumulate_rows(int64_t n_sel, const int64_t *rows, const int32_t *indptr,
-                           const int32_t *indices, const double *data,
-                           const double *coeffs, double *out)
-{
-    for (int64_t t = 0; t < n_sel; ++t) {
-        int64_t i = rows[t];
-        double c = coeffs[t];
-        for (int32_t k = indptr[i]; k < indptr[i + 1]; ++k)
-            out[indices[k]] += c * data[k];
-    }
-}
-
 void repro_segment_margins(int64_t n_seg, const int64_t *lengths, const int32_t *idx,
                            const double *val, const double *w, double *out)
 {
@@ -207,13 +190,6 @@ void repro_losses(int obj_id, int64_t n, const double *margins, const double *y,
 {
     for (int64_t i = 0; i < n; ++i)
         out[i] = repro_loss_value(obj_id, margins[i], y[i]);
-}
-
-void repro_grad_coeffs(int obj_id, int64_t n, const double *margins, const double *y,
-                       double *out)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = repro_loss_deriv(obj_id, margins[i], y[i]);
 }
 
 /* One fused SGD step: w += scale * (phi'(<x_i, w>) * x_i + nabla r(w)|_supp).

@@ -50,15 +50,6 @@ class ReferenceKernel(KernelBackend):
             out[t] = X.row_dot(int(i), w)
         return out
 
-    def accumulate_rows(
-        self, X: CSRMatrix, rows: np.ndarray, coeffs: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        for t, i in enumerate(np.asarray(rows, dtype=np.int64)):
-            idx, val = X.row(int(i))
-            if idx.size:
-                np.add.at(out, idx, float(coeffs[t]) * val)
-        return out
-
     # segment_margins: the KernelBackend default *is* the reference loop.
 
     def scatter_add(self, w: np.ndarray, idx: np.ndarray, weights: np.ndarray) -> None:
@@ -89,9 +80,6 @@ class ReferenceKernel(KernelBackend):
     # ------------------------------------------------------------------ #
     # Per-sample hot path
     # ------------------------------------------------------------------ #
-    def row_margin(self, X: CSRMatrix, i: int, w: np.ndarray) -> float:
-        return X.row_dot(i, w)
-
     def row_update(
         self, w: np.ndarray, X: CSRMatrix, i: int, values: np.ndarray, scale: float = 1.0
     ) -> None:
@@ -131,22 +119,6 @@ class ReferenceKernel(KernelBackend):
         for t, i in enumerate(rows):
             x_idx, x_val = X.row(int(i))
             out[t] = obj.sample_loss(w, x_idx, x_val, float(y[int(i)]))
-        return out
-
-    def grad_coeffs(
-        self,
-        obj,
-        X: CSRMatrix,
-        y: np.ndarray,
-        w: np.ndarray,
-        rows: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        rows = np.arange(X.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
-        out = np.zeros(rows.size, dtype=np.float64)
-        for t, i in enumerate(rows):
-            i = int(i)
-            margin = X.row_dot(i, w)
-            out[t] = obj._loss_derivative(margin, float(y[i]))
         return out
 
     # ------------------------------------------------------------------ #

@@ -4,13 +4,14 @@ The backend replaces every batched quantity with one NumPy expression over
 the flat CSR ``(data, indices, indptr)`` arrays:
 
 * margins of a row subset — gather + ``np.add.reduceat`` segment sums;
-* scatter-add of scaled sparse rows — gather + ``np.bincount`` with weights;
+* scatter-add of gathered entries — ``np.unique`` + ``np.bincount`` with
+  weights;
 * per-sample losses/derivatives — one call into the objective's batch API
   (:meth:`~repro.objectives.base.Objective.batch_loss` /
   :meth:`~repro.objectives.base.Objective.batch_grad_coeffs`);
 * metrics evaluation — a single matvec shared by RMSE and error rate.
 
-The sequential per-sample primitives (``row_margin`` / ``sample_update``)
+The sequential per-sample primitives (``sample_grad`` / ``sample_update``)
 perform the *same floating-point operations* as the reference backend — the
 margin is an ``np.dot`` over the support and the update touches each support
 coordinate exactly once — so serial SGD-style trajectories are bitwise
@@ -70,15 +71,6 @@ class VectorizedKernel(KernelBackend):
         idx, val, lengths = X.gather_rows(rows)
         return _segment_sums(val * w[idx], lengths)
 
-    def accumulate_rows(
-        self, X: CSRMatrix, rows: np.ndarray, coeffs: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        idx, val, lengths = X.gather_rows(rows)
-        if idx.size:
-            weights = np.repeat(np.asarray(coeffs, dtype=np.float64), lengths) * val
-            out += np.bincount(idx, weights=weights, minlength=out.shape[0])
-        return out
-
     def segment_margins(
         self, idx: np.ndarray, val: np.ndarray, lengths: np.ndarray, w: np.ndarray
     ) -> np.ndarray:
@@ -119,12 +111,6 @@ class VectorizedKernel(KernelBackend):
     # ------------------------------------------------------------------ #
     # Per-sample hot path (raw-slice variants of the reference semantics)
     # ------------------------------------------------------------------ #
-    def row_margin(self, X: CSRMatrix, i: int, w: np.ndarray) -> float:
-        lo, hi = X.indptr[i], X.indptr[i + 1]
-        if lo == hi:
-            return 0.0
-        return float(np.dot(X.data[lo:hi], w[X.indices[lo:hi]]))
-
     def row_update(
         self, w: np.ndarray, X: CSRMatrix, i: int, values: np.ndarray, scale: float = 1.0
     ) -> None:
@@ -179,18 +165,6 @@ class VectorizedKernel(KernelBackend):
         margins = self.margins(X, w, rows)
         y_sel = y if rows is None else y[np.asarray(rows, dtype=np.int64)]
         return obj.batch_loss(margins, y_sel)
-
-    def grad_coeffs(
-        self,
-        obj,
-        X: CSRMatrix,
-        y: np.ndarray,
-        w: np.ndarray,
-        rows: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        margins = self.margins(X, w, rows)
-        y_sel = y if rows is None else y[np.asarray(rows, dtype=np.int64)]
-        return obj.batch_grad_coeffs(margins, y_sel)
 
     # ------------------------------------------------------------------ #
     # Full-dataset quantities

@@ -17,8 +17,6 @@ Registered rules:
 * ``svrg`` — asynchronous SVRG (Algorithm 1), dense µ every iteration.
 * ``svrg_skip_dense`` — the paper's skip-µ ablation (dense term folded in
   once per epoch).
-* ``saga`` — asynchronous SAGA (coefficient table + lock-free running
-  average), the runtime layer's new cross-tier scenario.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from repro.rules.base import EngineFacade, UpdateRuleKernel
-from repro.rules.saga import SAGARule
 from repro.rules.sgd import ISSGDRule, SGDRule
 from repro.rules.svrg import SVRGRule
 
@@ -42,7 +39,6 @@ _FACTORIES: Dict[str, Callable[..., UpdateRuleKernel]] = {
     "is_sgd": ISSGDRule,
     "svrg": SVRGRule,
     "svrg_skip_dense": _make_svrg_skip_dense,
-    "saga": SAGARule,
 }
 
 #: One-line description per rule (surfaced by ``python -m repro list`` and
@@ -52,7 +48,6 @@ RULE_DESCRIPTIONS: Dict[str, str] = {
     "is_sgd": "SGD with importance-weighted steps 1/(n_a p_i) (IS-ASGD)",
     "svrg": "variance-reduced update with the dense µ term every iteration",
     "svrg_skip_dense": "SVRG with the dense µ term accumulated once per epoch",
-    "saga": "coefficient-table variance reduction with a lock-free running average",
 }
 
 
@@ -100,7 +95,6 @@ __all__ = [
     "SGDRule",
     "ISSGDRule",
     "SVRGRule",
-    "SAGARule",
     "RULE_DESCRIPTIONS",
     "available_rules",
     "rule_description",

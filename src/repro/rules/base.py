@@ -17,8 +17,8 @@ entry points from it:
   singleton arrays and calls :meth:`block_entry_weights`, so a rule cannot
   drift between tiers.
 * epoch hooks (:meth:`epoch_begin` / :meth:`epoch_end`) — per-epoch sync
-  work (SVRG's snapshot + full gradient, SAGA's table initialisation),
-  expressed against the small :class:`EngineFacade` surface that every
+  work (SVRG's snapshot + full gradient, the skip-µ ablation's dense
+  term), expressed against the small :class:`EngineFacade` surface that every
   engine exposes, so the sync step is also written once.
 
 Rules carry their trace metadata (``records_per_iteration``,
@@ -26,18 +26,12 @@ Rules carry their trace metadata (``records_per_iteration``,
 operation counters without per-solver special cases — see
 :mod:`repro.runtime.trace_fold`.
 
-Layout conventions
-------------------
-``block_entry_weights`` receives two index views of the same entries:
-
-* ``idx`` — coordinates *in the layout of* ``w`` (global coordinates for the
-  batched and cluster tiers, or ``arange(nnz)`` paired with a support-sized
-  ``w`` view in the scalar path).  Separable-regulariser lookups use
-  ``(w, idx)``.
-* ``model_idx`` — coordinates in the layout of any *cross-iteration rule
-  state* living alongside the model (SAGA's running average gradient).  It
-  equals ``idx`` except in the scalar path, where ``idx`` is support-local
-  but the rule state is full-size.
+Layout convention
+-----------------
+``block_entry_weights`` receives ``idx`` in the layout of ``w``: global
+coordinates for the batched and cluster tiers, or ``arange(nnz)`` paired
+with a support-sized ``w`` view in the scalar path.  Separable-regulariser
+lookups use ``(w, idx)``.
 """
 
 from __future__ import annotations
@@ -97,14 +91,8 @@ class UpdateRuleKernel:
     #: Whether each inner iteration counts as a weighted sample draw in the
     #: trace (True for SGD-style outer loops, False for VR inner loops).
     counts_sample_draws: bool = True
-    #: Whether two runs of this rule from the same seed produce identical
-    #: traces across the per-sample and batched engines.  Rules with
-    #: cross-iteration dense state (SAGA's running average) freeze that
-    #: state per macro-step, so their conflict accounting is statistically
-    #: — not bitwise — equivalent between the two simulated tiers.
-    trace_exact_batched: bool = True
     #: The dense vector the rule applies once per iteration (SVRG's
-    #: ``-λµ``, SAGA's ``-λḡ``), or ``None`` for purely sparse rules.
+    #: ``-λµ``), or ``None`` for purely sparse rules.
     #: Engines read it right after computing a block/iteration.
     dense_delta: Optional[np.ndarray] = None
     #: Whether the rule's whole frozen-margin macro-step is exactly
@@ -135,16 +123,12 @@ class UpdateRuleKernel:
         idx: np.ndarray,
         val: np.ndarray,
         lengths: np.ndarray,
-        model_idx: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Per-entry additive deltas aligned with the gathered ``(idx, val)``.
 
         ``margins`` are the block-start margins of ``rows``; the returned
         array has one weight per gathered entry, already scaled by the step
         size and the importance re-weighting, ready for one scatter-add.
-        Stateful rules (SAGA) also fold the block into their state here and
-        refresh :attr:`dense_delta` *before* doing so, so the dense term a
-        block applies is the state every iteration of the block observed.
         """
         raise NotImplementedError
 
@@ -182,7 +166,6 @@ class UpdateRuleKernel:
             idx=np.arange(k, dtype=np.int64),
             val=x_val,
             lengths=np.array([k], dtype=np.int64),
-            model_idx=x_idx,
         )
         return entry, self.dense_coordinate_count()
 

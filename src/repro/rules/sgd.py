@@ -10,8 +10,6 @@ registered as an alias of this class rather than a second implementation.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.objectives.regularizers import NoRegularizer
@@ -31,7 +29,6 @@ class SGDRule(UpdateRuleKernel):
     records_per_iteration = 1
     grad_nnz_multiplier = 1
     counts_sample_draws = True
-    trace_exact_batched = True
     dense_delta = None
     # The macro-step below is exactly the stateless frozen-margin shape the
     # fused kernel primitive implements, so batched engines may hand whole
@@ -49,7 +46,6 @@ class SGDRule(UpdateRuleKernel):
         idx: np.ndarray,
         val: np.ndarray,
         lengths: np.ndarray,
-        model_idx: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         coeffs = self.objective.batch_grad_coeffs(margins, y)
         entry = np.repeat(step_weights * coeffs, lengths) * val

@@ -34,7 +34,6 @@ class SVRGRule(UpdateRuleKernel):
     records_per_iteration = 2
     grad_nnz_multiplier = 2
     counts_sample_draws = False
-    trace_exact_batched = True
 
     def __init__(self, objective, step_size: float, *, skip_dense_term: bool = False) -> None:
         super().__init__(objective, step_size)
@@ -92,7 +91,6 @@ class SVRGRule(UpdateRuleKernel):
         idx: np.ndarray,
         val: np.ndarray,
         lengths: np.ndarray,
-        model_idx: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         if self._snapshot_margins is None:
             raise RuntimeError("set_snapshot must be called before the first block")

@@ -44,7 +44,7 @@ from repro.utils.rng import RandomState
 #: its support to these: it provisions rule-specific shared-memory state
 #: and rebuilds rules inside child processes, so runtime-registered custom
 #: rules cannot be guaranteed there.
-_BUILTIN_RULES: Tuple[str, ...] = ("is_sgd", "saga", "sgd", "svrg", "svrg_skip_dense")
+_BUILTIN_RULES: Tuple[str, ...] = ("is_sgd", "sgd", "svrg", "svrg_skip_dense")
 
 #: Environment variable consulted when no explicit mode is configured.
 ASYNC_MODE_ENV_VAR = "REPRO_ASYNC_MODE"

@@ -1,8 +1,7 @@
 """Solver family.
 
-Serial baselines (SGD, IS-SGD, SVRG, SAGA, full GD) and the asynchronous
-solvers (ASGD / Hogwild, SVRG-ASGD and SAGA-ASGD) the paper compares
-against or that the runtime layer unlocks.  The paper's own contribution,
+Serial baselines (SGD, IS-SGD, SVRG, full GD) and the asynchronous
+solvers (ASGD / Hogwild and SVRG-ASGD) the paper compares against.  The paper's own contribution,
 IS-ASGD, lives in :mod:`repro.core.is_asgd` and shares the same
 :class:`~repro.solvers.base.AsyncSolver` base.  The asynchronous solvers
 are thin declarations over :mod:`repro.runtime` — a registered update rule
@@ -15,10 +14,8 @@ from repro.solvers.gd import GradientDescentSolver
 from repro.solvers.sgd import SGDSolver
 from repro.solvers.is_sgd import ISSGDSolver
 from repro.solvers.svrg import SVRGSolver
-from repro.solvers.saga import SAGASolver
 from repro.solvers.asgd import ASGDSolver
 from repro.solvers.svrg_asgd import SVRGASGDSolver
-from repro.solvers.saga_asgd import SAGAASGDSolver
 from repro.solvers.minibatch import MiniBatchSGDSolver
 from repro.solvers.registry import available_solvers, make_solver
 
@@ -31,10 +28,8 @@ __all__ = [
     "SGDSolver",
     "ISSGDSolver",
     "SVRGSolver",
-    "SAGASolver",
     "ASGDSolver",
     "SVRGASGDSolver",
-    "SAGAASGDSolver",
     "MiniBatchSGDSolver",
     "available_solvers",
     "make_solver",

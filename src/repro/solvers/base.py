@@ -267,9 +267,9 @@ class AsyncSolver(BaseSolver):
     *how* to the execution runtime (:mod:`repro.runtime`), which runs it on
     the tier ``async_mode`` selects.  The default :meth:`fit` shards a
     random order uniformly over the workers and runs :attr:`rule` on it;
-    ASGD and SAGA-ASGD are nothing more than that, SVRG-ASGD picks its rule
-    from a flag, and IS-ASGD overrides :meth:`fit` with Algorithm 4's
-    balancing and importance partition.
+    ASGD is nothing more than that, SVRG-ASGD picks its rule from a flag,
+    and IS-ASGD overrides :meth:`fit` with Algorithm 4's balancing and
+    importance partition.
 
     Parameters
     ----------

@@ -35,13 +35,6 @@ def _make_svrg(**kwargs) -> BaseSolver:
     return SVRGSolver(**kwargs)
 
 
-def _make_saga(**kwargs) -> BaseSolver:
-    from repro.solvers.saga import SAGASolver
-
-    kwargs.pop("num_workers", None)
-    return SAGASolver(**kwargs)
-
-
 def _make_asgd(**kwargs) -> BaseSolver:
     from repro.solvers.asgd import ASGDSolver
 
@@ -52,12 +45,6 @@ def _make_svrg_asgd(**kwargs) -> BaseSolver:
     from repro.solvers.svrg_asgd import SVRGASGDSolver
 
     return SVRGASGDSolver(**kwargs)
-
-
-def _make_saga_asgd(**kwargs) -> BaseSolver:
-    from repro.solvers.saga_asgd import SAGAASGDSolver
-
-    return SAGAASGDSolver(**kwargs)
 
 
 def _make_is_asgd(**kwargs) -> BaseSolver:
@@ -79,16 +66,14 @@ _FACTORIES: Dict[str, Callable[..., BaseSolver]] = {
     "is_sgd": _make_is_sgd,
     "gd": _make_gd,
     "svrg": _make_svrg,
-    "saga": _make_saga,
     "asgd": _make_asgd,
     "svrg_asgd": _make_svrg_asgd,
-    "saga_asgd": _make_saga_asgd,
     "is_asgd": _make_is_asgd,
     "minibatch_sgd": _make_minibatch_sgd,
 }
 
 #: Solvers that execute through the runtime layer (accept ``async_mode``).
-ASYNC_SOLVER_NAMES = ("asgd", "is_asgd", "svrg_asgd", "saga_asgd")
+ASYNC_SOLVER_NAMES = ("asgd", "is_asgd", "svrg_asgd")
 
 
 def async_solver_names() -> List[str]:
@@ -135,10 +120,8 @@ _CLASS_PATHS: Dict[str, str] = {
     "is_sgd": "repro.solvers.is_sgd:ISSGDSolver",
     "gd": "repro.solvers.gd:GradientDescentSolver",
     "svrg": "repro.solvers.svrg:SVRGSolver",
-    "saga": "repro.solvers.saga:SAGASolver",
     "asgd": "repro.solvers.asgd:ASGDSolver",
     "svrg_asgd": "repro.solvers.svrg_asgd:SVRGASGDSolver",
-    "saga_asgd": "repro.solvers.saga_asgd:SAGAASGDSolver",
     "is_asgd": "repro.core.is_asgd:ISASGDSolver",
     "minibatch_sgd": "repro.solvers.minibatch:MiniBatchSGDSolver",
 }

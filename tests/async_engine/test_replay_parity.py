@@ -1,6 +1,6 @@
 """Differential test: the batched conflict replay against the per-sample engine.
 
-For every rule that declares ``trace_exact_batched``, the batched engine's
+For every registered rule, the batched engine's
 per-iteration events — schedule, sample, delay, conflicts, support size,
 step scale — must equal :class:`AsyncSimulator`'s on the same seed.  The
 inputs are small random CSR matrices with the awkward shapes drawn in:
@@ -24,9 +24,7 @@ from repro.rules import available_rules, make_rule
 from repro.sparse.csr import CSRMatrix
 
 OBJECTIVE = LogisticObjective(regularizer=L2Regularizer(1e-3))
-EXACT_RULES = [
-    name for name in available_rules() if make_rule(name, OBJECTIVE, 0.1).trace_exact_batched
-]
+EXACT_RULES = available_rules()
 DELAYS = {"uniform": UniformDelay, "constant": ConstantDelay, "geometric": GeometricDelay}
 
 

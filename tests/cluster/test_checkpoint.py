@@ -5,7 +5,7 @@ codec is exact, a checkpoint restored at another fleet size restores the
 weights exactly, and — because the sampler stream is derived from
 ``(seed_root, worker_id, epoch)`` alone — a single-worker run resumed from
 a mid-run checkpoint replays the remaining epochs byte-identically to the
-uninterrupted run (weights, rule state, trace and counters all equal).
+uninterrupted run (weights, trace and counters all equal).
 """
 
 import multiprocessing as mp
@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+from repro.async_engine.events import EpochEvent
 from repro.cluster import CHECKPOINT_FORMAT_VERSION, CheckpointStore, ClusterDriver
 from repro.cluster.checkpoint import ClusterCheckpoint, decode_array, encode_array
 from repro.core.balancing import random_order
@@ -165,7 +166,6 @@ class TestPinnedIdentity:
 
     @pytest.mark.parametrize("rule,prefix", [
         ("is_sgd", "8d47764af953ac13805dd709bb94608a5447d5fc"),
-        ("saga", "23642759ba9798802f95946355266c504f172067"),
         ("sgd", "a14acf82560f624229cfef7064e2953561ba990d"),
         ("svrg", "c5fdca9786cf44f3426751bdfd21435e4e6a36fa"),
         ("svrg_skip_dense", "8512e05e7a3a3df2e7a54f4daf817d7d808821c5"),
@@ -187,22 +187,21 @@ class TestPinnedIdentity:
 class TestResumeRoundTrip:
     """Mid-run snapshot -> restore parity for every rule."""
 
-    @pytest.mark.parametrize("rule", ["sgd", "svrg", "saga"])
+    @pytest.mark.parametrize("rule", ["sgd", "svrg"])
     def test_single_worker_resume_is_bit_identical(self, ckpt_problem, tmp_path, rule):
         """One worker is deterministic, so resume must replay *exactly*."""
         store_a = CheckpointStore(tmp_path / "a")
         store_b = CheckpointStore(tmp_path / "b")
-        step = 0.05 if rule == "saga" else 0.15
 
         full_weights, resumed_epochs = {}, []
         full = _driver(
-            ckpt_problem, 1, store_a, rule=rule, step_size=step,
+            ckpt_problem, 1, store_a, rule=rule,
             epoch_callback=full_weights.__setitem__,
         ).run(EPOCHS)
 
-        _driver(ckpt_problem, 1, store_b, rule=rule, step_size=step).run(HALF)
+        _driver(ckpt_problem, 1, store_b, rule=rule).run(HALF)
         resumed_driver = _driver(
-            ckpt_problem, 1, store_b, rule=rule, step_size=step,
+            ckpt_problem, 1, store_b, rule=rule,
             epoch_callback=lambda epoch, w: resumed_epochs.append(epoch),
         )
         resumed = resumed_driver.run(EPOCHS, resume=True)
@@ -246,6 +245,22 @@ class TestResumeRoundTrip:
         # Epoch 3 (multiple of 3) and the final epoch are persisted.
         assert store.epochs(driver.checkpoint_identity()) == [3, EPOCHS]
 
+    @pytest.mark.parametrize("epochs", [EPOCHS, 2 * EPOCHS])
+    def test_in_memory_checkpoints_serialise_no_epoch_event(
+        self, ckpt_problem, monkeypatch, epochs
+    ):
+        """The per-epoch capture shares the folded events instead of
+        copying the trace through its dict form, so its work does not grow
+        with the epoch count; only a store's save serialises events."""
+        calls = []
+        to_dict = EpochEvent.to_dict
+        monkeypatch.setattr(
+            EpochEvent, "to_dict", lambda event: calls.append(event.epoch) or to_dict(event)
+        )
+        result = _driver(ckpt_problem, 1, None).run(epochs)
+        assert [e.epoch for e in result.trace.epochs] == list(range(epochs))
+        assert calls == []
+
 
 class TestElasticResume:
     """Membership changes across a resume: any fleet size picks it up."""
@@ -263,7 +278,7 @@ class TestElasticResume:
         assert [e.epoch for e in resumed.trace.epochs] == list(range(EPOCHS))
         assert np.all(np.isfinite(resumed.weights))
 
-    @pytest.mark.parametrize("rule", ["sgd", "svrg_skip_dense", "saga"])
+    @pytest.mark.parametrize("rule", ["sgd", "svrg_skip_dense"])
     def test_resume_at_another_fleet_size_keeps_weights_bit_identical(
         self, ckpt_problem, tmp_path, rule
     ):
@@ -285,29 +300,29 @@ class TestElasticResume:
         import json
 
         store = CheckpointStore(tmp_path)
-        writer = _driver(ckpt_problem, 2, store, rule="saga", step_size=0.05)
+        writer = _driver(ckpt_problem, 2, store, rule="sgd")
         writer.run(HALF)
         path = store.path_for(writer.checkpoint_identity(), HALF)
-        good = path.read_text()
-        short = encode_array(np.ones(1))
-        for name in ("weights", "saga_coefs", "saga_avg"):
-            entry = json.loads(good)
-            ckpt = entry["checkpoint"]
-            if name == "weights":
-                ckpt["weights"] = short
-            else:
-                ckpt["rule_state"][name] = short
-            path.write_text(json.dumps(entry))
-            with pytest.raises(ValueError, match=re.escape(f"checkpoint array {name} has shape (1,)")):
-                _driver(ckpt_problem, 2, store, rule="saga", step_size=0.05).run(
-                    EPOCHS, resume=True
-                )
+        entry = json.loads(path.read_text())
+        entry["checkpoint"]["weights"] = encode_array(np.ones(1))
+        path.write_text(json.dumps(entry))
+        with pytest.raises(ValueError, match=re.escape("checkpoint array weights has shape (1,)")):
+            _driver(ckpt_problem, 2, store, rule="sgd").run(EPOCHS, resume=True)
 
-    def test_checkpoint_with_layout_keys_of_older_versions_resumes(
-        self, ckpt_problem, tmp_path
+    @pytest.mark.parametrize("old_keys", [
+        # Written while the cluster had a choice of parameter layouts.
+        {"num_shards": 2, "shard_scheme": "range"},
+        # Written while a rule (SAGA) kept shared state of its own.
+        {"rule_state": {
+            "saga_coefs": encode_array(np.ones(300)),
+            "saga_avg": encode_array(np.ones(80)),
+        }},
+    ], ids=["layout", "rule_state"])
+    def test_checkpoint_with_keys_of_older_versions_resumes(
+        self, ckpt_problem, tmp_path, old_keys
     ):
-        """Checkpoint files written while the cluster had a choice of
-        parameter layouts carry two more keys; they load and resume."""
+        """Checkpoint files of older versions carry keys this version no
+        longer writes or fills; they load and resume."""
         import json
 
         store = CheckpointStore(tmp_path)
@@ -316,7 +331,9 @@ class TestElasticResume:
         path = store.path_for(writer.checkpoint_identity(), HALF)
         entry = json.loads(path.read_text())
         assert entry["format_version"] == CHECKPOINT_FORMAT_VERSION == 1
-        entry["checkpoint"].update({"num_shards": 2, "shard_scheme": "range"})
+        # Readers of format 1 before 2.0.0 require this key.
+        assert entry["checkpoint"]["rule_state"] == {}
+        entry["checkpoint"].update(old_keys)
         path.write_text(json.dumps(entry))
 
         ckpt = store.load(writer.checkpoint_identity(), HALF)

@@ -237,13 +237,3 @@ class TestWorkStealing:
             result.weights, chaos_problem.X, chaos_problem.y
         )
         assert_loss_close(loss_run, loss_ref, loss_zero)
-
-    def test_saga_never_steals(self, chaos_problem):
-        part = self._skewed_partition(chaos_problem)
-        driver = _driver(
-            chaos_problem, part, rule="saga", step_size=0.05,
-            work_stealing=True, batch_size=16,
-        )
-        result = driver.run(1)
-        assert result.info["steal_epochs"] == 0
-        assert result.info["steal_count"] == 0

@@ -28,7 +28,7 @@ class TestList:
         assert "process" in registries["async_modes"]
         assert "figures" in registries["configs"]
         assert "news20_smoke" in registries["datasets"]
-        assert "saga" in registries["rules"]
+        assert "svrg_skip_dense" in registries["rules"]
 
     def test_backends_capability_matrix(self, capsys):
         code, out, _ = _run(capsys, "list", "--json")
@@ -38,7 +38,7 @@ class TestList:
         process = matrix[-1]
         assert process["true_parallelism"] and process["measured_wall_clock"]
         for row in matrix:
-            assert "saga" in row["rules"]
+            assert "svrg_skip_dense" in row["rules"]
 
     def test_backends_table_printed(self, capsys):
         code, out, _ = _run(capsys, "list")

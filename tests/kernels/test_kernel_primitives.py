@@ -47,14 +47,6 @@ class TestLinearAlgebra:
         )
 
     @pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.name)
-    def test_accumulate_rows(self, kernel, matrix):
-        X, dense = matrix
-        rows = np.array([1, 4, 1, 9])
-        coeffs = np.array([0.5, 2.0, -1.0, 3.0])
-        out = kernel.accumulate_rows(X, rows, coeffs, np.zeros(X.n_cols))
-        np.testing.assert_allclose(out, coeffs @ dense[rows], atol=1e-12)
-
-    @pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.name)
     def test_batch_grad_matches_per_sample_sum(self, kernel, matrix, weights):
         X, _ = matrix
         obj = LogisticObjective(regularizer=L2Regularizer(1e-2))

@@ -25,7 +25,7 @@ from repro.sparse.csr import CSRMatrix
 
 #: The serial solvers the kernel layer accelerates (async solvers share the
 #: same per-sample primitives through the simulator's update rule).
-SERIAL_SOLVERS = ["sgd", "is_sgd", "gd", "svrg", "saga", "minibatch_sgd"]
+SERIAL_SOLVERS = ["sgd", "is_sgd", "gd", "svrg", "minibatch_sgd"]
 
 #: Every registered backend is pinned to the reference ground truth.
 COMPARED_BACKENDS = [name for name in available_backends() if name != "reference"]

@@ -7,9 +7,7 @@ backends × objectives), so a newly registered rule or backend is covered
 automatically:
 
 * deterministic backends (``per_sample`` vs ``batched``) are compared by
-  **exact trace equality** for rules that declare ``trace_exact_batched``,
-  and by exact operation counters (everything except the conflict replay)
-  for rules with per-block frozen state (SAGA);
+  **exact trace equality**, conflict replay included;
 * the real-concurrency backend (``process``) is validated by
   **statistical tolerance**: the run must genuinely optimise and land
   within a loss band of the per-sample ground truth.
@@ -24,7 +22,7 @@ import pytest
 from repro.core.partition import partition_dataset
 from repro.objectives.registry import make_objective
 from repro.datasets.synthetic import SyntheticSpec, make_sparse_classification
-from repro.rules import available_rules, make_rule
+from repro.rules import available_rules
 from repro.runtime import ExecutionRequest, backends_supporting, execute
 from repro.solvers.base import Problem
 
@@ -73,10 +71,9 @@ def _run(problem, rule, mode):
     return execute(mode, request)
 
 
-def _counters(trace, *, exclude_conflicts=False):
-    rows = []
-    for e in trace.epochs:
-        row = {
+def _counters(trace):
+    return [
+        {
             "epoch": e.epoch,
             "iterations": e.iterations,
             "sparse": e.sparse_coordinate_updates,
@@ -84,12 +81,11 @@ def _counters(trace, *, exclude_conflicts=False):
             "stale_reads": e.stale_reads,
             "sample_draws": e.sample_draws,
             "max_delay": e.max_observed_delay,
+            "conflicts": e.conflicts,
+            "history_overflows": e.history_overflows,
         }
-        if not exclude_conflicts:
-            row["conflicts"] = e.conflicts
-            row["history_overflows"] = e.history_overflows
-        rows.append(row)
-    return rows
+        for e in trace.epochs
+    ]
 
 
 def _loss(problem, weights):
@@ -100,8 +96,8 @@ ALL_RULES = available_rules()
 
 
 class TestRegistryCoverage:
-    def test_all_five_rules_registered(self):
-        assert set(ALL_RULES) >= {"sgd", "is_sgd", "svrg", "svrg_skip_dense", "saga"}
+    def test_all_four_rules_registered(self):
+        assert set(ALL_RULES) >= {"sgd", "is_sgd", "svrg", "svrg_skip_dense"}
 
     @pytest.mark.parametrize("rule", ALL_RULES)
     def test_every_rule_claims_all_three_tiers(self, rule):
@@ -109,7 +105,7 @@ class TestRegistryCoverage:
 
 
 class TestDeterministicTierParity:
-    """per_sample vs batched: exact traces where the rule guarantees them."""
+    """per_sample vs batched: exact traces for every rule."""
 
     @pytest.mark.parametrize("objective", OBJECTIVES)
     @pytest.mark.parametrize("rule", ALL_RULES)
@@ -118,15 +114,7 @@ class TestDeterministicTierParity:
         reference = _run(problem, rule, "per_sample")
         batched = _run(problem, rule, "batched")
 
-        proto = make_rule(rule, problem.objective, STEP_SIZE)
-        if proto.trace_exact_batched:
-            assert _counters(reference.trace) == _counters(batched.trace)
-        else:
-            # Frozen per-block state (SAGA's ḡ) perturbs only the conflict
-            # replay; every operation counter remains exact.
-            assert _counters(reference.trace, exclude_conflicts=True) == _counters(
-                batched.trace, exclude_conflicts=True
-            )
+        assert _counters(reference.trace) == _counters(batched.trace)
 
         loss_ref = _loss(problem, reference.weights)
         loss_bat = _loss(problem, batched.weights)
@@ -175,26 +163,3 @@ class TestConcurrentTierTolerance:
         # progress the reference made from the zero initialisation.
         assert abs(loss_con - loss_ref) <= 0.35 * progress
 
-
-class TestSagaAcrossTiers:
-    """The forcing-function scenario: async SAGA end-to-end on every tier."""
-
-    def test_saga_matches_serial_saga(self, problems):
-        from repro.solvers.saga import SAGASolver
-        from repro.solvers.saga_asgd import SAGAASGDSolver
-
-        problem = problems["logistic"]
-        serial = SAGASolver(step_size=STEP_SIZE, epochs=3, seed=0).fit(problem)
-        loss_serial = _loss(problem, serial.weights)
-        loss_zero = _loss(problem, np.zeros(problem.n_features))
-        progress = loss_zero - loss_serial
-        assert progress > 0
-        for mode in backends_supporting("saga"):
-            result = SAGAASGDSolver(
-                step_size=STEP_SIZE, epochs=3, num_workers=NUM_WORKERS, seed=0,
-                async_mode=mode,
-            ).fit(problem)
-            assert result.info["async_mode"] == mode
-            loss_async = _loss(problem, result.weights)
-            assert loss_async < loss_zero
-            assert abs(loss_async - loss_serial) <= 0.35 * progress

@@ -18,7 +18,7 @@ from repro.solvers.base import Problem
 from repro.solvers.registry import make_solver
 from repro.sparse.csr import CSRMatrix
 
-#: The three asynchronous tiers and the six serial solvers.
+#: The three asynchronous tiers and the five serial solvers.
 FITS = {
     "per_sample": ("asgd", {"async_mode": "per_sample", "num_workers": 2}),
     "batched": ("asgd", {"async_mode": "batched", "num_workers": 2}),
@@ -27,7 +27,6 @@ FITS = {
     "is_sgd": ("is_sgd", {}),
     "gd": ("gd", {}),
     "svrg": ("svrg", {}),
-    "saga": ("saga", {}),
     "minibatch_sgd": ("minibatch_sgd", {}),
 }
 

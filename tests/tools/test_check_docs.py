@@ -1,6 +1,7 @@
-"""Tests for ``tools/check_docs.py``'s rule against typed speedups."""
+"""Tests for ``tools/check_docs.py``: the rule against typed speedups and its clean-up."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,30 @@ def test_a_typed_speedup_in_a_page_fails_the_check(check_docs, tmp_path, monkeyp
 
 def test_the_committed_docs_carry_no_typed_speedup(check_docs):
     assert check_docs.check_speedup_claims() == []
+
+
+def test_a_run_leaves_no_docs_output_behind(check_docs, tmp_path, monkeypatch):
+    """Every ``repro-docs-*`` entry the runs write is removed, also after a failure."""
+
+    def writes(name, failures):
+        def runner():
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "entry.json").write_text("{}")
+            return failures
+        return runner
+
+    def writes_file():
+        (tmp_path / "repro-docs-cli-bench.json").write_text("{}")
+        return []
+
+    (tmp_path / "unrelated").mkdir()
+    monkeypatch.setattr(check_docs, "TMP_ROOT", tmp_path)
+    monkeypatch.setattr(check_docs, "check_reference_freshness", lambda: [])
+    monkeypatch.setattr(check_docs, "run_quickstart", writes("repro-docs-cli", []))
+    monkeypatch.setattr(
+        check_docs, "run_doc_pages", writes("repro-docs-serving", ["docs/serving.md block 1"])
+    )
+    monkeypatch.setattr(check_docs, "run_examples", writes_file)
+    monkeypatch.setattr(sys, "argv", ["check_docs.py"])
+    assert check_docs.main() == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["unrelated"]

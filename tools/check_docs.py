@@ -28,6 +28,9 @@ Checks performed:
 5. **Reference freshness** — ``docs/reference.md`` is regenerated from the
    live registries (``tools/gen_reference.py --check``) and must match the
    committed page byte-for-byte.
+
+The pages and examples write their stores under ``/tmp/repro-docs-*``;
+every such entry is removed once the runs are done, pass or fail.
 """
 
 from __future__ import annotations
@@ -35,11 +38,15 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Where the executed pages and examples write (``<TMP_ROOT>/repro-docs-*``).
+TMP_ROOT = Path("/tmp")
 
 #: Examples executed by the docs CI job (fast, dependency-light scripts;
 #: arguments keep the runtime in smoke territory).
@@ -50,10 +57,10 @@ SMOKE_EXAMPLES: list[tuple[str, list[str]]] = [
     # dataset; the second invocation must be pure artifact reuse.
     ("examples/reproduce_figures.py",
      ["--datasets", "news20", "--threads", "4", "--epochs", "2",
-      "--out", "/tmp/repro-docs-figures", "--fresh"]),
+      "--out", str(TMP_ROOT / "repro-docs-figures"), "--fresh"]),
     ("examples/reproduce_figures.py",
      ["--datasets", "news20", "--threads", "4", "--epochs", "2",
-      "--out", "/tmp/repro-docs-figures", "--expect-cached"]),
+      "--out", str(TMP_ROOT / "repro-docs-figures"), "--expect-cached"]),
 ]
 
 #: Doc pages whose ``bash`` blocks are executed in order (same harness as
@@ -195,6 +202,15 @@ def check_reference_freshness() -> list[str]:
     return []
 
 
+def remove_doc_outputs() -> None:
+    """Delete every ``repro-docs-*`` entry the runs left under :data:`TMP_ROOT`."""
+    for path in TMP_ROOT.glob("repro-docs-*"):
+        if path.is_dir() and not path.is_symlink():
+            shutil.rmtree(path)
+        else:
+            path.unlink()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--links-only", action="store_true",
@@ -213,11 +229,14 @@ def main() -> int:
         print(f"Link and speedup-claim check OK ({checked})")
 
     if not args.links_only:
-        problems += check_reference_freshness()
-        problems += run_quickstart()
-        problems += run_doc_pages()
-        if not args.skip_examples:
-            problems += run_examples()
+        try:
+            problems += check_reference_freshness()
+            problems += run_quickstart()
+            problems += run_doc_pages()
+            if not args.skip_examples:
+                problems += run_examples()
+        finally:
+            remove_doc_outputs()
 
     if problems:
         print(f"\n{len(problems)} documentation problem(s):", file=sys.stderr)
