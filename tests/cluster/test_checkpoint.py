@@ -22,6 +22,7 @@ from repro.core.partition import partition_dataset
 from repro.datasets.synthetic import SyntheticSpec, make_sparse_classification
 from repro.objectives.logistic import LogisticObjective
 from repro.objectives.regularizers import L2Regularizer
+from repro.rules import available_rules
 from repro.solvers.base import Problem
 
 pytestmark = pytest.mark.skipif(
@@ -187,7 +188,7 @@ class TestPinnedIdentity:
 class TestResumeRoundTrip:
     """Mid-run snapshot -> restore parity for every rule."""
 
-    @pytest.mark.parametrize("rule", ["sgd", "svrg"])
+    @pytest.mark.parametrize("rule", available_rules())
     def test_single_worker_resume_is_bit_identical(self, ckpt_problem, tmp_path, rule):
         """One worker is deterministic, so resume must replay *exactly*."""
         store_a = CheckpointStore(tmp_path / "a")

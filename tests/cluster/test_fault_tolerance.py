@@ -23,6 +23,7 @@ from repro.core.partition import Partition, WorkerShard, partition_dataset
 from repro.datasets.synthetic import SyntheticSpec, make_sparse_classification
 from repro.objectives.logistic import LogisticObjective
 from repro.objectives.regularizers import L2Regularizer
+from repro.rules import available_rules
 from repro.solvers.asgd import ASGDSolver
 from repro.solvers.base import Problem
 
@@ -213,6 +214,24 @@ class TestWorkStealing:
         # Stealing moves work, never loses or duplicates it.
         expected = sum(max(1, s.size) for s in part.shards) * 2
         assert result.trace.total_iterations == expected
+
+    @pytest.mark.parametrize("rule", available_rules())
+    def test_every_rule_steals_when_armed(self, chaos_problem, rule):
+        """``work_stealing`` alone arms stealing each epoch; no rule opts out."""
+        part = self._skewed_partition(chaos_problem)
+        armed, unarmed = (
+            _driver(chaos_problem, part, rule=rule, work_stealing=on, batch_size=16).run(EPOCHS)
+            for on in (True, False)
+        )
+        assert armed.info["steal_epochs"] == EPOCHS
+        assert armed.info["steal_count"] > 0
+        assert unarmed.info["steal_epochs"] == unarmed.info["steal_count"] == 0
+        # Stealing moves a rule's work between workers, never loses or duplicates it.
+        assert armed.trace.total_iterations == unarmed.trace.total_iterations
+        assert (
+            armed.trace.total_sparse_coordinate_updates
+            == unarmed.trace.total_sparse_coordinate_updates
+        )
 
     def test_auto_mode_arms_on_skewed_partition(self, chaos_problem):
         part = self._skewed_partition(chaos_problem)

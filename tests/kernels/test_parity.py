@@ -1,16 +1,19 @@
 """Parity gate: every registered kernel backend must agree with ``reference``.
 
-The suite is registry-driven: for every registered serial solver ×
-registered objective × registered backend (other than ``reference``
-itself), both backends are run with identical seeds on a fixed smoke
-problem and the resulting :class:`TrainResult` convergence curves are
-compared — so a newly registered backend (``native``, or any future one)
-is covered automatically.  The serial per-sample primitives perform the
-same mathematical operations on every backend, so the tolerances below are
-at machine-epsilon scale — any real semantic drift fails loudly.  (When
-the ``native`` backend falls back to ``vectorized`` on a machine without a
-compiler, its parametrisations still run — they then re-check the
-vectorized path, keeping the suite green everywhere.)
+The suite is registry-driven: for every registered solver × registered
+objective × registered backend (other than ``reference`` itself), both
+backends are run with identical seeds on a fixed smoke problem and the
+resulting :class:`TrainResult` convergence curves are compared — so a newly
+registered backend (``native``, or any future one) is covered
+automatically.  The asynchronous solvers run on both deterministic tiers:
+``per_sample`` drives the per-sample primitives (or the native fused
+sample loop), ``batched`` the block primitives (or the native fused frozen
+block).  Every primitive performs the same mathematical operations on
+every backend, so the tolerances below are at machine-epsilon scale — any
+real semantic drift fails loudly.  (When the ``native`` backend falls back
+to ``vectorized`` on a machine without a compiler, its parametrisations
+still run — they then re-check the vectorized path, keeping the suite
+green everywhere.)
 """
 
 import numpy as np
@@ -20,12 +23,14 @@ from repro.datasets.synthetic import SyntheticSpec, make_sparse_classification
 from repro.kernels.registry import available_backends
 from repro.objectives.registry import available_objectives, make_objective
 from repro.solvers.base import Problem
-from repro.solvers.registry import make_solver
+from repro.solvers.registry import async_solver_names, available_solvers, make_solver
 from repro.sparse.csr import CSRMatrix
 
-#: The serial solvers the kernel layer accelerates (async solvers share the
-#: same per-sample primitives through the simulator's update rule).
-SERIAL_SOLVERS = ["sgd", "is_sgd", "gd", "svrg", "minibatch_sgd"]
+#: Each registered solver; an asynchronous one once per deterministic tier.
+SOLVERS = [
+    *(name for name in available_solvers() if name not in async_solver_names()),
+    *(f"{name}/{mode}" for name in async_solver_names() for mode in ("per_sample", "batched")),
+]
 
 #: Every registered backend is pinned to the reference ground truth.
 COMPARED_BACKENDS = [name for name in available_backends() if name != "reference"]
@@ -66,6 +71,9 @@ def _problem(objective_name, classification_data, regression_data) -> Problem:
 
 def _fit(solver_name, problem, backend):
     kwargs = {"step_size": 0.1, "epochs": 3, "seed": 0, "kernel": backend}
+    solver_name, _, async_mode = solver_name.partition("/")
+    if async_mode:
+        kwargs.update(async_mode=async_mode, num_workers=2, batch_size=8)
     if solver_name == "minibatch_sgd":
         kwargs["batch_size"] = 8
     return make_solver(solver_name, **kwargs).fit(problem)
@@ -87,7 +95,7 @@ def reference_fits():
 
 @pytest.mark.parametrize("backend", COMPARED_BACKENDS)
 @pytest.mark.parametrize("objective_name", available_objectives())
-@pytest.mark.parametrize("solver_name", SERIAL_SOLVERS)
+@pytest.mark.parametrize("solver_name", SOLVERS)
 def test_backends_produce_identical_curves(
     solver_name, objective_name, backend, classification_data, regression_data, reference_fits
 ):
