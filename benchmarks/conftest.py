@@ -13,9 +13,12 @@ alone; refresh one by copying its ``benchmarks/results/`` counterpart.
 
 from __future__ import annotations
 
+import math
 import os
 import platform
+import time
 from pathlib import Path
+from typing import Callable, Dict
 
 import pytest
 
@@ -48,6 +51,24 @@ def bench_environment() -> dict:
         "machine": platform.machine(),
         "python": platform.python_version(),
     }
+
+
+def best_of_alternating(calls: Dict[str, Callable[[], object]], rounds: int = 5) -> Dict[str, float]:
+    """Best-of-``rounds`` wall-clock seconds of each call, timed in alternation.
+
+    Every call runs once as a warm-up, then each round calls them once in
+    order.  A slow spell of the host then falls on every side of a
+    comparison instead of on one side's block of repeats.
+    """
+    for fn in calls.values():
+        fn()
+    best = {name: math.inf for name in calls}
+    for _ in range(rounds):
+        for name, fn in calls.items():
+            start = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return best
 
 
 def write_result(name: str, text: str) -> Path:

@@ -15,6 +15,10 @@ surrogate dataset:
   cffi-compiled C loop against the per-step Python loop, gated at >= 3x
   wherever the extension compiles (recorded, not asserted, elsewhere).
 
+Each comparison times its sides in alternation
+(:func:`benchmarks.conftest.best_of_alternating`), so a slow spell of the
+host cannot decide a gated ratio by landing on one side only.
+
 Results are written to ``benchmarks/results/BENCH_kernels.json``; the
 committed root ``BENCH_kernels.json`` is a copy of it, so the perf
 trajectory across PRs has a recorded data point.
@@ -27,7 +31,7 @@ import json
 import numpy as np
 import pytest
 
-from benchmarks.conftest import bench_environment, write_result
+from benchmarks.conftest import best_of_alternating, bench_environment, write_result
 from repro.core.sampler import AliasSampler
 from repro.datasets.catalog import get_descriptor
 from repro.datasets.synthetic import make_sparse_classification
@@ -70,12 +74,13 @@ def test_bench_kernel_backends(benchmark):
         }
 
         # --- full-dataset metrics evaluation (one record() call) -------- #
-        evals = {}
-        for name in ("reference", "vectorized"):
-            recorder = MetricsRecorder(
-                problem.objective, X, problem.y, kernel=make_backend(name)
-            )
-            evals[name] = measure_call(lambda r=recorder: r.evaluate(w), repeats=5)
+        recorders = {
+            name: MetricsRecorder(problem.objective, X, problem.y, kernel=make_backend(name))
+            for name in ("reference", "vectorized")
+        }
+        evals = best_of_alternating(
+            {name: lambda r=r: r.evaluate(w) for name, r in recorders.items()}
+        )
         payload["metrics_evaluation"] = {
             "reference_us": evals["reference"] * 1e6,
             "vectorized_us": evals["vectorized"] * 1e6,
@@ -83,10 +88,13 @@ def test_bench_kernel_backends(benchmark):
         }
 
         # --- one serial SGD epoch (n per-sample steps) ------------------- #
-        epochs = {}
-        for name in ("reference", "vectorized", "native"):
-            solver = SGDSolver(step_size=0.1, epochs=1, seed=0, kernel=name)
-            epochs[name] = measure_call(lambda s=solver: s.fit(problem), repeats=5)
+        solvers = {
+            name: SGDSolver(step_size=0.1, epochs=1, seed=0, kernel=name)
+            for name in ("reference", "vectorized", "native")
+        }
+        epochs = best_of_alternating(
+            {name: lambda s=s: s.fit(problem) for name, s in solvers.items()}
+        )
         payload["sgd_epoch"] = {
             "reference_us_per_iter": epochs["reference"] / n * 1e6,
             "vectorized_us_per_iter": epochs["vectorized"] / n * 1e6,
@@ -100,14 +108,13 @@ def test_bench_kernel_backends(benchmark):
         native_compiled = native.name == "native"
         order = rng.permutation(n).astype(np.int64)
         scales = np.full(n, -0.05)
-        block = {}
-        for name, backend in (("vectorized", make_backend("vectorized")), ("native", native)):
-            block[name] = measure_call(
-                lambda b=backend: b.run_sample_block(
-                    w.copy(), problem.objective, X, problem.y, order, scales
-                ),
-                repeats=5,
+        backends = {"vectorized": make_backend("vectorized"), "native": native}
+        block = best_of_alternating({
+            name: lambda b=b: b.run_sample_block(
+                w.copy(), problem.objective, X, problem.y, order, scales
             )
+            for name, b in backends.items()
+        })
         payload["per_sample_block"] = {
             "native_compiled": native_compiled,
             "vectorized_us_per_iter": block["vectorized"] / n * 1e6,

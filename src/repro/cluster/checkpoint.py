@@ -23,12 +23,12 @@ the PR 4 artifact-store idiom — the filename is derived from the run's
 **excluding** cluster membership) plus the epoch, and writes are atomic
 (:func:`repro.experiments.store.atomic_write_json`), so a run killed
 mid-checkpoint never leaves a half-artifact.  Arrays are encoded as
-base64 of their raw bytes: restore is bit-exact, not merely close.
+base64 of their raw bytes (:mod:`repro.utils.arrays`, the run artifacts'
+codec too): restore is bit-exact, not merely close.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,26 +37,10 @@ from typing import Any, Dict, List, Optional, Union
 import numpy as np
 
 from repro.async_engine.events import ExecutionTrace
+from repro.utils.arrays import decode_array, encode_array
 
 #: On-disk checkpoint schema version (bump on incompatible layout changes).
 CHECKPOINT_FORMAT_VERSION = 1
-
-
-def encode_array(array: np.ndarray) -> Dict[str, Any]:
-    """JSON-safe bit-exact encoding of a NumPy array (dtype, shape, base64)."""
-    arr = np.ascontiguousarray(array)
-    return {
-        "dtype": str(arr.dtype),
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
-
-
-def decode_array(payload: Dict[str, Any]) -> np.ndarray:
-    """Invert :func:`encode_array` (returns a fresh writable array)."""
-    raw = base64.b64decode(payload["data"])
-    arr = np.frombuffer(raw, dtype=payload["dtype"]).reshape(payload["shape"])
-    return arr.copy()
 
 
 @dataclass
@@ -263,6 +247,4 @@ __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "ClusterCheckpoint",
     "CheckpointStore",
-    "encode_array",
-    "decode_array",
 ]

@@ -14,7 +14,10 @@ consequences:
 
 Artifacts are written atomically (temp file + :func:`os.replace` in the
 same directory), so a run killed mid-write never leaves a half-artifact
-that would poison a later resume.
+that would poison a later resume.  Format 2 stores a record's numeric
+arrays (a trained model's weights) bit-exact as base64 under
+``record["arrays"]``; format-1 artifacts, which hold them as JSON float
+lists, still load.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from repro.experiments.configs import RunSpec
 from repro.metrics.tracing import RunRecord, _jsonable
 
 #: On-disk artifact schema version (bump on incompatible layout changes).
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+#: Versions :meth:`ArtifactStore.load_entry` reads (format 1 is read-only).
+_READABLE_VERSIONS = (1, FORMAT_VERSION)
 
 from repro.solvers.registry import ASYNC_SOLVER_NAMES
 
@@ -269,9 +274,10 @@ class ArtifactStore:
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"artifact {path} is missing or corrupt: {exc}") from exc
         version = entry.get("format_version")
-        if version != FORMAT_VERSION:
+        if version not in _READABLE_VERSIONS:
             raise ValueError(
-                f"artifact {path} has format_version {version!r}, expected {FORMAT_VERSION}"
+                f"artifact {path} has format_version {version!r}, "
+                f"expected one of {_READABLE_VERSIONS}"
             )
         if mtime is not None:
             self._entry_cache[key] = (mtime, entry)

@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.async_engine.events import ExecutionTrace
 from repro.metrics.convergence import ConvergenceCurve
+from repro.utils.arrays import decode_array, encode_array
 
 
 def _jsonable(value: Any) -> Tuple[bool, Any]:
@@ -108,13 +109,21 @@ class RunRecord:
 
         The curve and trace round-trip losslessly (including the measured
         wall-clock axis and the ``history_overflows`` counters).  ``info``
-        entries that cannot be represented in JSON (e.g. live objects) are
-        dropped and their keys recorded under ``"_dropped_info"`` so the
-        loss is visible rather than silent.
+        values that are numeric arrays (bool, int or float; the runner's
+        ``weights``) go bit-exact under ``"arrays"`` as dtype, shape and
+        base64 (:func:`~repro.utils.arrays.encode_array`), so ``"info"``
+        holds plain JSON only.  Other ``info`` entries that cannot be
+        represented in JSON (e.g. live objects) are dropped and their keys
+        recorded under ``"_dropped_info"`` so the loss is visible rather
+        than silent.
         """
         info: Dict[str, Any] = {}
+        arrays: Dict[str, Any] = {}
         dropped = []
         for key, value in self.info.items():
+            if isinstance(value, np.ndarray) and value.dtype.kind in "biuf":
+                arrays[key] = encode_array(value)
+                continue
             ok, converted = _jsonable(value)
             if ok:
                 info[key] = converted
@@ -128,21 +137,31 @@ class RunRecord:
             "trace": self.trace.to_dict() if self.trace is not None else None,
             "info": info,
         }
+        if arrays:
+            payload["arrays"] = arrays
         if dropped:
             payload["_dropped_info"] = sorted(dropped)
         return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunRecord":
-        """Rebuild a record from :meth:`to_dict` output."""
+        """Rebuild a record from :meth:`to_dict` output.
+
+        ``"arrays"`` entries come back into ``info`` as arrays.  Payloads
+        written before arrays were stored that way (artifact format 1) have
+        no such key and keep their arrays as JSON lists in ``info``.
+        """
         trace = payload.get("trace")
+        info = dict(payload.get("info", {}))
+        for key, encoded in payload.get("arrays", {}).items():
+            info[key] = decode_array(encoded)
         return cls(
             solver=payload["solver"],
             dataset=payload["dataset"],
             num_workers=int(payload["num_workers"]),
             curve=ConvergenceCurve.from_dict(payload["curve"]),
             trace=ExecutionTrace.from_dict(trace) if trace is not None else None,
-            info=dict(payload.get("info", {})),
+            info=info,
         )
 
 

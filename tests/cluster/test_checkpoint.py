@@ -16,7 +16,7 @@ import pytest
 
 from repro.async_engine.events import EpochEvent
 from repro.cluster import CHECKPOINT_FORMAT_VERSION, CheckpointStore, ClusterDriver
-from repro.cluster.checkpoint import ClusterCheckpoint, decode_array, encode_array
+from repro.cluster.checkpoint import ClusterCheckpoint
 from repro.core.balancing import random_order
 from repro.core.partition import partition_dataset
 from repro.datasets.synthetic import SyntheticSpec, make_sparse_classification
@@ -24,6 +24,7 @@ from repro.objectives.logistic import LogisticObjective
 from repro.objectives.regularizers import L2Regularizer
 from repro.rules import available_rules
 from repro.solvers.base import Problem
+from repro.utils.arrays import decode_array, encode_array
 
 pytestmark = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(), reason="needs fork"

@@ -1,5 +1,9 @@
 """Tests for the run-level record."""
 
+import base64
+import json
+
+import numpy as np
 import pytest
 
 from repro.async_engine.events import EpochEvent, ExecutionTrace
@@ -54,8 +58,6 @@ class TestRunRecordSerialization:
     """JSON round-trips of the full run record (the artifact-store format)."""
 
     def test_round_trip_preserves_everything(self):
-        import json
-
         record = _record()
         payload = json.loads(json.dumps(record.to_dict()))
         clone = RunRecord.from_dict(payload)
@@ -84,8 +86,6 @@ class TestRunRecordSerialization:
         assert clone.trace.total_history_overflows == 11
 
     def test_numpy_info_values_coerced(self):
-        import numpy as np
-
         record = _record()
         record.info["np_float"] = np.float64(0.5)
         record.info["np_int"] = np.int64(7)
@@ -93,7 +93,13 @@ class TestRunRecordSerialization:
         payload = record.to_dict()
         assert payload["info"]["np_float"] == 0.5
         assert payload["info"]["np_int"] == 7
-        assert payload["info"]["np_array"] == [0.0, 1.0, 2.0]
+        # A numeric array leaves "info" for "arrays": dtype, shape, base64.
+        assert "np_array" not in payload["info"]
+        assert payload["arrays"]["np_array"] == {
+            "dtype": "float64",
+            "shape": [3],
+            "data": base64.b64encode(np.arange(3.0).tobytes()).decode("ascii"),
+        }
 
     def test_unserializable_info_dropped_loudly(self):
         record = _record()
@@ -107,3 +113,71 @@ class TestRunRecordSerialization:
         record.trace = None
         clone = RunRecord.from_dict(record.to_dict())
         assert clone.trace is None
+
+
+def _json_round_trip(record):
+    return RunRecord.from_dict(json.loads(json.dumps(record.to_dict())))
+
+
+class TestRunRecordArrays:
+    """Numeric ``info`` arrays round-trip bit-exactly (artifact format 2)."""
+
+    def test_float_special_values_are_bit_exact(self):
+        nan_payload = np.array([0x7FF8000000000BAD], dtype=np.uint64).view(np.float64)
+        weights = np.concatenate([[-0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3,
+                                   np.nan, np.inf, -np.inf, 0.1, -1e308], nan_payload])
+        record = _record()
+        record.info["weights"] = weights
+        clone = _json_round_trip(record)
+        out = clone.info["weights"]
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.float64 and out.shape == weights.shape
+        assert out.tobytes() == weights.tobytes()  # -0.0, NaN payload, subnormals
+        assert out.flags.writeable
+
+    @pytest.mark.parametrize("array", [
+        np.array([1, -2, 3], dtype=np.int64),
+        np.array([7, 8], dtype=np.int32),
+        np.array([0, 255], dtype=np.uint8),
+        np.array([True, False, True]),
+        np.array(5, dtype=np.int64),
+        np.array(True),
+        np.array(2.5),
+        np.zeros(0, dtype=np.int64),
+        np.zeros((0, 3), dtype=bool),
+        np.arange(6, dtype=np.float32).reshape(2, 3),
+        np.arange(6.0).reshape(3, 2).T,  # not C-contiguous
+    ], ids=lambda a: f"{a.dtype}{list(a.shape)}")
+    def test_dtype_and_shape_survive(self, array):
+        record = _record()
+        record.info["values"] = array
+        out = _json_round_trip(record).info["values"]
+        assert out.dtype == array.dtype
+        assert out.shape == array.shape
+        assert out.tobytes() == array.tobytes()
+
+    def test_record_without_arrays_writes_no_arrays_key(self):
+        payload = _record().to_dict()
+        assert "arrays" not in payload
+        assert RunRecord.from_dict(payload).info == _record().info
+
+    def test_info_keeps_plain_json_only(self):
+        # Lists, strings and dicts shaped like an encoded array stay in
+        # "info" as they are; only ndarrays move to "arrays".
+        lookalike = {"dtype": "float64", "shape": [1], "data": "AAAAAAAA8D8="}
+        record = _record()
+        record.info.update(series=[0.5, 0.25], names=np.array(["a", "b"]), lookalike=lookalike)
+        payload = record.to_dict()
+        assert "arrays" not in payload
+        assert payload["info"]["series"] == [0.5, 0.25]
+        assert payload["info"]["names"] == ["a", "b"]
+        clone = _json_round_trip(record)
+        assert clone.info["lookalike"] == lookalike
+        assert clone.info["series"] == [0.5, 0.25]
+
+    def test_format_1_payload_keeps_its_lists(self):
+        # Format 1 stored arrays as float lists in "info"; they load as is.
+        payload = _record().to_dict()
+        payload["info"]["weights"] = [0.5, -0.0, 1e-300]
+        clone = RunRecord.from_dict(payload)
+        assert clone.info["weights"] == [0.5, -0.0, 1e-300]

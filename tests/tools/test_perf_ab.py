@@ -7,6 +7,7 @@ whose ``perfbench/run.py`` is a stub that prints a result line from a
 
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -18,19 +19,25 @@ TOOL = Path(__file__).resolve().parents[2] / "tools" / "perf_ab.py"
 
 pytestmark = pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 
-#: Reads the side's ``values.json``, logs the run in the (shared) cache and
-#: prints a result object as the last line, like ``perfbench/run.py``.
+#: Reads the side's ``values.json``, logs the run in the side's own cache
+#: (made on first use, like ``perfbench/run.py`` does) and in the test's
+#: log named by ``PERF_AB_TEST_LOG``, and prints a result object as the
+#: last line, like ``perfbench/run.py``.
 STUB_RUN = '''\
-import argparse, json, pathlib
+import argparse, json, os, pathlib
 root = pathlib.Path(__file__).resolve().parent.parent
 parser = argparse.ArgumentParser()
 parser.add_argument("--workload")
 parser.add_argument("--seed", type=int)
 args = parser.parse_args()
-log = root / ".perfbench_cache" / "runs.log"
+cache = root / ".perfbench_cache"
+cache.mkdir(exist_ok=True)
+log = cache / "runs.log"
 runs = log.read_text().splitlines() if log.exists() else []
-with log.open("a") as fh:
-    fh.write(f"{root} {args.workload} {args.seed}\\n")
+line = f"{root} {cache.resolve()} {args.workload} {args.seed}\\n"
+for path in (log, pathlib.Path(os.environ["PERF_AB_TEST_LOG"])):
+    with path.open("a") as fh:
+        fh.write(line)
 values = json.loads((root / "values.json").read_text())
 rate = values["throughput"][len(runs) % len(values["throughput"])]
 print("a table line the tool ignores")
@@ -80,8 +87,9 @@ def _write_values(root, throughput, failed=0):
 
 
 def _perf_ab(root, *args):
+    env = {**os.environ, "PERF_AB_TEST_LOG": str(root.parent / "runs.log")}
     return subprocess.run(
-        [sys.executable, str(TOOL), *args], cwd=root, capture_output=True, text=True,
+        [sys.executable, str(TOOL), *args], cwd=root, capture_output=True, text=True, env=env,
     )
 
 
@@ -96,12 +104,18 @@ def test_same_commit_is_never_better_or_worse(tmp_path):
     assert {row["verdict"] for row in rows.values()} <= {"within", "unresolved"}
     assert rows["peak_rss_mb"]["verdict"] == "within"
     assert len(rows["throughput_per_s"]["base_runs"]) == 3
-    # Pairs alternate which side runs first, and both sides log into the
-    # one shared cache of the checkout.
-    log = (root / ".perfbench_cache" / "runs.log").read_text().splitlines()
+    # Pairs alternate which side runs first.
+    log = (tmp_path / "runs.log").read_text().splitlines()
     sides = ["change" if line.split()[0] == str(root) else "base" for line in log]
     assert sides == ["base", "change", "change", "base", "base", "change"]
     assert all(line.endswith("serve-a 7") for line in log)
+    # Each side runs with a cache of its own, inside its own tree, so the
+    # checkout's cache saw the change side's runs only.
+    for line in log:
+        side_root, cache = line.split()[:2]
+        assert cache == str(Path(side_root) / ".perfbench_cache")
+    own = (root / ".perfbench_cache" / "runs.log").read_text().splitlines()
+    assert own == [line for line, side in zip(log, sides) if side == "change"]
     # The temporary worktree is gone again.
     assert _git(root, "worktree", "list").count("\n") == 1
 

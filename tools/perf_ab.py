@@ -8,8 +8,9 @@ Run from inside the repository::
 
 The base side is ``<rev>`` checked out into a temporary ``git worktree``;
 the change side is this checkout as it is on disk, uncommitted edits
-included.  Both sides share this checkout's ``.perfbench_cache``, so the
-seed's inputs are built once, by whichever side runs first.  The tool
+included.  Each side builds the seed's inputs in its own
+``.perfbench_cache``, so the artifacts a side serves are written by that
+side's program: an A/B sees a change to the artifact format.  The tool
 drives the benchmark as a black box: it runs the ``command`` that
 ``BENCHMARK.json`` declares (untraced) with ``--workload <w> --seed <S>``
 and reads the JSON object on the last line of its output.
@@ -46,7 +47,6 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional
 
-CACHE_DIR = ".perfbench_cache"
 #: Largest chance that the runs of two sides of one program fail to overlap
 #: that still lets a difference count as ``better`` or ``worse``.
 ALPHA = 0.01
@@ -187,12 +187,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     workloads = names if args.workload == "all" else [args.workload]
     base_sha = _git(root, "rev-parse", "--verify", f"{args.base}^{{commit}}")
 
-    (root / CACHE_DIR).mkdir(exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix="perf-ab-"))
     base_dir = tmp / "base"
     _git(root, "worktree", "add", "--detach", str(base_dir), base_sha)
     try:
-        (base_dir / CACHE_DIR).symlink_to(root / CACHE_DIR, target_is_directory=True)
         table = ab(root, base_dir, spec, workloads, args.pairs, args.seed)
     finally:
         _git(root, "worktree", "remove", "--force", str(base_dir))
