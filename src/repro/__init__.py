@@ -48,7 +48,7 @@ from repro.sparse import CSRMatrix, load_libsvm
 from repro.async_engine import CostModel
 from repro.cluster import ClusterDriver
 
-__version__ = "2.1.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",

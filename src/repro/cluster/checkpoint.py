@@ -13,9 +13,12 @@ take a consistent cut of the whole run:
   epoch — each worker's per-epoch sequence is derived from
   ``(seed_root, worker_id, epoch)`` alone, so a resumed fleet replays the
   exact same draws whatever its size);
-* the measured counters folded so far (the
-  :class:`~repro.async_engine.events.ExecutionTrace` and the per-epoch
-  seconds/delay/skew series).
+* the measured history folded so far (the
+  :class:`~repro.async_engine.events.ExecutionTrace`, the per-epoch
+  seconds/delay/skew/steal series and the coordinate-write totals).
+
+The driver keeps no other copy of that history: a run's state *is* its
+last cut (:meth:`ClusterCheckpoint.copy` takes the next epoch's fold).
 
 :class:`CheckpointStore` persists checkpoints as content-addressed JSON in
 the PR 4 artifact-store idiom — the filename is derived from the run's
@@ -30,7 +33,7 @@ codec too): restore is bit-exact, not merely close.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -63,10 +66,6 @@ class ClusterCheckpoint:
     sampler:
         ``{"seed_root": int, "next_epoch_seeds": [int, ...]}`` — the
         deterministic sampler stream position.
-    counters:
-        Cumulative measured counter totals at the cut (column layout of
-        :mod:`repro.cluster.worker`), folded over workers so the record
-        survives membership changes.
     shard_write_totals:
         Cumulative coordinate-write totals at the cut, one per equal
         coordinate range (one range per worker).
@@ -80,7 +79,6 @@ class ClusterCheckpoint:
     weights: np.ndarray
     rule: str
     sampler: Dict[str, Any] = field(default_factory=dict)
-    counters: Optional[np.ndarray] = None
     shard_write_totals: Optional[np.ndarray] = None
     trace: ExecutionTrace = field(default_factory=ExecutionTrace)
     epoch_seconds: List[float] = field(default_factory=list)
@@ -89,6 +87,23 @@ class ClusterCheckpoint:
     epoch_steals: List[int] = field(default_factory=list)
 
     # ------------------------------------------------------------------ #
+    def copy(self) -> "ClusterCheckpoint":
+        """A checkpoint to fold the next epoch into.
+
+        The trace and the per-epoch series are new lists over the same
+        values (an event does not change once folded), so a copy costs the
+        same at every epoch.  The arrays are shared: nothing writes into a
+        checkpoint's arrays, a fold replaces them.
+        """
+        return replace(
+            self,
+            trace=ExecutionTrace(epochs=list(self.trace.epochs)),
+            epoch_seconds=list(self.epoch_seconds),
+            epoch_mean_delay=list(self.epoch_mean_delay),
+            epoch_occupancy_skew=list(self.epoch_occupancy_skew),
+            epoch_steals=list(self.epoch_steals),
+        )
+
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready payload (arrays bit-exact via :func:`encode_array`)."""
         return {
@@ -100,7 +115,6 @@ class ClusterCheckpoint:
             # Always empty; readers of format 1 before 2.0.0 require the key.
             "rule_state": {},
             "sampler": self.sampler,
-            "counters": encode_array(self.counters) if self.counters is not None else None,
             "shard_write_totals": (
                 encode_array(self.shard_write_totals)
                 if self.shard_write_totals is not None else None
@@ -120,9 +134,10 @@ class ClusterCheckpoint:
         layouts carry two more keys naming it, payloads written while
         checkpoints still held every completed epoch's weights carry them
         under one more key, and payloads written while a rule could keep
-        shared state of its own carry it under ``rule_state``; such keys
-        are ignored.  A payload missing a required key raises
-        :class:`ValueError`.
+        shared state of its own carry it under ``rule_state``, and payloads
+        of 2.1.0 and earlier carry cumulative counter totals under
+        ``counters``; such keys are ignored.  A payload missing a required
+        key raises :class:`ValueError`.
         """
         try:
             return cls(
@@ -132,10 +147,6 @@ class ClusterCheckpoint:
                 weights=decode_array(payload["weights"]),
                 rule=payload["rule"],
                 sampler=dict(payload["sampler"]),
-                counters=(
-                    decode_array(payload["counters"])
-                    if payload.get("counters") is not None else None
-                ),
                 shard_write_totals=(
                     decode_array(payload["shard_write_totals"])
                     if payload.get("shard_write_totals") is not None else None

@@ -18,10 +18,10 @@ into a fleet of real OS processes sharing one parameter vector:
 
 The cluster is **elastic and fault-tolerant**:
 
-* every epoch barrier the driver captures a consistent in-memory
-  checkpoint (weights, sampler stream, folded counters — see
-  :mod:`repro.cluster.checkpoint`), optionally persisting it to a
-  :class:`~repro.cluster.checkpoint.CheckpointStore` every
+* the run's state is its last consistent checkpoint: at every end barrier
+  the epoch folds into a copy of it (weights, sampler stream, measured
+  history — see :mod:`repro.cluster.checkpoint`), which is optionally
+  persisted to a :class:`~repro.cluster.checkpoint.CheckpointStore` every
   ``checkpoint_every`` epochs;
 * when a worker dies mid-epoch (SIGKILL, OOM, Python crash) the watchdog
   aborts the barrier, the driver reports exactly *which* worker died and
@@ -35,7 +35,7 @@ The cluster is **elastic and fault-tolerant**:
 * stragglers are mitigated by work-stealing across the per-worker block
   queues, armed per epoch when the planned or measured
   :func:`~repro.cluster.cost_model.work_skew` exceeds
-  ``steal_skew_threshold`` (or forced with ``work_stealing=True``).
+  :data:`STEAL_SKEW_THRESHOLD` (or forced with ``work_stealing=True``).
 
 Solvers select this tier with ``async_mode="process"`` (see
 :mod:`repro.runtime`); it is the first execution path in the repository
@@ -78,6 +78,10 @@ from repro.utils.rng import RandomState, as_rng
 
 #: Environment variable overriding the multiprocessing start method.
 START_METHOD_ENV_VAR = "REPRO_CLUSTER_START_METHOD"
+
+#: ``work_stealing="auto"`` arms an epoch when the planned or the last
+#: measured work skew exceeds this.
+STEAL_SKEW_THRESHOLD = 0.05
 
 
 def default_start_method() -> str:
@@ -184,24 +188,15 @@ class ClusterRunResult:
 
 @dataclass
 class _RunState:
-    """Mutable bookkeeping of one :meth:`ClusterDriver.run` invocation."""
+    """One :meth:`ClusterDriver.run`: its last consistent cut plus the
+    run's own tallies, which a respawn does not roll back."""
 
+    cut: ClusterCheckpoint
     start_epoch: int = 0
-    trace: ExecutionTrace = field(default_factory=ExecutionTrace)
-    epoch_seconds: List[float] = field(default_factory=list)
-    epoch_mean_delay: List[float] = field(default_factory=list)
-    epoch_occ: List[float] = field(default_factory=list)
-    epoch_steals: List[int] = field(default_factory=list)
-    prev_counters: Optional[np.ndarray] = None
-    prev_shard_writes: Optional[np.ndarray] = None
-    base_counters: Optional[np.ndarray] = None       # totals before this fleet
-    base_shard_totals: Optional[np.ndarray] = None
     last_work_skew: float = 0.0
     respawns: int = 0
     steal_epochs: int = 0
     checkpoints_persisted: int = 0
-    resumed_from: int = 0
-    mem_ckpt: Optional[ClusterCheckpoint] = None
 
 
 class ClusterDriver:
@@ -233,24 +228,23 @@ class ClusterDriver:
     batch_size:
         Macro-block length per worker (``"auto"`` picks a block that keeps
         per-block Python overhead negligible without making reads much
-        staler than the real interleaving).
-    start_method:
-        ``multiprocessing`` start method (default: :func:`default_start_method`).
+        staler than the real interleaving).  Worker processes start with
+        :func:`default_start_method`.
     checkpoint_store:
         A :class:`~repro.cluster.checkpoint.CheckpointStore` (or directory
         path) to persist consistent checkpoints into; ``None`` keeps
         checkpoints in memory only (still enough for worker replacement).
     checkpoint_every:
         Persist every N-th epoch barrier to the store (the final epoch is
-        always persisted).  The in-memory recovery checkpoint is refreshed
-        every epoch regardless.
+        always persisted).  The run's own cut, which recovery restores,
+        advances every epoch regardless.
     max_respawns:
         Fleet respawn budget per run; 0 disables recovery (any worker
         death raises :class:`WorkerFailure` immediately).
     work_stealing:
         ``"auto"`` (default) arms stealing for an epoch when the planned or
         previously measured :func:`~repro.cluster.cost_model.work_skew`
-        exceeds ``steal_skew_threshold``; ``True``/``False`` force it.
+        exceeds :data:`STEAL_SKEW_THRESHOLD`; ``True``/``False`` force it.
     fault_hook:
         Optional observer ``hook(kind, payload)`` called at
         ``"fleet_spawned"``, ``"epoch_running"`` (between the release and
@@ -279,13 +273,10 @@ class ClusterDriver:
         batch_size: Union[int, str] = "auto",
         kernel_name: Optional[str] = None,
         seed: RandomState = 0,
-        start_method: Optional[str] = None,
         checkpoint_store: Optional[Union[CheckpointStore, str, Path]] = None,
         checkpoint_every: int = 1,
         max_respawns: int = 3,
         work_stealing: Union[bool, str] = "auto",
-        steal_skew_threshold: float = 0.05,
-        run_id: Optional[str] = None,
         fault_hook: Optional[Callable[[str, Dict[str, Any]], None]] = None,
         epoch_callback: Optional[Callable[[int, np.ndarray], None]] = None,
     ) -> None:
@@ -318,15 +309,12 @@ class ClusterDriver:
         self.batch_size = batch_size
         self.kernel_name = kernel_name
         self.seed = seed
-        self.start_method = start_method or default_start_method()
         if checkpoint_store is not None and not isinstance(checkpoint_store, CheckpointStore):
             checkpoint_store = CheckpointStore(checkpoint_store)
         self.checkpoint_store = checkpoint_store
         self.checkpoint_every = int(checkpoint_every)
         self.max_respawns = int(max_respawns)
         self.work_stealing = work_stealing
-        self.steal_skew_threshold = float(steal_skew_threshold)
-        self.run_id = run_id
         self.fault_hook = fault_hook
         self.epoch_callback = epoch_callback
         # The sampler seed root: every per-(worker, epoch) sequence seed is
@@ -382,7 +370,8 @@ class ClusterDriver:
                 "importance_sampling": bool(self.importance_sampling),
                 "step_clip": float(self.step_clip),
                 "seed_root": self._seed_root,
-                "run_id": self.run_id,
+                # Part of every stored checkpoint's digest, hence its file name.
+                "run_id": None,
             }
         return self._identity
 
@@ -412,30 +401,32 @@ class ClusterDriver:
                 raise ValueError(
                     f"initial_weights must have shape ({d},), got {initial_weights.shape}"
                 )
-        restored: Optional[ClusterCheckpoint] = None
+        cut: Optional[ClusterCheckpoint] = None
         if resume:
             if self.checkpoint_store is None:
                 raise ValueError("resume=True requires a checkpoint_store")
-            restored = self.checkpoint_store.latest(
-                self.checkpoint_identity(), max_epoch=epochs
+            cut = self.checkpoint_store.latest(self.checkpoint_identity(), max_epoch=epochs)
+        if cut is None:
+            cut = ClusterCheckpoint(
+                identity=self.checkpoint_identity(),
+                epoch=0,
+                num_workers=self.num_workers,
+                weights=np.zeros(d) if initial_weights is None else initial_weights.copy(),
+                rule=self.rule,
+                sampler=self._sampler_position(0),
             )
+        totals = cut.shard_write_totals
+        if totals is None or totals.shape != (self._num_shards,):
+            # A fresh run, or the range count changed across the resume:
+            # per-range attribution of the earlier segment no longer maps.
+            cut.shard_write_totals = np.zeros(self._num_shards, np.int64)
 
         arena = ShmArena()
         try:
             sampling = self._build_sampling()
             self._create_arena(arena, sampling)
-            state = _RunState()
-            state.prev_counters = np.zeros((self.num_workers, NUM_COUNTER_COLS), np.int64)
-            state.prev_shard_writes = np.zeros((self.num_workers, self._num_shards), np.int64)
-            state.base_counters = np.zeros(NUM_COUNTER_COLS, np.int64)
-            state.base_shard_totals = np.zeros(self._num_shards, np.int64)
-
-            if restored is not None:
-                self._restore(arena, state, restored)
-                state.start_epoch = state.resumed_from = restored.epoch
-            elif initial_weights is not None:
-                arena["weights"][...] = initial_weights
-            state.mem_ckpt = self._capture(arena, state, state.start_epoch)
+            self._restore(arena, cut)
+            state = _RunState(cut=cut, start_epoch=cut.epoch)
             return self._drive(epochs, arena, state, sampling)
         finally:
             arena.close()
@@ -522,42 +513,24 @@ class ClusterDriver:
             arena.create("snap_margins", (self.X.n_rows,), "float64")
 
     # ------------------------------------------------------------------ #
-    def _capture(self, arena: ShmArena, state: _RunState, epoch: int) -> ClusterCheckpoint:
-        """A consistent checkpoint of the quiescent arena at ``epoch``.
+    def _sampler_position(self, epoch: int) -> Dict[str, Any]:
+        """The sampler stream position of a cut after ``epoch`` epochs."""
+        return {
+            "seed_root": self._seed_root,
+            "next_epoch_seeds": [
+                self.epoch_seed(wid, epoch) for wid in range(self.num_workers)
+            ],
+        }
 
-        The trace is a new list over the same folded events (an event does
-        not change once folded), so a capture costs the same at every
-        epoch; the events are serialised only when a store saves them.
-        """
-        return ClusterCheckpoint(
-            identity=self.checkpoint_identity(),
-            epoch=int(epoch),
-            num_workers=self.num_workers,
-            weights=arena["weights"].copy(),
-            rule=self.rule,
-            sampler={
-                "seed_root": self._seed_root,
-                "next_epoch_seeds": [
-                    self.epoch_seed(wid, epoch) for wid in range(self.num_workers)
-                ],
-            },
-            counters=state.base_counters + state.prev_counters.sum(axis=0),
-            shard_write_totals=state.base_shard_totals
-            + state.prev_shard_writes.sum(axis=0),
-            trace=ExecutionTrace(epochs=list(state.trace.epochs)),
-            epoch_seconds=list(state.epoch_seconds),
-            epoch_mean_delay=list(state.epoch_mean_delay),
-            epoch_occupancy_skew=list(state.epoch_occ),
-            epoch_steals=list(state.epoch_steals),
-        )
-
-    def _restore(self, arena: ShmArena, state: _RunState, checkpoint: ClusterCheckpoint) -> None:
-        """Load ``checkpoint`` into the arena and roll the run state back.
+    def _restore(self, arena: ShmArena, checkpoint: ClusterCheckpoint) -> None:
+        """Load ``checkpoint`` into the arena and clear the measuring blocks.
 
         Arena and checkpoint share one layout, so a checkpoint written at
         any fleet size restores bit-identically.  Weights of another shape
         raise :class:`ValueError` before anything is copied: assigned into
         the arena, a short vector would be broadcast over every coordinate.
+        The queues, error flags and barrier are reset by
+        :meth:`_spawn_fleet`, which follows every restore that runs an epoch.
         """
         expected = arena["weights"].shape
         if checkpoint.weights.shape != expected:
@@ -571,32 +544,6 @@ class ClusterDriver:
         arena["progress"][...] = 0
         arena["write_clock"][...] = 0
         arena["last_writer"][...] = -1
-        arena["errors"][...] = 0
-        arena["seq_epoch"][...] = -1
-        arena["queue_next"][...] = 0
-        arena["queue_end"][...] = 0
-        state.prev_counters[...] = 0
-        state.prev_shard_writes[...] = 0
-        state.base_counters = (
-            checkpoint.counters.copy()
-            if checkpoint.counters is not None
-            else np.zeros(NUM_COUNTER_COLS, np.int64)
-        )
-        if (
-            checkpoint.shard_write_totals is not None
-            and checkpoint.shard_write_totals.shape == (self._num_shards,)
-        ):
-            state.base_shard_totals = checkpoint.shard_write_totals.copy()
-        else:
-            # Range count changed across the restore: per-range attribution
-            # of the earlier segment no longer maps; fractions restart.
-            state.base_shard_totals = np.zeros(self._num_shards, np.int64)
-        state.trace = ExecutionTrace(epochs=list(checkpoint.trace.epochs))
-        state.epoch_seconds = list(checkpoint.epoch_seconds)
-        state.epoch_mean_delay = list(checkpoint.epoch_mean_delay)
-        state.epoch_occ = list(checkpoint.epoch_occupancy_skew)
-        state.epoch_steals = list(checkpoint.epoch_steals)
-        state.last_work_skew = 0.0
 
     # ------------------------------------------------------------------ #
     def _notify(self, kind: str, payload: Dict[str, Any]) -> None:
@@ -616,29 +563,20 @@ class ClusterDriver:
         arena["barrier_arrive"][...] = 0
         arena["barrier_state"][...] = 0
         procs = []
-        for shard, iters, (probs, reweight) in zip(
-            self.partition.shards, self._iterations, sampling
-        ):
+        for shard, (probs, _) in zip(self.partition.shards, sampling):
             seeds = np.array(
                 [self.epoch_seed(shard.worker_id, e) for e in range(start_epoch, epochs)],
                 dtype=np.int64,
             )
             task = WorkerTask(
                 worker_id=shard.worker_id,
-                num_workers=self.num_workers,
                 arena=arena.spec(),
-                rows=shard.row_indices,
                 probabilities=probs,
-                step_weights=reweight,
-                iterations_per_epoch=iters,
-                epochs=epochs - start_epoch,
                 step_size=self.step_size,
                 objective=self.objective,
                 epoch_seeds=seeds,
                 rule=self.rule,
-                batch_size=self.resolved_batch_size(iters),
                 kernel_name=self.kernel_name,
-                dim=self.X.n_cols,
                 start_epoch=start_epoch,
             )
             procs.append(ctx.Process(target=run_worker, args=(task, lock), daemon=True))
@@ -657,7 +595,7 @@ class ClusterDriver:
             armed = False
         else:  # "auto": planned partition skew or last epoch's measured skew
             planned = work_skew(np.asarray(self._iterations, dtype=np.float64))
-            armed = max(planned, state.last_work_skew) > self.steal_skew_threshold
+            armed = max(planned, state.last_work_skew) > STEAL_SKEW_THRESHOLD
         arena["steal_enabled"][0] = 1 if armed else 0
         return armed
 
@@ -724,7 +662,8 @@ class ClusterDriver:
         state: _RunState,
         total_inner: int,
     ) -> None:
-        """Drive one epoch: prep, two barrier generations, counter folding."""
+        """Drive one epoch: prep, two barrier generations, and the fold of
+        the epoch into a copy of ``state.cut``."""
         d = self.X.n_cols
         w = arena["weights"]
         counters = arena["counters"]
@@ -766,26 +705,28 @@ class ClusterDriver:
             fold_sync_step(event, nnz=0, dim=d)
         elapsed = time.perf_counter() - started
 
-        snap_counters = counters.copy()
-        snap_shards = shard_writes.copy()
-        delta = snap_counters - state.prev_counters
-        shard_delta = snap_shards - state.prev_shard_writes
-        state.prev_counters = snap_counters
-        state.prev_shard_writes = snap_shards
-        counters[:, COL_MAX_DELAY] = 0  # per-epoch maximum
+        # Every worker is parked at the end generation, so the counters hold
+        # exactly this epoch's work; zero them for the next one.
+        delta = counters.copy()
+        totals = shard_writes.sum(axis=0)
+        counters[...] = 0
+        shard_writes[...] = 0
 
         iters = fold_worker_counters(
-            event, delta,
-            max_delay=int(snap_counters[:, COL_MAX_DELAY].max(initial=0)),
+            event, delta, max_delay=int(delta[:, COL_MAX_DELAY].max(initial=0))
         )
-        state.trace.add_epoch(event)
-        state.epoch_seconds.append(elapsed)
-        state.epoch_mean_delay.append(
-            float(delta[:, COL_DELAY_SUM].sum()) / max(iters, 1)
-        )
-        totals = shard_delta.sum(axis=0)
-        state.epoch_occ.append(occupancy_skew(totals))
-        state.epoch_steals.append(int(delta[:, COL_STEALS].sum()))
+        cut = state.cut.copy()
+        cut.epoch = epoch + 1
+        cut.num_workers = self.num_workers
+        cut.weights = w.copy()
+        cut.sampler = self._sampler_position(epoch + 1)
+        cut.shard_write_totals = cut.shard_write_totals + totals
+        cut.trace.add_epoch(event)
+        cut.epoch_seconds.append(elapsed)
+        cut.epoch_mean_delay.append(float(delta[:, COL_DELAY_SUM].sum()) / max(iters, 1))
+        cut.epoch_occupancy_skew.append(occupancy_skew(totals))
+        cut.epoch_steals.append(int(delta[:, COL_STEALS].sum()))
+        state.cut = cut
         if armed:
             state.steal_epochs += 1
         state.last_work_skew = work_skew(delta[:, COL_ITERATIONS].astype(np.float64))
@@ -802,7 +743,8 @@ class ClusterDriver:
         state: _RunState,
         sampling,
     ) -> ClusterRunResult:
-        ctx = mp.get_context(self.start_method)
+        start_method = default_start_method()
+        ctx = mp.get_context(start_method)
         total_inner = sum(self._iterations)
         procs = []
         fleet_start = state.start_epoch
@@ -821,20 +763,19 @@ class ClusterDriver:
                     # Elastic recovery: roll the arena back to the last
                     # consistent cut and replay from there with a fresh
                     # fleet (the interrupted epoch restarts).
-                    epoch = fleet_start = state.mem_ckpt.epoch
+                    epoch = fleet_start = state.cut.epoch
                     self._notify(
                         "respawn",
                         {"epoch": epoch, "respawns": state.respawns},
                     )
-                    self._restore(arena, state, state.mem_ckpt)
+                    self._restore(arena, state.cut)
                     procs = self._spawn_fleet(ctx, arena, sampling, epoch, epochs)
                     continue
                 epoch += 1
-                state.mem_ckpt = self._capture(arena, state, epoch)
                 if self.checkpoint_store is not None and (
                     epoch % self.checkpoint_every == 0 or epoch == epochs
                 ):
-                    self.checkpoint_store.save(state.mem_ckpt)
+                    self.checkpoint_store.save(state.cut)
                     state.checkpoints_persisted += 1
         except WorkerFailure:
             raise  # fleet already reaped above
@@ -853,39 +794,39 @@ class ClusterDriver:
                 proc.terminate()
                 raise RuntimeError("cluster worker failed to exit after the final epoch")
 
-        final = arena["weights"].copy()
-        totals = (
-            state.base_shard_totals + state.prev_shard_writes.sum(axis=0)
-        ).astype(np.float64)
+        cut = state.cut
+        totals = cut.shard_write_totals.astype(np.float64)
         fractions = totals / totals.sum() if totals.sum() > 0 else totals
         info = {
             "num_workers": self.num_workers,
-            "start_method": self.start_method,
+            "start_method": start_method,
             "available_parallelism": available_parallelism(),
             "mean_measured_delay": (
-                float(np.mean(state.epoch_mean_delay)) if state.epoch_mean_delay else 0.0
+                float(np.mean(cut.epoch_mean_delay)) if cut.epoch_mean_delay else 0.0
             ),
-            "measured_conflict_rate": state.trace.conflict_rate(),
-            "occupancy_skew": float(np.mean(state.epoch_occ)) if state.epoch_occ else 0.0,
+            "measured_conflict_rate": cut.trace.conflict_rate(),
+            "occupancy_skew": (
+                float(np.mean(cut.epoch_occupancy_skew)) if cut.epoch_occupancy_skew else 0.0
+            ),
             "fault_tolerant": self.max_respawns > 0,
             "respawns": state.respawns,
-            "resumed_from_epoch": state.resumed_from,
+            "resumed_from_epoch": state.start_epoch,
             "work_stealing": (
                 "auto" if self.work_stealing == "auto"
                 else ("on" if self.work_stealing else "off")
             ),
             "steal_epochs": state.steal_epochs,
-            "steal_count": int(sum(state.epoch_steals)),
+            "steal_count": int(sum(cut.epoch_steals)),
             "checkpoint_every": self.checkpoint_every,
             "checkpoints_persisted": state.checkpoints_persisted,
         }
         return ClusterRunResult(
-            weights=final,
-            trace=state.trace,
-            epoch_seconds=state.epoch_seconds,
-            epoch_mean_delay=state.epoch_mean_delay,
-            epoch_occupancy_skew=state.epoch_occ,
-            epoch_steals=state.epoch_steals,
+            weights=cut.weights,
+            trace=cut.trace,
+            epoch_seconds=cut.epoch_seconds,
+            epoch_mean_delay=cut.epoch_mean_delay,
+            epoch_occupancy_skew=cut.epoch_occupancy_skew,
+            epoch_steals=cut.epoch_steals,
             shard_write_fractions=fractions,
             info=info,
         )
@@ -898,4 +839,5 @@ __all__ = [
     "default_start_method",
     "available_parallelism",
     "START_METHOD_ENV_VAR",
+    "STEAL_SKEW_THRESHOLD",
 ]

@@ -69,9 +69,8 @@ COL_DELAY_SUM = 4
 COL_MAX_DELAY = 5
 COL_DENSE_WRITES = 6
 COL_SAMPLE_DRAWS = 7
-COL_BLOCKS = 8
-COL_STEALS = 9
-NUM_COUNTER_COLS = 10
+COL_STEALS = 8
+NUM_COUNTER_COLS = 9
 
 #: Barrier wait timeout (seconds); a worker crash aborts the barrier long
 #: before this, the timeout only guards against silent hangs.
@@ -115,31 +114,25 @@ def barrier_phase(arrive: np.ndarray, state: np.ndarray, wid: int, gen: int) -> 
 class WorkerTask:
     """Everything one process worker needs (fully picklable).
 
-    The heavy state (dataset, parameters, counters) is *not* in here —
-    workers attach to it through ``arena``; the task carries only the
-    worker's own sample shard and scalar configuration.
+    The heavy state (dataset, parameters, counters) and every shard's rows,
+    step weights, block length and iteration count live in ``arena``, where
+    a thief reads a victim's values as its owner does; the task carries
+    only the worker's sampling distribution and scalar configuration.
     """
 
     worker_id: int
-    num_workers: int
     arena: ArenaSpec
-    rows: np.ndarray                    # global row indices of the sample shard
-    probabilities: np.ndarray           # local sampling distribution over rows
-    step_weights: np.ndarray            # per-local-sample re-weighting 1/(n_a p_i), clipped
-    iterations_per_epoch: int
-    epochs: int                         # epochs left to run from start_epoch
+    probabilities: np.ndarray           # local sampling distribution over the shard's rows
     step_size: float
     objective: object                   # repro Objective (picklable)
-    epoch_seeds: np.ndarray             # int64[epochs], one sequence seed per epoch
+    epoch_seeds: np.ndarray             # int64, one sequence seed per epoch to run
     rule: str = "sgd"                   # registry name from repro.rules
-    batch_size: int = 256
     kernel_name: Optional[str] = None
-    dim: int = 0
     start_epoch: int = 0                # global index of the first epoch to run
 
 
 def run_worker(task: WorkerTask, lock=None) -> None:
-    """Process entry point: run ``task.epochs`` epochs against the arena.
+    """Process entry point: run one epoch per ``task.epoch_seeds`` entry.
 
     The protocol is two generation-barrier crossings per epoch (see
     :func:`barrier_phase`): the first releases the epoch (the driver has
@@ -211,7 +204,7 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
         data=arena["x_data"],
         indices=arena["x_indices"],
         indptr=arena["x_indptr"],
-        n_cols=task.dim,
+        n_cols=w.shape[0],
     )
     y = arena["y"]
     shard_of = arena["shard_of"]
@@ -236,8 +229,8 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
 
     rule = make_rule(task.rule, task.objective, task.step_size)
     epoch_seeds = np.asarray(task.epoch_seeds, dtype=np.int64)
-    block = max(1, int(task.batch_size))
-    n_blocks = -(-task.iterations_per_epoch // block)
+    iterations = int(queue_iters[wid])
+    n_blocks = -(-iterations // int(queue_block[wid]))
     is_svrg = task.rule in ("svrg", "svrg_skip_dense")
     mu = arena["mu"] if is_svrg else None
     snap_margins = arena["snap_margins"] if is_svrg else None
@@ -246,13 +239,12 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
 
     # One alias table per process; every epoch draws its sequence from it.
     sampler = AliasSampler(task.probabilities)
-    for k in range(task.epochs):
+    for k, seed in enumerate(epoch_seeds):
         tag = task.start_epoch + k
         barrier_phase(barrier_arrive, barrier_state, wid, 2 * k + 1)  # epoch start
-        steal_ok = task.num_workers > 1 and int(steal_enabled[0]) == 1
+        steal_ok = int(steal_enabled[0]) == 1     # never armed for one worker
         sequence = SampleSequence.generate(
-            task.probabilities, task.iterations_per_epoch, seed=int(epoch_seeds[k]),
-            sampler=sampler,
+            task.probabilities, iterations, seed=int(seed), sampler=sampler,
         ).indices
         sequences[wid, : sequence.size] = sequence
         if is_svrg:
@@ -328,7 +320,6 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
             row_c[COL_SPARSE_WRITES] += grad_nnz_mult * int(lengths.sum())
             row_c[COL_CONFLICTS] += conflicts
             row_c[COL_DELAY_SUM] += delay * n_iter
-            row_c[COL_BLOCKS] += 1
             if victim != wid:
                 row_c[COL_STEALS] += 1
             if delay > 0:
@@ -357,7 +348,6 @@ __all__ = [
     "COL_MAX_DELAY",
     "COL_DENSE_WRITES",
     "COL_SAMPLE_DRAWS",
-    "COL_BLOCKS",
     "COL_STEALS",
     "BARRIER_TIMEOUT",
 ]

@@ -24,6 +24,7 @@ Two orthogonal features make full paper sweeps practical:
 from __future__ import annotations
 
 import multiprocessing as mp
+import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
@@ -38,7 +39,6 @@ from repro.objectives.registry import make_objective
 from repro.solvers.base import Problem
 from repro.solvers.registry import make_solver
 from repro.utils.logging import get_logger
-from repro.utils.timer import Timer
 
 LOGGER = get_logger("experiments.runner")
 
@@ -88,9 +88,9 @@ def run_single(
         cost_model=cost_model,
         **solver_kwargs,
     )
-    timer = Timer()
-    with timer:
-        result = solver.fit(problem)
+    started = time.perf_counter()
+    result = solver.fit(problem)
+    train_seconds = time.perf_counter() - started
     record = RunRecord(
         solver=spec.solver,
         dataset=spec.dataset,
@@ -99,7 +99,7 @@ def run_single(
         trace=result.trace,
         info={
             **result.info,
-            "measured_train_seconds": timer.elapsed,
+            "measured_train_seconds": train_seconds,
             "step_size": spec.step_size,
             # The trained iterate itself: this is what turns a stored
             # artifact into a servable model (repro.serving loads it into
@@ -113,7 +113,7 @@ def run_single(
         record.curve.best_error_rate,
         record.curve.final_rmse,
         record.curve.total_time,
-        timer.elapsed,
+        train_seconds,
     )
     return record
 

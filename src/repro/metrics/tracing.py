@@ -149,12 +149,17 @@ class RunRecord:
 
         ``"arrays"`` entries come back into ``info`` as arrays.  Payloads
         written before arrays were stored that way (artifact format 1) have
-        no such key and keep their arrays as JSON lists in ``info``.
+        no such key and hold the runner's weights as a JSON float list,
+        which comes back as a float64 array, so saving the record again
+        stores them bit-exact too.  Other lists stay lists.
         """
         trace = payload.get("trace")
         info = dict(payload.get("info", {}))
-        for key, encoded in payload.get("arrays", {}).items():
-            info[key] = decode_array(encoded)
+        if "arrays" in payload:
+            for key, encoded in payload["arrays"].items():
+                info[key] = decode_array(encoded)
+        elif isinstance(info.get("weights"), list):
+            info["weights"] = np.asarray(info["weights"], dtype=np.float64)
         return cls(
             solver=payload["solver"],
             dataset=payload["dataset"],

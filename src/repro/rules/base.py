@@ -18,8 +18,12 @@ entry points from it:
   drift between tiers.
 * epoch hooks (:meth:`epoch_begin` / :meth:`epoch_end`) — per-epoch sync
   work (SVRG's snapshot + full gradient, the skip-µ ablation's dense
-  term), expressed against the small :class:`EngineFacade` surface that every
-  engine exposes, so the sync step is also written once.
+  term), expressed against the small :class:`EngineFacade` surface that the
+  per-sample and batched engines expose.  The cluster driver exposes no
+  facade and calls no hook: it runs SVRG's sync step itself, between its
+  epoch barriers, and publishes µ and the snapshot margins to the workers
+  through the shared-memory arena (each worker installs them with
+  ``set_snapshot``).
 
 Rules carry their trace metadata (``records_per_iteration``,
 ``grad_nnz_multiplier``, ``counts_sample_draws``) so the engines can fold
@@ -46,9 +50,10 @@ from repro.objectives.base import Objective
 class EngineFacade(Protocol):
     """What an execution engine exposes to rule epoch hooks.
 
-    Every backend (per-sample, batched and the cluster driver) satisfies
-    this protocol, so a rule's sync step runs identically on every
-    tier that calls the hooks.
+    The per-sample and batched engines satisfy this protocol and call the
+    hooks, so a rule's sync step runs identically on both.  The cluster
+    driver does not: it computes SVRG's sync step itself and shares the
+    result through its arena (see :mod:`repro.cluster.driver`).
     """
 
     X: Any                     # CSRMatrix of the problem

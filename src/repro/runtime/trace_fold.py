@@ -123,9 +123,9 @@ def fold_worker_counters(
 ) -> int:
     """Fold the cluster tier's measured per-worker counter rows.
 
-    ``delta`` is the per-epoch difference of the shared-memory counter
-    matrix (one row per worker, columns as laid out in
-    :mod:`repro.cluster.worker`).  Returns the epoch's iteration total so
+    ``delta`` is one epoch's shared-memory counter matrix (one row per
+    worker, columns as laid out in :mod:`repro.cluster.worker`; the driver
+    zeroes it at every end barrier).  Returns the epoch's iteration total so
     the driver can derive per-iteration means without re-summing.
     """
     from repro.cluster.worker import (

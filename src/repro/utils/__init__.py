@@ -6,7 +6,6 @@ creating circular imports.
 """
 
 from repro.utils.rng import RandomState, as_rng, spawn_rngs
-from repro.utils.timer import Timer, timed
 from repro.utils.validation import (
     check_array_1d,
     check_in_range,
@@ -20,8 +19,6 @@ __all__ = [
     "RandomState",
     "as_rng",
     "spawn_rngs",
-    "Timer",
-    "timed",
     "check_array_1d",
     "check_in_range",
     "check_positive",

@@ -1,99 +1,13 @@
-"""Lightweight wall-clock timing helpers.
+"""Wall-clock timing of a callable.
 
-These are used to calibrate the simulated cost model against real measured
-per-operation costs and to report benchmark times in the experiment
-harness.  They intentionally mirror the profiling-first workflow of the
-scientific-Python optimisation guide: measure, then optimise.
+Used to calibrate the simulated cost model against real measured
+per-operation costs and by the micro-benchmarks.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
-
-
-@dataclass
-class Timer:
-    """Accumulating stopwatch.
-
-    A :class:`Timer` can be started and stopped repeatedly; it accumulates
-    the total elapsed time and the number of laps, which makes it suitable
-    for timing the body of a training loop without allocating per-iteration
-    objects.
-
-    Examples
-    --------
-    >>> t = Timer()
-    >>> with t:
-    ...     _ = sum(range(1000))
-    >>> t.laps
-    1
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    elapsed: float = 0.0
-    laps: int = 0
-    _started: Optional[float] = field(default=None, repr=False)
-
-    def start(self) -> "Timer":
-        """Start (or restart) the stopwatch; raises if already running."""
-        if self._started is not None:
-            raise RuntimeError("Timer is already running")
-        self._started = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        """Stop the stopwatch and return the duration of this lap."""
-        if self._started is None:
-            raise RuntimeError("Timer is not running")
-        lap = time.perf_counter() - self._started
-        self._started = None
-        self.elapsed += lap
-        self.laps += 1
-        return lap
-
-    def reset(self) -> None:
-        """Zero the accumulated time and lap count."""
-        self.elapsed = 0.0
-        self.laps = 0
-        self._started = None
-
-    @property
-    def running(self) -> bool:
-        """Whether the stopwatch is currently started."""
-        return self._started is not None
-
-    @property
-    def mean_lap(self) -> float:
-        """Average lap duration (0.0 when no lap has completed)."""
-        return self.elapsed / self.laps if self.laps else 0.0
-
-    def __enter__(self) -> "Timer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-@contextmanager
-def timed(store: Dict[str, float], key: str) -> Iterator[None]:
-    """Context manager that adds the elapsed seconds of its block to ``store[key]``.
-
-    Parameters
-    ----------
-    store:
-        Mutable mapping collecting named timings.
-    key:
-        Name under which to accumulate the elapsed time.
-    """
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        store[key] = store.get(key, 0.0) + (time.perf_counter() - start)
+from typing import Callable
 
 
 def measure_call(fn: Callable[[], object], repeats: int = 5, warmup: int = 1) -> float:
@@ -114,27 +28,4 @@ def measure_call(fn: Callable[[], object], repeats: int = 5, warmup: int = 1) ->
     return best
 
 
-@dataclass
-class StageTimings:
-    """Named per-stage timing report for a training run."""
-
-    stages: Dict[str, float] = field(default_factory=dict)
-
-    def add(self, name: str, seconds: float) -> None:
-        """Accumulate ``seconds`` under ``name``."""
-        self.stages[name] = self.stages.get(name, 0.0) + float(seconds)
-
-    @property
-    def total(self) -> float:
-        """Sum of all recorded stage durations."""
-        return float(sum(self.stages.values()))
-
-    def as_rows(self) -> List[tuple]:
-        """Return ``(name, seconds, fraction)`` rows sorted by cost."""
-        total = self.total or 1.0
-        rows = [(k, v, v / total) for k, v in self.stages.items()]
-        rows.sort(key=lambda r: -r[1])
-        return rows
-
-
-__all__ = ["Timer", "timed", "measure_call", "StageTimings"]
+__all__ = ["measure_call"]

@@ -8,13 +8,16 @@ a mid-run checkpoint replays the remaining epochs byte-identically to the
 uninterrupted run (weights, trace and counters all equal).
 """
 
+import json
 import multiprocessing as mp
 import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.async_engine.events import EpochEvent
+from repro.async_engine.events import EpochEvent, ExecutionTrace
 from repro.cluster import CHECKPOINT_FORMAT_VERSION, CheckpointStore, ClusterDriver
 from repro.cluster.checkpoint import ClusterCheckpoint
 from repro.core.balancing import random_order
@@ -32,6 +35,10 @@ pytestmark = pytest.mark.skipif(
 
 EPOCHS = 4
 HALF = 2
+
+#: A store written by release 2.1.0: 1 worker, ``sgd``, epoch 2 of 4 on the
+#: hand-built matrix of :class:`TestPinnedIdentity`.
+STORE_2_1_0 = Path(__file__).parent / "data" / "store-2.1.0"
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +58,7 @@ def _partition(problem, workers):
 
 
 def _driver(problem, workers, store, **kwargs):
-    defaults = dict(step_size=0.15, seed=9, start_method="fork", checkpoint_store=store)
+    defaults = dict(step_size=0.15, seed=9, checkpoint_store=store)
     defaults.update(kwargs)
     return ClusterDriver(
         problem.X, problem.y, problem.objective, _partition(problem, workers), **defaults
@@ -184,6 +191,82 @@ class TestPinnedIdentity:
         identity = driver.checkpoint_identity()
         assert identity["skip_dense_term"] is (rule == "svrg_skip_dense")
         assert CheckpointStore.identity_prefix(identity) == prefix
+
+
+class TestRunStateIsTheCut:
+    def test_copy_makes_new_lists_over_the_same_values(self):
+        """Folding an epoch into a copy leaves the copied cut as it was."""
+        event = EpochEvent(epoch=0)
+        cut = ClusterCheckpoint(
+            identity={}, epoch=1, num_workers=1, weights=np.ones(3), rule="sgd",
+            trace=ExecutionTrace(epochs=[event]), epoch_seconds=[0.5],
+        )
+        copy = cut.copy()
+        copy.trace.add_epoch(EpochEvent(epoch=1))
+        copy.epoch_seconds.append(0.25)
+        assert [e.epoch for e in cut.trace.epochs] == [0]
+        assert cut.epoch_seconds == [0.5]
+        assert copy.trace.epochs[0] is event
+        assert copy.weights is cut.weights
+
+    def test_run_leaves_no_view_into_the_arena(self, ckpt_problem):
+        """Closing the arena at the end of a run unmaps its segments even
+        while a NumPy view still points into one, so the cut, and the
+        result read from it, must own what they take from the arena."""
+        result = _driver(ckpt_problem, 2, None, rule="svrg").run(HALF)
+        owns_its_weights = result.weights.flags.owndata  # a view would dangle
+        assert owns_its_weights
+
+    def test_result_is_the_last_stored_cut(self, ckpt_problem, tmp_path):
+        """The run's result is read from its last cut, which the store
+        saves: both report the same weights and measured history."""
+        store = CheckpointStore(tmp_path)
+        driver = _driver(ckpt_problem, 2, store)
+        result = driver.run(HALF)
+        cut = store.load(driver.checkpoint_identity(), HALF)
+        assert cut.weights.tobytes() == result.weights.tobytes()
+        assert cut.trace.to_dict() == result.trace.to_dict()
+        assert cut.epoch_seconds == result.epoch_seconds
+        assert cut.epoch_mean_delay == result.epoch_mean_delay
+        assert cut.epoch_occupancy_skew == result.epoch_occupancy_skew
+        assert cut.epoch_steals == result.epoch_steals
+        totals = cut.shard_write_totals.astype(np.float64)
+        assert (totals / totals.sum()).tobytes() == result.shard_write_fractions.tobytes()
+
+
+class TestStoreOf210:
+    """Checkpoints written before they stopped carrying cumulative counter
+    totals (release 2.1.0) still resume, bit-identically on one worker."""
+
+    @staticmethod
+    def _driver(store):
+        from repro.sparse.csr import CSRMatrix
+
+        X = CSRMatrix.from_rows([((k % 3, 3 + k % 4), (1.0, 0.5)) for k in range(8)], n_cols=7)
+        y = np.asarray([1.0, -1.0] * 4)
+        obj = LogisticObjective()
+        part = partition_dataset(np.arange(8), obj.lipschitz_constants(X, y), 1,
+                                 scheme="uniform")
+        return ClusterDriver(X, y, obj, part, step_size=0.15, seed=9, rule="sgd",
+                             checkpoint_store=store)
+
+    def test_resumes_bit_identically(self, tmp_path):
+        shutil.copytree(STORE_2_1_0, tmp_path / "store")
+        store = CheckpointStore(tmp_path / "store")
+        driver = self._driver(store)
+        entry = json.loads(store.path_for(driver.checkpoint_identity(), HALF).read_text())
+        assert entry["checkpoint"]["counters"] is not None
+        stored = decode_array(entry["checkpoint"]["weights"])
+
+        same = driver.run(HALF, resume=True)
+        assert same.info["resumed_from_epoch"] == HALF
+        assert same.weights.tobytes() == stored.tobytes()
+
+        finished = self._driver(store).run(EPOCHS, resume=True)
+        assert finished.info["resumed_from_epoch"] == HALF
+        assert [e.epoch for e in finished.trace.epochs] == list(range(EPOCHS))
+        uninterrupted = self._driver(None).run(EPOCHS)
+        assert finished.weights.tobytes() == uninterrupted.weights.tobytes()
 
 
 class TestResumeRoundTrip:

@@ -228,7 +228,7 @@ class TestWorkerFailure:
         part = _partition(cluster_problem, workers=2)
         driver = ClusterDriver(
             cluster_problem.X, cluster_problem.y, _ExplodingObjective(), part,
-            step_size=0.1, seed=0, start_method="fork", max_respawns=0,
+            step_size=0.1, seed=0, max_respawns=0,
         )
         with pytest.raises(RuntimeError, match="cluster worker") as excinfo:
             driver.run(1)
@@ -248,7 +248,7 @@ class TestWorkerFailure:
         killer = PreBarrierKiller(victim=1)
         driver = ClusterDriver(
             cluster_problem.X, cluster_problem.y, cluster_problem.objective, part,
-            step_size=0.1, seed=0, start_method="fork", max_respawns=0,
+            step_size=0.1, seed=0, max_respawns=0,
             fault_hook=killer,
         )
         with pytest.raises(WorkerFailure, match=r"worker 1 died with SIGKILL"):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import CheckpointStore, ClusterDriver, WorkerFailure
+from repro.cluster import driver as driver_module
 from repro.core.balancing import random_order
 from repro.core.partition import Partition, WorkerShard, partition_dataset
 from repro.datasets.synthetic import SyntheticSpec, make_sparse_classification
@@ -61,7 +62,7 @@ def _partition(problem, workers=NUM_WORKERS):
 
 
 def _driver(problem, part, **kwargs):
-    defaults = dict(step_size=STEP_SIZE, seed=CHAOS_SEED, start_method="fork")
+    defaults = dict(step_size=STEP_SIZE, seed=CHAOS_SEED)
     defaults.update(kwargs)
     return ClusterDriver(problem.X, problem.y, problem.objective, part, **defaults)
 
@@ -134,6 +135,16 @@ class TestMidEpochRecovery:
         assert [e for e, _ in clean_epochs] == list(range(epochs))
         for (_, got), (_, want) in zip(struck_epochs, clean_epochs):
             assert got.tobytes() == want.tobytes()
+
+    def test_single_worker_recovery_counts_the_replayed_epoch_once(self, chaos_problem):
+        """A restore clears the interrupted epoch's partial counters, so a
+        recovered single-worker run folds the same trace as a clean one."""
+        part = _partition(chaos_problem, workers=1)
+        clean = _driver(chaos_problem, part).run(EPOCHS)
+        injector = FaultInjector(kill_point=KillPoint(epoch=1, fraction=0.5))
+        struck = _driver(chaos_problem, part, fault_hook=injector).run(EPOCHS)
+        assert struck.info["respawns"] >= 1
+        assert struck.trace.to_dict() == clean.trace.to_dict()
 
     def test_recovery_with_persistent_store(self, chaos_problem, tmp_path):
         """Recovery works identically with checkpoints also persisted to disk."""
@@ -240,6 +251,44 @@ class TestWorkStealing:
         result = driver.run(1)
         assert result.info["steal_epochs"] == 0
         assert result.info["steal_count"] == 0
+
+    def test_auto_mode_compares_with_the_module_threshold(self, chaos_problem, monkeypatch):
+        """``"auto"`` arms an epoch exactly when the skew exceeds
+        ``STEAL_SKEW_THRESHOLD``, whatever the partition."""
+        assert driver_module.STEAL_SKEW_THRESHOLD == 0.05
+        monkeypatch.setattr(driver_module, "STEAL_SKEW_THRESHOLD", float(NUM_WORKERS))
+        skewed = _driver(
+            chaos_problem, self._skewed_partition(chaos_problem),
+            work_stealing="auto", batch_size=16,
+        ).run(1)
+        assert skewed.info["steal_epochs"] == 0
+        monkeypatch.setattr(driver_module, "STEAL_SKEW_THRESHOLD", -1.0)
+        balanced = _driver(chaos_problem, _partition(chaos_problem), work_stealing="auto").run(1)
+        assert balanced.info["steal_epochs"] == 1
+
+    def test_recovered_stealing_run_counts_each_epoch_once(self, chaos_problem):
+        """A respawn restores the arena from the last cut, so neither the
+        interrupted epoch's partial counters nor its arming are counted:
+        a recovered stealing run folds the work of a clean one."""
+        part = self._skewed_partition(chaos_problem)
+        clean = _driver(chaos_problem, part, work_stealing=True, batch_size=16).run(EPOCHS)
+        # Early in epoch 1 the victim, which holds 90% of the work, is busy.
+        injector = FaultInjector(kill_point=KillPoint(epoch=1, fraction=0.1))
+        struck = _driver(
+            chaos_problem, part, work_stealing=True, batch_size=16, fault_hook=injector
+        ).run(EPOCHS)
+        assert len(injector.strikes) == 1
+        assert struck.info["respawns"] >= 1
+        assert struck.info["resumed_from_epoch"] == 0
+        assert struck.info["steal_epochs"] == EPOCHS
+        assert len(struck.epoch_steals) == EPOCHS
+        assert [e.iterations for e in struck.trace.epochs] == [
+            e.iterations for e in clean.trace.epochs
+        ]
+        assert (
+            struck.trace.total_sparse_coordinate_updates
+            == clean.trace.total_sparse_coordinate_updates
+        )
 
     def test_stealing_preserves_convergence(self, chaos_problem):
         part = self._skewed_partition(chaos_problem)

@@ -17,6 +17,7 @@ from repro.experiments.configs import RunSpec
 from repro.experiments.runner import run_single
 from repro.experiments.store import FORMAT_VERSION, ArtifactStore, identity_key, run_key
 from repro.serving import ScoringModel
+from repro.utils.arrays import decode_array
 
 FORMAT1_STORE = Path(__file__).parent / "data" / "format1"
 FORMAT1_KEY = "47ccb418d6b03d986b64d5a102debebfc007134832f904f78e4a7dc7045e1469"
@@ -61,6 +62,16 @@ class TestFormat1:
         model = ScoringModel.from_artifact(fresh, FORMAT1_KEY)
         assert model.weights.tobytes() == _format1_weights().tobytes()
         assert fresh.load(FORMAT1_KEY).curve.as_dict() == old.load(FORMAT1_KEY).curve.as_dict()
+
+    def test_resave_stores_the_weights_as_base64(self, tmp_path):
+        old = ArtifactStore(FORMAT1_STORE)
+        identity = old.load_entry(FORMAT1_KEY)["identity"]
+        path = ArtifactStore(tmp_path).save(FORMAT1_KEY, old.load(FORMAT1_KEY), identity)
+        record = json.loads(path.read_text())["record"]
+        assert "weights" not in record["info"]
+        weights = decode_array(record["arrays"]["weights"])
+        assert weights.dtype == np.float64
+        assert weights.tobytes() == _format1_weights().tobytes()
 
 
 class TestFormat2:

@@ -1,7 +1,10 @@
 """Tests for the experiment runner."""
 
+import time
+
 import pytest
 
+from repro.experiments import runner as runner_module
 from repro.experiments.configs import ExperimentConfig, RunSpec, figure_config
 from repro.experiments.runner import ExperimentRunner, build_problem, run_single
 
@@ -43,6 +46,30 @@ class TestRunSingle:
         assert record.solver == "sgd"
         assert len(record.curve) == 2
         assert record.info["measured_train_seconds"] > 0.0
+
+    def test_measured_train_seconds_times_the_fit(self, monkeypatch):
+        """A fit made 50 ms slower reads at least 50 ms, and never more
+        than the whole call."""
+        make_solver = runner_module.make_solver
+
+        def slow_solver(*args, **kwargs):
+            solver = make_solver(*args, **kwargs)
+            fit = solver.fit
+
+            def slow_fit(problem):
+                time.sleep(0.05)
+                return fit(problem)
+
+            solver.fit = slow_fit
+            return solver
+
+        monkeypatch.setattr(runner_module, "make_solver", slow_solver)
+        spec = RunSpec(dataset="news20_smoke", solver="sgd", num_workers=1,
+                       step_size=0.5, epochs=1, seed=0)
+        started = time.perf_counter()
+        record = run_single(spec)
+        wall = time.perf_counter() - started
+        assert 0.05 <= record.info["measured_train_seconds"] <= wall
 
     def test_solver_kwargs_forwarded(self):
         spec = RunSpec(

@@ -175,9 +175,12 @@ class TestRunRecordArrays:
         assert clone.info["lookalike"] == lookalike
         assert clone.info["series"] == [0.5, 0.25]
 
-    def test_format_1_payload_keeps_its_lists(self):
-        # Format 1 stored arrays as float lists in "info"; they load as is.
+    def test_format_1_weights_load_as_a_float64_array(self):
+        # Format 1 stored the weights as a float list in "info"; they load
+        # as an array, so a re-save stores them bit-exact.  Other lists stay.
         payload = _record().to_dict()
-        payload["info"]["weights"] = [0.5, -0.0, 1e-300]
+        payload["info"].update(weights=[0.5, -0.0, 1e-300], series=[0.5, 0.25])
         clone = RunRecord.from_dict(payload)
-        assert clone.info["weights"] == [0.5, -0.0, 1e-300]
+        assert clone.info["weights"].dtype == np.float64
+        assert clone.info["weights"].tobytes() == np.array([0.5, -0.0, 1e-300]).tobytes()
+        assert clone.info["series"] == [0.5, 0.25]

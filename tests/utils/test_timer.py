@@ -1,61 +1,23 @@
 """Tests for repro.utils.timer."""
 
-import time
+from types import SimpleNamespace
 
 import pytest
 
-from repro.utils.timer import StageTimings, Timer, measure_call, timed
+from repro.utils import timer
+from repro.utils.timer import measure_call
 
 
-class TestTimer:
-    def test_context_manager_records_lap(self):
-        t = Timer()
-        with t:
-            time.sleep(0.001)
-        assert t.laps == 1
-        assert t.elapsed > 0.0
+def _scripted(monkeypatch, durations):
+    """A callable whose calls take ``durations`` in turn on a fake clock."""
+    now = [0.0]
+    monkeypatch.setattr(timer, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    remaining = iter(durations)
 
-    def test_multiple_laps_accumulate(self):
-        t = Timer()
-        for _ in range(3):
-            with t:
-                pass
-        assert t.laps == 3
-        assert t.mean_lap >= 0.0
+    def call():
+        now[0] += next(remaining)
 
-    def test_double_start_raises(self):
-        t = Timer().start()
-        with pytest.raises(RuntimeError):
-            t.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0 and t.laps == 0
-
-    def test_running_property(self):
-        t = Timer()
-        assert not t.running
-        t.start()
-        assert t.running
-        t.stop()
-        assert not t.running
-
-
-class TestTimed:
-    def test_accumulates_into_store(self):
-        store = {}
-        with timed(store, "phase"):
-            pass
-        with timed(store, "phase"):
-            pass
-        assert store["phase"] >= 0.0
+    return call, remaining
 
 
 class TestMeasureCall:
@@ -66,19 +28,16 @@ class TestMeasureCall:
         with pytest.raises(ValueError):
             measure_call(lambda: None, repeats=0)
 
+    def test_returns_the_fastest_repeat(self, monkeypatch):
+        call, _ = _scripted(monkeypatch, [3.0, 1.0, 2.0])
+        assert measure_call(call, repeats=3, warmup=0) == 1.0
 
-class TestStageTimings:
-    def test_add_and_total(self):
-        s = StageTimings()
-        s.add("a", 1.0)
-        s.add("b", 3.0)
-        s.add("a", 1.0)
-        assert s.total == pytest.approx(5.0)
+    def test_warmup_calls_run_untimed(self, monkeypatch):
+        call, remaining = _scripted(monkeypatch, [0.5, 0.5, 4.0, 8.0])
+        assert measure_call(call, repeats=2, warmup=2) == 4.0
+        assert next(remaining, None) is None
 
-    def test_rows_sorted_by_cost(self):
-        s = StageTimings()
-        s.add("small", 1.0)
-        s.add("big", 10.0)
-        rows = s.as_rows()
-        assert rows[0][0] == "big"
-        assert rows[0][2] == pytest.approx(10.0 / 11.0)
+    def test_negative_warmup_runs_no_warmup_call(self, monkeypatch):
+        call, remaining = _scripted(monkeypatch, [2.0, 7.0])
+        assert measure_call(call, repeats=1, warmup=-1) == 2.0
+        assert next(remaining) == 7.0
