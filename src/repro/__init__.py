@@ -40,7 +40,6 @@ from repro.solvers import (
     Problem,
     SGDSolver,
     SVRGASGDSolver,
-    SVRGSolver,
     TrainResult,
     make_solver,
 )
@@ -48,7 +47,7 @@ from repro.sparse import CSRMatrix, load_libsvm
 from repro.async_engine import CostModel
 from repro.cluster import ClusterDriver
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "__version__",
@@ -77,7 +76,6 @@ __all__ = [
     "TrainResult",
     "SGDSolver",
     "ISSGDSolver",
-    "SVRGSolver",
     "ASGDSolver",
     "SVRGASGDSolver",
     "make_solver",

@@ -135,18 +135,13 @@ class BatchedSimulator:
         configured default) used for the batched margins and scatter-adds.
     record_iterations:
         Materialise per-iteration events (tests only).
-    epoch_begin / epoch_end:
-        Optional hooks ``(simulator, epoch, event)`` invoked around every
-        epoch; when omitted they default to the update rule's own
-        ``epoch_begin``/``epoch_end`` (SVRG's snapshot sync), exactly as
-        :class:`AsyncSimulator` wires them.
     epoch_callback:
         Optional ``(epoch_index, weights)`` callable invoked once after
         every epoch with a copy of the weights, as on :class:`AsyncSimulator`.
-    count_sample_draws:
-        Whether each iteration counts as one weighted sample draw in the
-        trace (True for ASGD-style solvers, False for VR inner loops);
-        ``None`` defers to the rule's ``counts_sample_draws`` metadata.
+
+    The rule's own ``epoch_begin``/``epoch_end`` hooks (SVRG's snapshot
+    sync) run around every epoch and its ``counts_sample_draws`` prices the
+    trace, exactly as on :class:`AsyncSimulator`.
     """
 
     X: CSRMatrix
@@ -158,10 +153,7 @@ class BatchedSimulator:
     batch_size: Union[int, str] = "auto"
     kernel: Union[KernelBackend, str, None] = None
     record_iterations: bool = False
-    epoch_begin: Optional[Callable[["BatchedSimulator", int, EpochEvent], None]] = None
-    epoch_end: Optional[Callable[["BatchedSimulator", int, EpochEvent], None]] = None
     epoch_callback: Optional[Callable[[int, np.ndarray], None]] = None
-    count_sample_draws: Optional[bool] = None
     #: Bounded-history override mirroring ``AsyncSimulator.history`` — the
     #: replay clamps and counts ``history_overflows`` with the identical
     #: window arithmetic, so traces stay bit-equal under an override too.
@@ -181,14 +173,6 @@ class BatchedSimulator:
         elif int(self.batch_size) < 1:
             raise ValueError("batch_size must be a positive int or 'auto'")
         self.kernel = resolve_backend(self.kernel)
-        if self.count_sample_draws is None:
-            self.count_sample_draws = bool(
-                getattr(self.update_rule, "counts_sample_draws", True)
-            )
-        if self.epoch_begin is None:
-            self.epoch_begin = getattr(self.update_rule, "epoch_begin", None)
-        if self.epoch_end is None:
-            self.epoch_end = getattr(self.update_rule, "epoch_end", None)
         self._w: Optional[np.ndarray] = None
         self._log: Optional[_RecordLog] = None
         self._maxlen = 0
@@ -290,13 +274,15 @@ class BatchedSimulator:
         self._last_dense_ref = -1
         block = self.resolved_batch_size()
 
+        epoch_begin = getattr(self.update_rule, "epoch_begin", None)
+        epoch_end = getattr(self.update_rule, "epoch_end", None)
         trace = ExecutionTrace(iterations=[] if self.record_iterations else None)
         global_step = 0
 
         for epoch in range(epochs):
             event = EpochEvent(epoch=epoch)
-            if self.epoch_begin is not None:
-                self.epoch_begin(self, epoch, event)
+            if epoch_begin is not None:
+                epoch_begin(self, epoch, event)
             if epoch > 0:
                 for worker in self.workers:
                     worker.start_epoch(reshuffle=reshuffle, regenerate=regenerate)
@@ -327,8 +313,8 @@ class BatchedSimulator:
                     global_step,
                 )
 
-            if self.epoch_end is not None:
-                self.epoch_end(self, epoch, event)
+            if epoch_end is not None:
+                epoch_end(self, epoch, event)
             trace.add_epoch(event)
             if self.epoch_callback is not None:
                 self.epoch_callback(epoch, w.copy())
@@ -425,7 +411,6 @@ class BatchedSimulator:
             delays=delays,
             history_overflows=overflows,
             dense_coords_per_iteration=int(dense.shape[0]) if dense is not None else 0,
-            count_sample_draws=self.count_sample_draws,
         )
         if self.record_iterations and trace.iterations is not None:
             for k in range(n_iter):

@@ -24,7 +24,7 @@ runs here without the simulator knowing the rule exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -70,9 +70,6 @@ class AsyncSimulator:
         Kernel backend handed to rule epoch hooks (snapshot margins, table
         initialisation); instance, registry name or ``None`` for the
         configured default.
-    count_sample_draws:
-        Whether each iteration counts as one weighted sample draw in the
-        trace; ``None`` defers to the rule's ``counts_sample_draws``.
     record_iterations:
         Keep per-iteration events (memory-heavy; tests only).
     epoch_callback:
@@ -95,7 +92,6 @@ class AsyncSimulator:
     staleness: Optional[StalenessModel] = None
     seed: RandomState = 0
     kernel: Union[KernelBackend, str, None] = None
-    count_sample_draws: Optional[bool] = None
     record_iterations: bool = False
     epoch_callback: Optional[Callable[[int, np.ndarray], None]] = None
     history: Optional[int] = None
@@ -109,10 +105,6 @@ class AsyncSimulator:
         if self.staleness is None:
             self.staleness = UniformDelay(max(len(self.workers) - 1, 0))
         self.kernel = resolve_backend(self.kernel)
-        if self.count_sample_draws is None:
-            self.count_sample_draws = bool(
-                getattr(self.update_rule, "counts_sample_draws", True)
-            )
         self._model: Optional[SharedModel] = None
 
     @property
@@ -173,6 +165,7 @@ class AsyncSimulator:
         rule = self.update_rule
         epoch_begin = getattr(rule, "epoch_begin", None)
         epoch_end = getattr(rule, "epoch_end", None)
+        drew_sample = bool(getattr(rule, "counts_sample_draws", True))
 
         trace = ExecutionTrace(iterations=[] if self.record_iterations else None)
         global_step = 0
@@ -215,7 +208,7 @@ class AsyncSimulator:
                         dense_coords=int(dense_coords),
                         conflicts=conflicts,
                         delay=delay,
-                        drew_sample=self.count_sample_draws,
+                        drew_sample=drew_sample,
                         history_overflow=overflowed,
                     )
                     if self.record_iterations and trace.iterations is not None:

@@ -9,7 +9,7 @@ same physical pages; nothing but the spec (names, shapes, dtypes) ever
 crosses the process boundary.
 
 Ownership is explicit: the creating (driver) process unlinks the blocks,
-attaching workers only close their mappings.  Because every attacher is a
+attaching workers only drop their arrays.  Because every attacher is a
 *child* of the owner, all registrations land in the one shared
 ``resource_tracker`` and are balanced by the owner's ``unlink()`` — no
 leaked-segment warnings, no premature teardown.
@@ -17,11 +17,25 @@ leaked-segment warnings, no premature teardown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import mmap
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+
+
+def _own_view(
+    seg: shared_memory.SharedMemory, shape: Tuple[int, ...], dtype: str
+) -> np.ndarray:
+    """An array over its own mapping of ``seg``; ``seg``'s mapping is closed.
+
+    The array holds the only reference to its mapping, so the mapping lives
+    exactly as long as the array does, also after the arena is closed.
+    """
+    mapping = mmap.mmap(seg._fd, seg.size)
+    seg.close()
+    return np.ndarray(shape, dtype=dtype, buffer=mapping)
 
 
 @dataclass(frozen=True)
@@ -58,7 +72,7 @@ class ShmArena:
         self._owner = True
         nbytes = max(int(np.prod(shape)) * np.dtype(dtype).itemsize, 1)
         seg = shared_memory.SharedMemory(create=True, size=nbytes)
-        arr = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
+        arr = _own_view(seg, shape, dtype)
         if initial is not None:
             arr[...] = initial
         else:
@@ -75,7 +89,7 @@ class ShmArena:
         for name, shm_name, shape, dtype in spec.blocks:
             seg = shared_memory.SharedMemory(name=shm_name)
             arena._segments[name] = seg
-            arena._arrays[name] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
+            arena._arrays[name] = _own_view(seg, shape, dtype)
             arena._meta[name] = (shm_name, shape, dtype)
         return arena
 
@@ -93,25 +107,21 @@ class ShmArena:
         return name in self._arrays
 
     def close(self) -> None:
-        """Release the mappings; the owner also unlinks the segments.
+        """Drop the arena's arrays; the owner also unlinks the segments.
 
-        A NumPy view still referencing a segment makes ``mmap.close()``
-        raise ``BufferError``; the mapping then simply lives until the view
-        is garbage-collected (or the process exits).  Unlinking is
-        independent of the mapping on POSIX, so the owner always removes
-        the name — no segment outlives the run either way.
+        Each array maps its segment on its own, so the pages are unmapped
+        when the last reference to an array goes, and an array kept past
+        ``close`` stays readable until then.  Unlinking is independent of
+        the mappings on POSIX, so the owner always removes every name — no
+        segment outlives the run either way.
         """
         self._arrays.clear()
-        for seg in self._segments.values():
-            if self._owner:
+        if self._owner:
+            for seg in self._segments.values():
                 try:
                     seg.unlink()
                 except FileNotFoundError:  # pragma: no cover - already gone
                     pass
-            try:
-                seg.close()
-            except BufferError:  # view still referenced somewhere
-                pass
         self._segments.clear()
         self._meta.clear()
 

@@ -1,7 +1,7 @@
 """Backend-pluggable compute-kernel layer shared by solvers, objectives and metrics.
 
 Every numeric hot path in the library — per-sample SGD steps, batched
-margins, full gradients, metrics evaluation — dispatches through a
+margins, scatter-adds, metrics evaluation — dispatches through a
 :class:`~repro.kernels.base.KernelBackend` so that the *algorithmic* code
 (solvers, objectives) is independent of *how* the arithmetic is executed.
 

@@ -4,19 +4,15 @@ A :class:`KernelBackend` bundles every numeric primitive the solvers,
 objectives and metrics need into one swappable object:
 
 * CSR linear algebra — full and subset matrix-vector products
-  (:meth:`matvec`, :meth:`rmatvec`, :meth:`margins`);
+  (:meth:`matvec`, :meth:`margins`);
 * gathered-row batch primitives — :meth:`segment_margins` and the
   scatter-add of per-entry deltas (:meth:`scatter_add`);
-* the per-sample hot path — :meth:`sample_grad`, :meth:`row_update`, the
-  fused :meth:`sample_update` that one SGD-style iteration consists of,
-  and the block primitives :meth:`run_sample_block` /
-  :meth:`run_frozen_block` that execute a whole schedule block of such
-  steps in one call;
-* batched objective math — per-sample losses (:meth:`losses`) and the
-  mini-batch gradient (:meth:`batch_grad`), built on the
-  :class:`~repro.objectives.base.Objective` batch API;
-* full-dataset quantities — :meth:`full_loss`, :meth:`full_gradient` and
-  the one-pass metrics evaluation :meth:`evaluate`.
+* the per-sample hot path — the fused :meth:`sample_update` that one
+  SGD-style iteration consists of, and the block primitives
+  :meth:`run_sample_block` / :meth:`run_frozen_block` that execute a whole
+  schedule block of such steps in one call;
+* the one-pass metrics evaluation :meth:`evaluate`, built on the
+  :class:`~repro.objectives.base.Objective` batch API.
 
 Three implementations ship with the library: the ``reference`` backend
 keeps the original per-sample Python-loop semantics as ground truth, the
@@ -32,7 +28,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -81,10 +77,6 @@ class KernelBackend(ABC):
         """All-rows margins ``X @ w`` as a dense length-``n`` vector."""
 
     @abstractmethod
-    def rmatvec(self, X: CSRMatrix, v: np.ndarray) -> np.ndarray:
-        """Transpose product ``X.T @ v`` as a dense length-``d`` vector."""
-
-    @abstractmethod
     def margins(
         self, X: CSRMatrix, w: np.ndarray, rows: Optional[np.ndarray] = None
     ) -> np.ndarray:
@@ -127,18 +119,6 @@ class KernelBackend(ABC):
     # ------------------------------------------------------------------ #
     # Per-sample hot path
     # ------------------------------------------------------------------ #
-    @abstractmethod
-    def row_update(
-        self, w: np.ndarray, X: CSRMatrix, i: int, values: np.ndarray, scale: float = 1.0
-    ) -> None:
-        """In-place ``w[support(x_i)] += scale * values`` (values aligned with the support)."""
-
-    @abstractmethod
-    def sample_grad(
-        self, obj: "Objective", X: CSRMatrix, i: int, w: np.ndarray, y_i: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Index-compressed ``∇f_i(w)`` (loss + regulariser on the support) as ``(indices, values)``."""
-
     @abstractmethod
     def sample_update(
         self, w: np.ndarray, obj: "Objective", X: CSRMatrix, i: int, y_i: float, scale: float
@@ -198,55 +178,9 @@ class KernelBackend(ABC):
             f"{type(self).__name__} does not provide a fused frozen-block primitive"
         )
 
-    @abstractmethod
-    def batch_grad(
-        self,
-        obj: "Objective",
-        X: CSRMatrix,
-        rows: np.ndarray,
-        w: np.ndarray,
-        y: np.ndarray,
-        scales: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Index-compressed sum of re-weighted sample gradients.
-
-        Returns ``Σ_t scales[t] * ∇f_{rows[t]}(w)`` as a ``(columns,
-        values)`` pair whose support is the union of the rows' supports —
-        the mini-batch update primitive.  Per-sample gradients are
-        index-compressed (loss + regulariser on the support) and evaluated
-        at the common iterate ``w``; the cost is O(batch nnz), never O(d).
-        """
-
     # ------------------------------------------------------------------ #
-    # Batched objective math
+    # Metrics
     # ------------------------------------------------------------------ #
-    @abstractmethod
-    def losses(
-        self,
-        obj: "Objective",
-        X: CSRMatrix,
-        y: np.ndarray,
-        w: np.ndarray,
-        rows: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Unregularised per-sample losses ``phi_i(w)`` for ``rows`` (all when ``None``)."""
-
-    # ------------------------------------------------------------------ #
-    # Full-dataset quantities
-    # ------------------------------------------------------------------ #
-    def full_loss(self, obj: "Objective", X: CSRMatrix, y: np.ndarray, w: np.ndarray) -> float:
-        """Full objective ``F(w) = (1/n) Σ phi_i(w) + r(w)``."""
-        if X.n_rows == 0:
-            return obj.regularizer.value(w)
-        losses = self.losses(obj, X, y, w)
-        return float(losses.mean()) + obj.regularizer.value(w)
-
-    @abstractmethod
-    def full_gradient(
-        self, obj: "Objective", X: CSRMatrix, y: np.ndarray, w: np.ndarray
-    ) -> np.ndarray:
-        """Dense full gradient ``∇F(w)`` including the regulariser."""
-
     @abstractmethod
     def evaluate(
         self, obj: "Objective", X: CSRMatrix, y: np.ndarray, w: np.ndarray

@@ -126,19 +126,6 @@ class NativeKernel(VectorizedKernel):
         )
         return out
 
-    def rmatvec(self, X: CSRMatrix, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(X.n_cols, dtype=np.float64)
-        if X.n_rows == 0 or X.nnz == 0:
-            return out
-        v_arr, v_ptr = self._f64(v)
-        _, indptr = self._i32(X.indptr)
-        _, indices = self._i32(X.indices)
-        _, data = self._f64(X.data)
-        self._lib.repro_rmatvec(
-            X.n_rows, indptr, indices, data, v_ptr, self._ffi.from_buffer("double[]", out)
-        )
-        return out
-
     def margins(
         self, X: CSRMatrix, w: np.ndarray, rows: Optional[np.ndarray] = None
     ) -> np.ndarray:
@@ -275,7 +262,7 @@ class NativeKernel(VectorizedKernel):
         )
 
     # ------------------------------------------------------------------ #
-    # Batched objective math
+    # Metrics
     # ------------------------------------------------------------------ #
     def _native_losses(self, disp, margins: np.ndarray, y_sel: np.ndarray) -> np.ndarray:
         out = np.empty(margins.size, dtype=np.float64)
@@ -288,24 +275,6 @@ class NativeKernel(VectorizedKernel):
             )
         return out
 
-    def losses(
-        self,
-        obj,
-        X: CSRMatrix,
-        y: np.ndarray,
-        w: np.ndarray,
-        rows: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        disp = self._dispatch(obj)
-        if disp is None:
-            return super().losses(obj, X, y, w, rows)
-        margins = self.margins(X, w, rows)
-        y_sel = y if rows is None else y[np.asarray(rows, dtype=np.int64)]
-        return self._native_losses(disp, margins, y_sel)
-
-    # ------------------------------------------------------------------ #
-    # Full-dataset quantities
-    # ------------------------------------------------------------------ #
     def evaluate(self, obj, X: CSRMatrix, y: np.ndarray, w: np.ndarray) -> MetricsEval:
         disp = self._dispatch(obj)
         if disp is None:

@@ -35,8 +35,6 @@ OBJECTIVE_IDS = {
 CDEF = """
 void repro_matvec(int64_t n_rows, const int32_t *indptr, const int32_t *indices,
                   const double *data, const double *w, double *out);
-void repro_rmatvec(int64_t n_rows, const int32_t *indptr, const int32_t *indices,
-                   const double *data, const double *v, double *out);
 void repro_margins_rows(int64_t n_sel, const int64_t *rows, const int32_t *indptr,
                         const int32_t *indices, const double *data,
                         const double *w, double *out);
@@ -137,17 +135,6 @@ void repro_matvec(int64_t n_rows, const int32_t *indptr, const int32_t *indices,
         for (int32_t k = indptr[i]; k < indptr[i + 1]; ++k)
             acc += data[k] * w[indices[k]];
         out[i] = acc;
-    }
-}
-
-/* out must be zero-initialised by the caller. */
-void repro_rmatvec(int64_t n_rows, const int32_t *indptr, const int32_t *indices,
-                   const double *data, const double *v, double *out)
-{
-    for (int64_t i = 0; i < n_rows; ++i) {
-        double vi = v[i];
-        for (int32_t k = indptr[i]; k < indptr[i + 1]; ++k)
-            out[indices[k]] += data[k] * vi;
     }
 }
 

@@ -8,12 +8,11 @@ It is deliberately slow; use it for parity testing and debugging only.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.kernels.base import KernelBackend, MetricsEval
-from repro.objectives.regularizers import NoRegularizer
 from repro.sparse.csr import CSRMatrix
 
 
@@ -29,14 +28,6 @@ class ReferenceKernel(KernelBackend):
         out = np.zeros(X.n_rows, dtype=np.float64)
         for i in range(X.n_rows):
             out[i] = X.row_dot(i, w)
-        return out
-
-    def rmatvec(self, X: CSRMatrix, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(X.n_cols, dtype=np.float64)
-        for i in range(X.n_rows):
-            idx, val = X.row(i)
-            if idx.size:
-                np.add.at(out, idx, val * float(v[i]))
         return out
 
     def margins(
@@ -56,44 +47,9 @@ class ReferenceKernel(KernelBackend):
         for k in range(idx.size):
             w[int(idx[k])] += float(weights[k])
 
-    def batch_grad(
-        self,
-        obj,
-        X: CSRMatrix,
-        rows: np.ndarray,
-        w: np.ndarray,
-        y: np.ndarray,
-        scales: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        accum: dict[int, float] = {}
-        for t, i in enumerate(np.asarray(rows, dtype=np.int64)):
-            i = int(i)
-            x_idx, x_val = X.row(i)
-            grad = obj.sample_grad(w, x_idx, x_val, float(y[i]))
-            scale = float(scales[t])
-            for col, val in zip(grad.indices, grad.values):
-                accum[int(col)] = accum.get(int(col), 0.0) + scale * float(val)
-        cols = np.fromiter(accum.keys(), dtype=np.int64, count=len(accum))
-        vals = np.fromiter(accum.values(), dtype=np.float64, count=len(accum))
-        return cols, vals
-
     # ------------------------------------------------------------------ #
     # Per-sample hot path
     # ------------------------------------------------------------------ #
-    def row_update(
-        self, w: np.ndarray, X: CSRMatrix, i: int, values: np.ndarray, scale: float = 1.0
-    ) -> None:
-        idx, _ = X.row(i)
-        if idx.size:
-            np.add.at(w, idx, scale * values)
-
-    def sample_grad(
-        self, obj, X: CSRMatrix, i: int, w: np.ndarray, y_i: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        x_idx, x_val = X.row(i)
-        grad = obj.sample_grad(w, x_idx, x_val, y_i)
-        return grad.indices, grad.values
-
     def sample_update(
         self, w: np.ndarray, obj, X: CSRMatrix, i: int, y_i: float, scale: float
     ) -> int:
@@ -104,39 +60,8 @@ class ReferenceKernel(KernelBackend):
         return int(x_idx.size)
 
     # ------------------------------------------------------------------ #
-    # Batched objective math (scalar loops over the sample index)
+    # Metrics
     # ------------------------------------------------------------------ #
-    def losses(
-        self,
-        obj,
-        X: CSRMatrix,
-        y: np.ndarray,
-        w: np.ndarray,
-        rows: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        rows = np.arange(X.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
-        out = np.zeros(rows.size, dtype=np.float64)
-        for t, i in enumerate(rows):
-            x_idx, x_val = X.row(int(i))
-            out[t] = obj.sample_loss(w, x_idx, x_val, float(y[int(i)]))
-        return out
-
-    # ------------------------------------------------------------------ #
-    # Full-dataset quantities
-    # ------------------------------------------------------------------ #
-    def full_gradient(self, obj, X: CSRMatrix, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        n = max(X.n_rows, 1)
-        grad = np.zeros(X.n_cols, dtype=np.float64)
-        for i in range(X.n_rows):
-            idx, val = X.row(i)
-            if idx.size:
-                margin = X.row_dot(i, w)
-                coef = obj._loss_derivative(margin, float(y[i]))
-                np.add.at(grad, idx, coef * val / n)
-        if not isinstance(obj.regularizer, NoRegularizer):
-            grad += obj.regularizer.grad_dense(w)
-        return grad
-
     def evaluate(self, obj, X: CSRMatrix, y: np.ndarray, w: np.ndarray) -> MetricsEval:
         n = X.n_rows
         loss_sum = 0.0
@@ -154,11 +79,12 @@ class ReferenceKernel(KernelBackend):
                 sq_err_sum += (margin - y_i) ** 2
         mean_loss = loss_sum / n if n else 0.0
         rmse = float(np.sqrt(max(mean_loss + obj.regularizer.value(w), 0.0)))
-        if obj.is_classification:
-            error_rate = errors / n if n else 0.0
+        if not n:
+            error_rate = 0.0
+        elif obj.is_classification:
+            error_rate = errors / n
         else:
-            denom = float(np.mean(y**2)) or 1.0
-            error_rate = (sq_err_sum / n) / denom if n else 0.0
+            error_rate = (sq_err_sum / n) / (float(np.mean(y**2)) or 1.0)
         return MetricsEval(rmse=rmse, error_rate=float(error_rate))
 
 

@@ -6,18 +6,16 @@ the flat CSR ``(data, indices, indptr)`` arrays:
 * margins of a row subset — gather + ``np.add.reduceat`` segment sums;
 * scatter-add of gathered entries — ``np.unique`` + ``np.bincount`` with
   weights;
-* per-sample losses/derivatives — one call into the objective's batch API
-  (:meth:`~repro.objectives.base.Objective.batch_loss` /
-  :meth:`~repro.objectives.base.Objective.batch_grad_coeffs`);
-* metrics evaluation — a single matvec shared by RMSE and error rate.
+* metrics evaluation — a single matvec shared by RMSE and error rate, with
+  the per-sample losses from one call into the objective's batch API
+  (:meth:`~repro.objectives.base.Objective.batch_loss`).
 
-The sequential per-sample primitives (``sample_grad`` / ``sample_update``)
-perform the *same floating-point operations* as the reference backend — the
-margin is an ``np.dot`` over the support and the update touches each support
-coordinate exactly once — so serial SGD-style trajectories are bitwise
-identical across backends; only genuinely batched reductions (mini-batch
-accumulation, full gradients, metrics) may differ in the last ulp due to
-summation order.
+The sequential per-sample primitive (``sample_update``) performs the *same
+floating-point operations* as the reference backend — the margin is an
+``np.dot`` over the support and the update touches each support coordinate
+exactly once — so serial SGD-style trajectories are bitwise identical
+across backends; only genuinely batched reductions (metrics) may differ in
+the last ulp due to summation order.
 
 Canonical CSR layout (sorted, duplicate-free column indices within each
 row — guaranteed by every :class:`~repro.sparse.csr.CSRMatrix` constructor)
@@ -26,7 +24,7 @@ is assumed: ``w[idx] += v`` is then equivalent to ``np.add.at(w, idx, v)``.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -60,9 +58,6 @@ class VectorizedKernel(KernelBackend):
     def matvec(self, X: CSRMatrix, w: np.ndarray) -> np.ndarray:
         return X.dot(w)
 
-    def rmatvec(self, X: CSRMatrix, v: np.ndarray) -> np.ndarray:
-        return X.transpose_dot(v)
-
     def margins(
         self, X: CSRMatrix, w: np.ndarray, rows: Optional[np.ndarray] = None
     ) -> np.ndarray:
@@ -84,54 +79,9 @@ class VectorizedKernel(KernelBackend):
         cols, inverse = np.unique(idx, return_inverse=True)
         w[cols] += np.bincount(inverse, weights=weights, minlength=cols.size)
 
-    def batch_grad(
-        self,
-        obj,
-        X: CSRMatrix,
-        rows: np.ndarray,
-        w: np.ndarray,
-        y: np.ndarray,
-        scales: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        rows = np.asarray(rows, dtype=np.int64)
-        scales = np.asarray(scales, dtype=np.float64)
-        idx, val, lengths = X.gather_rows(rows)
-        if idx.size == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-        margins = _segment_sums(val * w[idx], lengths)
-        coeffs = obj.batch_grad_coeffs(margins, y[rows])
-        weights = np.repeat(scales * coeffs, lengths) * val
-        if not isinstance(obj.regularizer, NoRegularizer):
-            weights += np.repeat(scales, lengths) * obj.regularizer.grad_coords(w, idx)
-        # Compress onto the union support: O(batch nnz log batch nnz), never O(d).
-        cols, inverse = np.unique(idx, return_inverse=True)
-        vals = np.bincount(inverse, weights=weights, minlength=cols.size)
-        return cols, np.asarray(vals, dtype=np.float64)
-
     # ------------------------------------------------------------------ #
     # Per-sample hot path (raw-slice variants of the reference semantics)
     # ------------------------------------------------------------------ #
-    def row_update(
-        self, w: np.ndarray, X: CSRMatrix, i: int, values: np.ndarray, scale: float = 1.0
-    ) -> None:
-        lo, hi = X.indptr[i], X.indptr[i + 1]
-        if lo != hi:
-            idx = X.indices[lo:hi]
-            w[idx] += scale * values
-
-    def sample_grad(
-        self, obj, X: CSRMatrix, i: int, w: np.ndarray, y_i: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        lo, hi = X.indptr[i], X.indptr[i + 1]
-        idx = X.indices[lo:hi]
-        val = X.data[lo:hi]
-        margin = float(np.dot(val, w[idx])) if idx.size else 0.0
-        coef = obj._loss_derivative(margin, y_i)
-        values = coef * val
-        if idx.size and not isinstance(obj.regularizer, NoRegularizer):
-            values = values + obj.regularizer.grad_coords(w, idx)
-        return idx, values
-
     def sample_update(
         self, w: np.ndarray, obj, X: CSRMatrix, i: int, y_i: float, scale: float
     ) -> int:
@@ -152,30 +102,8 @@ class VectorizedKernel(KernelBackend):
         return int(idx.size)
 
     # ------------------------------------------------------------------ #
-    # Batched objective math
+    # Metrics
     # ------------------------------------------------------------------ #
-    def losses(
-        self,
-        obj,
-        X: CSRMatrix,
-        y: np.ndarray,
-        w: np.ndarray,
-        rows: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        margins = self.margins(X, w, rows)
-        y_sel = y if rows is None else y[np.asarray(rows, dtype=np.int64)]
-        return obj.batch_loss(margins, y_sel)
-
-    # ------------------------------------------------------------------ #
-    # Full-dataset quantities
-    # ------------------------------------------------------------------ #
-    def full_gradient(self, obj, X: CSRMatrix, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        margins = X.dot(w)
-        coefs = obj.batch_grad_coeffs(margins, y)
-        grad = X.transpose_dot(coefs) / max(X.n_rows, 1)
-        grad += obj.regularizer.grad_dense(w)
-        return grad
-
     def evaluate(self, obj, X: CSRMatrix, y: np.ndarray, w: np.ndarray) -> MetricsEval:
         n = X.n_rows
         if n == 0:

@@ -49,17 +49,6 @@ class SparseGradient:
         """Euclidean norm of the gradient."""
         return float(np.sqrt(self.norm_sq()))
 
-    def scaled(self, scale: float) -> "SparseGradient":
-        """Return a new gradient with values multiplied by ``scale``."""
-        return SparseGradient(indices=self.indices, values=self.values * scale)
-
-    def to_dense(self, dim: int) -> np.ndarray:
-        """Expand to a dense vector of length ``dim``."""
-        out = np.zeros(dim, dtype=np.float64)
-        if self.indices.size:
-            np.add.at(out, self.indices, self.values)
-        return out
-
 
 class Objective(ABC):
     """Finite-sum objective over a sparse design matrix.

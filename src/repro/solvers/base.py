@@ -110,8 +110,8 @@ class EpochEngine:
     def run(self, epochs: int, body, on_epoch: Callable[[int, np.ndarray], None]) -> None:
         """Execute ``epochs`` iterations of ``body(epoch, event)``.
 
-        The body mutates ``self.w`` (in place or by rebinding ``engine.w``)
-        and folds its operation counts into ``event``; after each epoch the
+        The body mutates ``self.w`` in place and folds its operation
+        counts into ``event``; after each epoch the
         engine appends the event to the trace and calls
         ``on_epoch(epoch, weights)`` with a copy of the weights.
         """

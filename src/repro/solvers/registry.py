@@ -21,20 +21,6 @@ def _make_is_sgd(**kwargs) -> BaseSolver:
     return ISSGDSolver(**kwargs)
 
 
-def _make_gd(**kwargs) -> BaseSolver:
-    from repro.solvers.gd import GradientDescentSolver
-
-    kwargs.pop("num_workers", None)
-    return GradientDescentSolver(**kwargs)
-
-
-def _make_svrg(**kwargs) -> BaseSolver:
-    from repro.solvers.svrg import SVRGSolver
-
-    kwargs.pop("num_workers", None)
-    return SVRGSolver(**kwargs)
-
-
 def _make_asgd(**kwargs) -> BaseSolver:
     from repro.solvers.asgd import ASGDSolver
 
@@ -54,22 +40,12 @@ def _make_is_asgd(**kwargs) -> BaseSolver:
     return ISASGDSolver(cost_model=cost_model, **kwargs)
 
 
-def _make_minibatch_sgd(**kwargs) -> BaseSolver:
-    from repro.solvers.minibatch import MiniBatchSGDSolver
-
-    kwargs.pop("num_workers", None)
-    return MiniBatchSGDSolver(**kwargs)
-
-
 _FACTORIES: Dict[str, Callable[..., BaseSolver]] = {
     "sgd": _make_sgd,
     "is_sgd": _make_is_sgd,
-    "gd": _make_gd,
-    "svrg": _make_svrg,
     "asgd": _make_asgd,
     "svrg_asgd": _make_svrg_asgd,
     "is_asgd": _make_is_asgd,
-    "minibatch_sgd": _make_minibatch_sgd,
 }
 
 #: Solvers that execute through the runtime layer (accept ``async_mode``).
@@ -118,12 +94,9 @@ def register_solver(name: str, factory: Callable[..., BaseSolver]) -> None:
 _CLASS_PATHS: Dict[str, str] = {
     "sgd": "repro.solvers.sgd:SGDSolver",
     "is_sgd": "repro.solvers.is_sgd:ISSGDSolver",
-    "gd": "repro.solvers.gd:GradientDescentSolver",
-    "svrg": "repro.solvers.svrg:SVRGSolver",
     "asgd": "repro.solvers.asgd:ASGDSolver",
     "svrg_asgd": "repro.solvers.svrg_asgd:SVRGASGDSolver",
     "is_asgd": "repro.core.is_asgd:ISASGDSolver",
-    "minibatch_sgd": "repro.solvers.minibatch:MiniBatchSGDSolver",
 }
 
 

@@ -64,6 +64,11 @@ class FaultInjector:
     ``fraction`` of the epoch's total iterations, then sends ``sig`` to the
     victim process.  Strikes once per run unless ``max_strikes`` says
     otherwise; every strike and observed respawn is recorded.
+
+    The driver zeroes ``progress`` before every fleet spawn, and each epoch
+    adds exactly its total iterations, so the epoch's start value follows
+    from the epoch the current fleet started at.  Reading it inside the
+    hook instead would miss the work the fleet did before the hook ran.
     """
 
     kill_point: KillPoint = field(default_factory=KillPoint)
@@ -73,10 +78,14 @@ class FaultInjector:
     wait_timeout: float = 60.0
     strikes: List[Dict[str, Any]] = field(default_factory=list)
     respawns: List[int] = field(default_factory=list)
+    fleet_epoch: int = 0                     # start epoch of the current fleet
 
     def __call__(self, kind: str, payload: Dict[str, Any]) -> None:
         if kind == "respawn":
             self.respawns.append(int(payload["epoch"]))
+            return
+        if kind == "fleet_spawned":
+            self.fleet_epoch = int(payload["epoch"])
             return
         if kind != "epoch_running" or len(self.strikes) >= self.max_strikes:
             return
@@ -85,10 +94,9 @@ class FaultInjector:
         procs = payload["procs"]
         victim = procs[self.kill_point.victim]
         progress = payload["arena"]["progress"]
-        # ``progress`` accumulates across epochs (reset only on restore),
-        # so the threshold is relative to the value at epoch start.
-        baseline = int(progress.sum())
-        target = baseline + self.kill_point.fraction * int(payload["total_iterations"])
+        total = int(payload["total_iterations"])
+        baseline = (self.kill_point.epoch - self.fleet_epoch) * total
+        target = baseline + self.kill_point.fraction * total
         deadline = time.monotonic() + self.wait_timeout
         while int(progress.sum()) < target:
             if time.monotonic() >= deadline or not victim.is_alive():

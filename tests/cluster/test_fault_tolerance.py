@@ -13,6 +13,7 @@ so CI can sweep a small seed x kill-point matrix over the same test body.
 import multiprocessing as mp
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -299,3 +300,36 @@ class TestWorkStealing:
             result.weights, chaos_problem.X, chaos_problem.y
         )
         assert_loss_close(loss_run, loss_ref, loss_zero)
+
+
+class TestFaultInjector:
+    def test_strikes_at_once_when_the_fleet_is_past_the_kill_point(self):
+        """The hook runs after the epoch's release, so the fleet may already
+        be 90 % through it; a 1:0.3 strike must then land at once instead of
+        waiting out ``wait_timeout`` for progress that cannot come."""
+        victim = mp.get_context("fork").Process(target=time.sleep, args=(30,), daemon=True)
+        victim.start()
+        try:
+            total = 100
+            # One worker, fleet spawned at epoch 0: epoch 0 is done and
+            # epoch 1 is 90 % done.
+            arena = {
+                "progress": np.array([190], dtype=np.int64),
+                "barrier_arrive": np.zeros(1, dtype=np.int64),
+            }
+            injector = FaultInjector(kill_point=KillPoint(epoch=1, fraction=0.3), wait_timeout=3.0)
+            injector("fleet_spawned", {"epoch": 0, "procs": [victim], "arena": arena})
+            started = time.monotonic()
+            injector(
+                "epoch_running",
+                {"epoch": 1, "procs": [victim], "arena": arena,
+                 "total_iterations": total, "gen_end": 4},
+            )
+            assert time.monotonic() - started < 1.0
+            victim.join(timeout=5.0)
+            assert victim.exitcode == -signal.SIGKILL
+            assert [strike["progress"] for strike in injector.strikes] == [90]
+        finally:
+            if victim.is_alive():
+                victim.kill()
+                victim.join()

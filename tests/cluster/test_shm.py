@@ -1,9 +1,25 @@
 """Unit tests of the shared-memory arena."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cluster.shm import ArenaSpec, ShmArena
+
+#: Keeps an arena's array past ``close`` and reads it.
+_KEEP_PAST_CLOSE = """
+import numpy as np
+from repro.cluster.shm import ShmArena
+arena = ShmArena()
+kept = arena.create("v", (4,), "float64", initial=np.arange(4.0))
+arena.close()
+print(kept[3])
+"""
 
 
 class TestShmArena:
@@ -59,3 +75,16 @@ class TestShmArena:
             arena.create("present", (1,))
             assert "present" in arena
             assert "absent" not in arena
+
+    def test_array_kept_past_close_stays_readable(self):
+        """Run in a fresh process: a read through a dangling view would end
+        it with SIGSEGV instead of printing the value."""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _KEEP_PAST_CLOSE],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "3.0"

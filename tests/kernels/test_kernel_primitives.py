@@ -33,37 +33,12 @@ class TestLinearAlgebra:
         np.testing.assert_allclose(kernel.matvec(X, weights), dense @ weights, atol=1e-12)
 
     @pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.name)
-    def test_rmatvec_matches_dense(self, kernel, matrix):
-        X, dense = matrix
-        v = np.random.default_rng(6).normal(size=X.n_rows)
-        np.testing.assert_allclose(kernel.rmatvec(X, v), dense.T @ v, atol=1e-12)
-
-    @pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.name)
     def test_subset_margins(self, kernel, matrix, weights):
         X, dense = matrix
         rows = np.array([4, 0, 7, 7, 24])  # includes the empty row and a repeat
         np.testing.assert_allclose(
             kernel.margins(X, weights, rows), dense[rows] @ weights, atol=1e-12
         )
-
-    @pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.name)
-    def test_batch_grad_matches_per_sample_sum(self, kernel, matrix, weights):
-        X, _ = matrix
-        obj = LogisticObjective(regularizer=L2Regularizer(1e-2))
-        rows = np.array([1, 4, 1, 9])  # includes the empty row and a repeat
-        y = np.ones(X.n_rows)
-        scales = np.array([0.5, 2.0, -1.0, 3.0])
-        cols, vals = kernel.batch_grad(obj, X, rows, weights, y, scales)
-        dense = np.zeros(X.n_cols)
-        dense[cols] = vals
-        expected = np.zeros(X.n_cols)
-        for t, i in enumerate(rows):
-            x_idx, x_val = X.row(int(i))
-            grad = obj.sample_grad(weights, x_idx, x_val, 1.0)
-            np.add.at(expected, grad.indices, scales[t] * grad.values)
-        np.testing.assert_allclose(dense, expected, atol=1e-13)
-        # The support is compressed: only touched columns are returned.
-        assert set(cols.tolist()) <= set(np.concatenate([X.row(int(i))[0] for i in rows]).tolist())
 
     def test_gather_rows_roundtrip(self, matrix):
         X, dense = matrix
@@ -78,18 +53,6 @@ class TestLinearAlgebra:
 
 
 class TestPerSamplePath:
-    @pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.name)
-    def test_sample_grad_matches_objective(self, kernel, matrix, weights):
-        X, _ = matrix
-        obj = LogisticObjective(regularizer=L2Regularizer(1e-2))
-        y = 1.0
-        for i in (0, 4, 9):  # includes the empty row
-            x_idx, x_val = X.row(i)
-            expected = obj.sample_grad(weights, x_idx, x_val, y)
-            idx, values = kernel.sample_grad(obj, X, i, weights, y)
-            np.testing.assert_array_equal(idx, expected.indices)
-            np.testing.assert_allclose(values, expected.values, atol=1e-15)
-
     def test_sample_update_identical_across_backends(self, matrix, weights):
         X, _ = matrix
         obj = LogisticObjective(regularizer=L2Regularizer(1e-2))
@@ -118,17 +81,6 @@ class TestBatchAPI:
             assert losses[i] == pytest.approx(
                 obj.sample_loss(weights, x_idx, x_val, float(y[i])), abs=1e-10
             )
-
-    @pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.name)
-    def test_full_gradient_matches_objective(self, kernel, matrix, weights):
-        X, _ = matrix
-        obj = LogisticObjective(regularizer=L2Regularizer(1e-2))
-        y = np.where(np.arange(X.n_rows) % 2 == 0, 1.0, -1.0)
-        np.testing.assert_allclose(
-            kernel.full_gradient(obj, X, y, weights),
-            obj.full_gradient(weights, X, y),
-            atol=1e-12,
-        )
 
     @pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.name)
     def test_evaluate_matches_objective_metrics(self, kernel, matrix, weights):

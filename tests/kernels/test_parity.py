@@ -1,9 +1,10 @@
 """Parity gate: every registered kernel backend must agree with ``reference``.
 
-The suite is registry-driven: for every registered solver × registered
-objective × registered backend (other than ``reference`` itself), both
-backends are run with identical seeds on a fixed smoke problem and the
-resulting :class:`TrainResult` convergence curves are compared — so a newly
+The suite is registry-driven: for every registered solver (and the skip-µ
+ablation of ``svrg_asgd``, which runs its own rule) × registered objective ×
+registered backend (other than ``reference`` itself), both backends are run
+with identical seeds on a fixed smoke problem and the resulting
+:class:`TrainResult` convergence curves are compared — so a newly
 registered backend (``native``, or any future one) is covered
 automatically.  The asynchronous solvers run on both deterministic tiers:
 ``per_sample`` drives the per-sample primitives (or the native fused
@@ -26,10 +27,17 @@ from repro.solvers.base import Problem
 from repro.solvers.registry import async_solver_names, available_solvers, make_solver
 from repro.sparse.csr import CSRMatrix
 
+#: Each asynchronous solver, and the flag that makes ``svrg_asgd`` run the
+#: ``svrg_skip_dense`` rule (the skip-µ ablation), by the name used in ids.
+ASYNC_VARIANTS = {
+    **{name: (name, {}) for name in async_solver_names()},
+    "svrg_asgd_skip_dense": ("svrg_asgd", {"skip_dense_term": True}),
+}
+
 #: Each registered solver; an asynchronous one once per deterministic tier.
 SOLVERS = [
     *(name for name in available_solvers() if name not in async_solver_names()),
-    *(f"{name}/{mode}" for name in async_solver_names() for mode in ("per_sample", "batched")),
+    *(f"{name}/{mode}" for name in ASYNC_VARIANTS for mode in ("per_sample", "batched")),
 ]
 
 #: Every registered backend is pinned to the reference ground truth.
@@ -73,9 +81,8 @@ def _fit(solver_name, problem, backend):
     kwargs = {"step_size": 0.1, "epochs": 3, "seed": 0, "kernel": backend}
     solver_name, _, async_mode = solver_name.partition("/")
     if async_mode:
-        kwargs.update(async_mode=async_mode, num_workers=2, batch_size=8)
-    if solver_name == "minibatch_sgd":
-        kwargs["batch_size"] = 8
+        solver_name, flags = ASYNC_VARIANTS[solver_name]
+        kwargs.update(async_mode=async_mode, num_workers=2, batch_size=8, **flags)
     return make_solver(solver_name, **kwargs).fit(problem)
 
 

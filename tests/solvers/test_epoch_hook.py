@@ -18,16 +18,17 @@ from repro.solvers.base import Problem
 from repro.solvers.registry import make_solver
 from repro.sparse.csr import CSRMatrix
 
-#: The three asynchronous tiers and the five serial solvers.
+#: The three asynchronous tiers, the two serial solvers, and SVRG-ASGD on the
+#: two simulated tiers, which run its rule's own epoch hooks (the snapshot
+#: and µ at the start of each epoch) around the report.
 FITS = {
     "per_sample": ("asgd", {"async_mode": "per_sample", "num_workers": 2}),
     "batched": ("asgd", {"async_mode": "batched", "num_workers": 2}),
     "process": ("asgd", {"async_mode": "process", "num_workers": 2}),
     "sgd": ("sgd", {}),
     "is_sgd": ("is_sgd", {}),
-    "gd": ("gd", {}),
-    "svrg": ("svrg", {}),
-    "minibatch_sgd": ("minibatch_sgd", {}),
+    "svrg/per_sample": ("svrg_asgd", {"async_mode": "per_sample", "num_workers": 2}),
+    "svrg/batched": ("svrg_asgd", {"async_mode": "batched", "num_workers": 2}),
 }
 
 

@@ -12,7 +12,7 @@ from repro.solvers.sgd import SGDSolver
 class TestRegistry:
     def test_contains_paper_algorithms(self):
         names = available_solvers()
-        for required in ("sgd", "asgd", "is_asgd", "svrg_asgd", "is_sgd", "svrg"):
+        for required in ("sgd", "asgd", "is_asgd", "svrg_asgd", "is_sgd"):
             assert required in names
 
     def test_make_sgd_ignores_num_workers(self):

@@ -1,14 +1,12 @@
-"""Tests for the serial solvers: SGD, IS-SGD, GD, SVRG."""
+"""Tests for the serial solvers: SGD and IS-SGD."""
 
 import numpy as np
 import pytest
 
 from repro.objectives.least_squares import LeastSquaresObjective
 from repro.solvers.base import Problem
-from repro.solvers.gd import GradientDescentSolver
 from repro.solvers.is_sgd import ISSGDSolver
 from repro.solvers.sgd import SGDSolver
-from repro.solvers.svrg import SVRGSolver
 from repro.sparse.csr import CSRMatrix
 
 
@@ -26,8 +24,6 @@ def ls_problem():
 ALL_SERIAL = [
     (SGDSolver, {"step_size": 0.05, "epochs": 8}),
     (ISSGDSolver, {"step_size": 0.05, "epochs": 8}),
-    (SVRGSolver, {"step_size": 0.05, "epochs": 6}),
-    (GradientDescentSolver, {"step_size": 0.1, "epochs": 20}),
 ]
 
 
@@ -49,7 +45,7 @@ class TestCommonBehaviour:
         result = cls(seed=0, **kwargs).fit(ls_problem)
         assert np.all(np.diff(result.curve.wall_clock) > 0)
 
-    @pytest.mark.parametrize("cls,kwargs", ALL_SERIAL[:2])
+    @pytest.mark.parametrize("cls,kwargs", ALL_SERIAL)
     def test_reproducible(self, ls_problem, cls, kwargs):
         r1 = cls(seed=3, **kwargs).fit(ls_problem)
         r2 = cls(seed=3, **kwargs).fit(ls_problem)
@@ -74,16 +70,9 @@ class TestAgainstExactSolution:
         loss_sgd = ls_problem.objective.full_loss(result.weights, ls_problem.X, ls_problem.y)
         assert loss_sgd <= loss_star * 3 + 0.05
 
-    def test_gd_approaches_exact_solution(self, ls_problem):
-        w_star = ls_problem.objective.solve_exact(ls_problem.X, ls_problem.y)
-        loss_star = ls_problem.objective.full_loss(w_star, ls_problem.X, ls_problem.y)
-        result = GradientDescentSolver(step_size=0.2, epochs=200, seed=0).fit(ls_problem)
-        loss_gd = ls_problem.objective.full_loss(result.weights, ls_problem.X, ls_problem.y)
-        assert loss_gd <= loss_star * 2 + 0.05
-
 
 class TestClassificationProblem:
-    @pytest.mark.parametrize("cls,kwargs", ALL_SERIAL[:3])
+    @pytest.mark.parametrize("cls,kwargs", ALL_SERIAL)
     def test_better_than_chance(self, small_problem, cls, kwargs):
         result = cls(seed=0, **{**kwargs, "step_size": 0.3}).fit(small_problem)
         assert result.best_error_rate < 0.45
@@ -104,24 +93,3 @@ class TestISSGDSpecifics:
         # Both variants must converge; exact iterates differ.
         assert a.curve.rmse[-1] < a.curve.rmse[0]
         assert b.curve.rmse[-1] < b.curve.rmse[0]
-
-
-class TestSVRGSpecifics:
-    def test_dense_cost_recorded(self, small_problem):
-        result = SVRGSolver(step_size=0.1, epochs=2, seed=0).fit(small_problem)
-        # Every inner iteration touches d dense coordinates -> far more dense
-        # than sparse coordinate updates on a sparse dataset.
-        epoch = result.trace.epochs[0]
-        assert epoch.dense_coordinate_updates > epoch.sparse_coordinate_updates
-
-    def test_skip_dense_variant_runs(self, small_problem):
-        result = SVRGSolver(step_size=0.1, epochs=2, seed=0, skip_dense_term=True).fit(small_problem)
-        assert result.info["skip_dense_term"] is True
-        assert result.curve.rmse[-1] < result.curve.rmse[0]
-
-    def test_faithful_version_much_slower_in_simulated_time(self, small_problem):
-        """Wall-clock per epoch of faithful SVRG >> plain SGD (the paper's point)."""
-        sgd = SGDSolver(step_size=0.3, epochs=2, seed=0).fit(small_problem)
-        svrg = SVRGSolver(step_size=0.1, epochs=2, seed=0).fit(small_problem)
-        assert svrg.curve.total_time > 2.0 * sgd.curve.total_time
-
