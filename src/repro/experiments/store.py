@@ -58,13 +58,14 @@ def run_identity(
     The identity resolves every ambient default that influences the result:
     for async solvers the execution mode (explicit kwarg, else the
     process-wide default resolved by :mod:`repro.runtime`), for all
-    solvers the kernel backend (explicit kwarg, else the registry default),
-    and the cost model pricing the simulated wall-clock axis.  A sweep
-    started under ``REPRO_ASYNC_MODE=batched`` or with a calibrated cost
-    model therefore does not collide with one under the defaults.  The
-    ``async_mode``/``kernel`` kwargs are hoisted into their resolved
-    top-level fields, so explicitly spelling a default hashes identically
-    to omitting it.
+    solvers the kernel backend that actually runs (explicit kwarg, else the
+    registry default; ``native`` records ``vectorized`` where the extension
+    cannot be built), and the cost model pricing the simulated wall-clock
+    axis.  A sweep started under ``REPRO_ASYNC_MODE=batched`` or with a
+    calibrated cost model therefore does not collide with one under the
+    defaults.  The ``async_mode``/``kernel`` kwargs are hoisted into their
+    resolved top-level fields, so explicitly spelling a default hashes
+    identically to omitting it.
 
     ``dataset_seed`` is the seed the dataset/problem is generated from —
     the runner uses its config-level seed for that, which may differ from
@@ -74,7 +75,7 @@ def run_identity(
     from dataclasses import asdict
 
     from repro.async_engine.cost_model import CostModel
-    from repro.kernels.registry import default_backend_name
+    from repro.kernels.registry import resolve_backend
     from repro.runtime import default_async_mode, resolve_async_mode
 
     kwargs = dict(spec.kwargs())
@@ -83,13 +84,12 @@ def run_identity(
         explicit = kwargs.pop("async_mode", None)
         async_mode = resolve_async_mode(explicit) if explicit is not None else default_async_mode()
     kernel = kwargs.pop("kernel", None)
-    if kernel is None:
-        kernel = default_backend_name()
-    elif not isinstance(kernel, str):
+    if kernel is not None and not isinstance(kernel, str):
         raise ValueError(
             "artifact identities require the 'kernel' solver kwarg to be a registry "
             f"name, got {type(kernel).__name__}"
         )
+    kernel = resolve_backend(kernel).name
     ok, canonical_kwargs = _jsonable(kwargs)
     if not ok:
         raise ValueError(

@@ -11,13 +11,13 @@ Backends
     The original per-sample Python-loop semantics (``X.row(i)`` → scalar
     margin → scalar derivative → ``np.add.at``), kept as ground truth for
     parity testing and debugging.
-``vectorized`` (default)
+``vectorized``
     Batched CSR primitives: segment-sum margins via ``np.add.reduceat``,
     scatter-add of scaled sparse rows via ``np.bincount``, one-matvec
     metrics evaluation, and raw-slice per-sample steps that perform the
     identical floating-point operations as ``reference`` so serial
     trajectories match bitwise.
-``native``
+``native`` (default)
     cffi-compiled C loops for the CSR primitives and — above all — the
     fused per-sample block (``run_sample_block`` / ``run_frozen_block``),
     built on first use and cached; falls back to ``vectorized`` with a
@@ -32,7 +32,7 @@ constructor, :class:`~repro.metrics.convergence.MetricsRecorder`, and the
 1. an explicit backend instance or registry name;
 2. :func:`~repro.kernels.registry.set_default_backend` (process-wide);
 3. the ``REPRO_KERNEL_BACKEND`` environment variable;
-4. the built-in default ``"vectorized"``.
+4. the built-in default ``"native"`` (``vectorized`` where it cannot be built).
 
 Batch-API contract
 ------------------

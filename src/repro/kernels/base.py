@@ -16,9 +16,9 @@ objectives and metrics need into one swappable object:
 
 Three implementations ship with the library: the ``reference`` backend
 keeps the original per-sample Python-loop semantics as ground truth, the
-``vectorized`` backend (the default) replaces every batched quantity with
-NumPy segment operations over the raw CSR arrays, and the ``native``
-backend (built on first use with a C compiler, falling back to
+``vectorized`` backend replaces every batched quantity with NumPy segment
+operations over the raw CSR arrays, and the ``native`` backend (the
+default: built on first use with a C compiler, falling back to
 ``vectorized`` otherwise) executes the hot loops as compiled C.  The
 registry-driven parity suite in ``tests/kernels/test_parity.py`` pins
 every backend to the reference.
@@ -36,6 +36,23 @@ from repro.sparse.csr import CSRMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.objectives.base import Objective
+
+
+def check_segments(idx: np.ndarray, val: np.ndarray, lengths: np.ndarray) -> None:
+    """Reject a gathered-rows layout whose ``lengths`` do not tile ``idx``/``val``.
+
+    ``lengths`` must be non-negative and sum to ``idx.size == val.size``.
+    Every kernel's segment primitives call this first, so no backend reads
+    past the flat arrays or silently drops the entries a short ``lengths``
+    leaves uncovered.
+    """
+    if lengths.size and lengths.min() < 0:
+        raise ValueError("lengths must be non-negative")
+    total = int(lengths.sum())
+    if not total == idx.size == val.size:
+        raise ValueError(
+            f"lengths sum to {total}, but idx has {idx.size} entries and val {val.size}"
+        )
 
 
 @dataclass
@@ -96,6 +113,7 @@ class KernelBackend(ABC):
         to avoid a second gather.  The generic implementation loops over the
         segments; backends override it with segment reductions.
         """
+        check_segments(idx, val, lengths)
         out = np.zeros(lengths.size, dtype=np.float64)
         start = 0
         for t, length in enumerate(lengths):
@@ -191,4 +209,4 @@ class KernelBackend(ABC):
         return f"{type(self).__name__}()"
 
 
-__all__ = ["KernelBackend", "MetricsEval"]
+__all__ = ["KernelBackend", "MetricsEval", "check_segments"]

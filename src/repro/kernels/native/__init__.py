@@ -4,8 +4,8 @@ Importing this package is always safe: nothing is compiled at import time.
 The registry factory :func:`make_native_backend` builds (or loads the cached)
 extension on first use and — when no compiler or cached build is available —
 emits a single :class:`RuntimeWarning` and returns the shared ``vectorized``
-backend instance instead, so ``REPRO_KERNEL_BACKEND=native`` never
-hard-fails (see docs/kernels.md).
+backend instance instead, so the default kernel never hard-fails (see
+docs/kernels.md).
 """
 
 from __future__ import annotations

@@ -17,7 +17,12 @@ implementation, so custom objectives keep working unchanged.
 
 The backend relies on the :class:`~repro.sparse.csr.CSRMatrix` dtype
 invariants (float64 data, int32 indices/indptr, C-contiguous) — buffers are
-passed to C zero-copy via ``ffi.from_buffer``.
+passed to C zero-copy via ``ffi.from_buffer``.  The C loops do no bounds
+checks, so every entry point first rejects what the pure-Python backends
+reject: a ``w`` of the wrong shape, row or column indices out of range,
+segment lengths that do not tile the gathered arrays, and per-row or
+per-step arrays of the wrong size.  The checks are a few O(len) reductions
+per call.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.base import MetricsEval
+from repro.kernels.base import MetricsEval, check_segments
 from repro.kernels.native import builder
 from repro.kernels.native.source import OBJECTIVE_IDS
 from repro.kernels.vectorized import VectorizedKernel
@@ -41,6 +46,7 @@ from repro.objectives.regularizers import (
 )
 from repro.objectives.squared_hinge import SquaredHingeObjective
 from repro.sparse.csr import CSRMatrix
+from repro.utils.validation import check_index_array
 
 _OBJECTIVE_TYPES = {
     LogisticObjective: OBJECTIVE_IDS["logistic"],
@@ -48,6 +54,22 @@ _OBJECTIVE_TYPES = {
     SquaredHingeObjective: OBJECTIVE_IDS["squared_hinge"],
     LeastSquaresObjective: OBJECTIVE_IDS["least_squares"],
 }
+
+
+def _check_w(X: CSRMatrix, w) -> None:
+    if np.shape(w) != (X.n_cols,):
+        raise ValueError(f"w must have shape ({X.n_cols},), got {np.shape(w)}")
+
+
+def _check_bounds(idx: np.ndarray, upper: int) -> None:
+    """Column indices must address ``w``, which has ``upper`` entries."""
+    if idx.size and (idx.min() < 0 or idx.max() >= upper):
+        raise IndexError(f"idx contains indices outside [0, {upper})")
+
+
+def _check_size(arr: np.ndarray, size: int, name: str) -> None:
+    if arr.size != size:
+        raise ValueError(f"{name} must have {size} entries, got {arr.size}")
 
 
 class NativeKernel(VectorizedKernel):
@@ -113,6 +135,7 @@ class NativeKernel(VectorizedKernel):
     # CSR linear algebra
     # ------------------------------------------------------------------ #
     def matvec(self, X: CSRMatrix, w: np.ndarray) -> np.ndarray:
+        _check_w(X, w)
         n = X.n_rows
         out = np.empty(n, dtype=np.float64)
         if n == 0:
@@ -131,10 +154,12 @@ class NativeKernel(VectorizedKernel):
     ) -> np.ndarray:
         if rows is None:
             return self.matvec(X, w)
-        rows_arr, rows_ptr = self._i64(rows)
+        _check_w(X, w)
+        rows_arr = check_index_array(rows, "rows", upper=X.n_rows)
         out = np.empty(rows_arr.size, dtype=np.float64)
         if rows_arr.size == 0:
             return out
+        rows_ptr = self._ffi.from_buffer("int64_t[]", rows_arr)
         w_arr, w_ptr = self._f64(w)
         _, indptr = self._i32(X.indptr)
         _, indices = self._i32(X.indices)
@@ -152,12 +177,14 @@ class NativeKernel(VectorizedKernel):
         self, idx: np.ndarray, val: np.ndarray, lengths: np.ndarray, w: np.ndarray
     ) -> np.ndarray:
         lengths_arr, lengths_ptr = self._i64(lengths)
-        out = np.empty(lengths_arr.size, dtype=np.float64)
-        if lengths_arr.size == 0:
-            return out
         idx_arr, idx_ptr = self._i32(idx)
         val_arr, val_ptr = self._f64(val)
         w_arr, w_ptr = self._f64(w)
+        check_segments(idx_arr, val_arr, lengths_arr)
+        _check_bounds(idx_arr, w_arr.size)
+        out = np.empty(lengths_arr.size, dtype=np.float64)
+        if lengths_arr.size == 0:
+            return out
         self._lib.repro_segment_margins(
             lengths_arr.size, lengths_ptr, idx_ptr, val_ptr, w_ptr,
             self._ffi.from_buffer("double[]", out),
@@ -165,14 +192,16 @@ class NativeKernel(VectorizedKernel):
         return out
 
     def scatter_add(self, w: np.ndarray, idx: np.ndarray, weights: np.ndarray) -> None:
-        if idx.size == 0:
+        idx_arr, idx_ptr = self._i32(idx)
+        weights_arr, weights_ptr = self._f64(weights)
+        _check_size(weights_arr, idx_arr.size, "weights")
+        _check_bounds(idx_arr, w.size)
+        if idx_arr.size == 0:
             return
         w_ptr = self._wptr(w)
         if w_ptr is None:
-            super().scatter_add(w, idx, weights)
+            super().scatter_add(w, idx_arr, weights_arr)
             return
-        idx_arr, idx_ptr = self._i32(idx)
-        weights_arr, weights_ptr = self._f64(weights)
         self._lib.repro_scatter_add(idx_arr.size, idx_ptr, weights_ptr, w_ptr)
 
     # ------------------------------------------------------------------ #
@@ -181,6 +210,8 @@ class NativeKernel(VectorizedKernel):
     def sample_update(
         self, w: np.ndarray, obj, X: CSRMatrix, i: int, y_i: float, scale: float
     ) -> int:
+        _check_w(X, w)
+        check_index_array(i, "i", upper=X.n_rows)
         disp = self._dispatch(obj)
         w_ptr = self._wptr(w) if disp is not None else None
         if disp is None or w_ptr is None:
@@ -205,16 +236,20 @@ class NativeKernel(VectorizedKernel):
         rows: np.ndarray,
         scales: np.ndarray,
     ) -> int:
+        _check_w(X, w)
+        rows_arr = check_index_array(rows, "rows", upper=X.n_rows)
+        y_arr, y_ptr = self._f64(y)
+        scales_arr, scales_ptr = self._f64(scales)
+        _check_size(y_arr, X.n_rows, "y")
+        _check_size(scales_arr, rows_arr.size, "scales")
         disp = self._dispatch(obj)
         w_ptr = self._wptr(w) if disp is not None else None
         if disp is None or w_ptr is None:
-            return super().run_sample_block(w, obj, X, y, rows, scales)
-        rows_arr, rows_ptr = self._i64(rows)
+            return super().run_sample_block(w, obj, X, y_arr, rows_arr, scales_arr)
         if rows_arr.size == 0:
             return 0
+        rows_ptr = self._ffi.from_buffer("int64_t[]", rows_arr)
         obj_id, has_reg, r1, r2 = disp
-        scales_arr, scales_ptr = self._f64(scales)
-        y_arr, y_ptr = self._f64(y)
         _, indptr = self._i32(X.indptr)
         _, indices = self._i32(X.indices)
         _, data = self._f64(X.data)
@@ -242,13 +277,17 @@ class NativeKernel(VectorizedKernel):
             # direct caller asked for an unsupported combination.
             return super().run_frozen_block(w, obj, idx, val, lengths, y_rows, scales)
         lengths_arr, lengths_ptr = self._i64(lengths)
-        if lengths_arr.size == 0:
-            return 0
-        obj_id, has_reg, r1, r2 = disp
         idx_arr, idx_ptr = self._i32(idx)
         val_arr, val_ptr = self._f64(val)
         y_arr, y_ptr = self._f64(y_rows)
         scales_arr, scales_ptr = self._f64(scales)
+        check_segments(idx_arr, val_arr, lengths_arr)
+        _check_bounds(idx_arr, w.size)
+        _check_size(y_arr, lengths_arr.size, "y_rows")
+        _check_size(scales_arr, lengths_arr.size, "scales")
+        if lengths_arr.size == 0:
+            return 0
+        obj_id, has_reg, r1, r2 = disp
         margins_buf = np.empty(lengths_arr.size, dtype=np.float64)
         entry_buf = np.empty(idx_arr.size, dtype=np.float64)
         return int(
@@ -276,6 +315,8 @@ class NativeKernel(VectorizedKernel):
         return out
 
     def evaluate(self, obj, X: CSRMatrix, y: np.ndarray, w: np.ndarray) -> MetricsEval:
+        _check_w(X, w)
+        _check_size(np.asarray(y), X.n_rows, "y")
         disp = self._dispatch(obj)
         if disp is None:
             return super().evaluate(obj, X, y, w)

@@ -93,6 +93,8 @@ static double repro_loss_deriv(int obj_id, double m, double y)
     return 0.0;
 }
 
+/* The hinge clamps test slack <= 0 so that a NaN slack stays NaN, as
+   np.maximum(0, slack) keeps it in the Python objectives. */
 static double repro_loss_value(int obj_id, double m, double y)
 {
     switch (obj_id) {
@@ -102,11 +104,11 @@ static double repro_loss_value(int obj_id, double m, double y)
     }
     case 2: {
         double slack = 1.0 - y * m;
-        return slack > 0.0 ? slack : 0.0;
+        return slack <= 0.0 ? 0.0 : slack;
     }
     case 3: {
         double slack = 1.0 - y * m;
-        slack = slack > 0.0 ? slack : 0.0;
+        slack = slack <= 0.0 ? 0.0 : slack;
         return slack * slack;
     }
     case 4: {
@@ -119,12 +121,16 @@ static double repro_loss_value(int obj_id, double m, double y)
 
 /* Separable regulariser gradient at one coordinate:
    r1 * sign(w_j) + r2 * w_j, with sign(0) = 0 (the L1 subgradient
-   convention of the Python regularisers). */
+   convention of the Python regularisers).  Pure L1 has r2 = 0, and
+   0 * w_j is NaN at an infinite w_j where Python adds no L2 term; for
+   finite w_j the skipped term is +-0, so the sum is bit-identical. */
 static double repro_reg_grad(int has_reg, double r1, double r2, double wj)
 {
     if (!has_reg) return 0.0;
     double s = (double)((wj > 0.0) - (wj < 0.0));
-    return r1 * s + r2 * wj;
+    double g = r1 * s;
+    if (r2 != 0.0) g += r2 * wj;
+    return g;
 }
 
 void repro_matvec(int64_t n_rows, const int32_t *indptr, const int32_t *indices,

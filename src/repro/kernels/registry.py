@@ -7,7 +7,12 @@ The active backend is resolved in priority order:
    ``Objective.batch_margins`` all accept a ``kernel`` argument);
 2. the process-wide default set via :func:`set_default_backend`;
 3. the ``REPRO_KERNEL_BACKEND`` environment variable;
-4. the built-in default, ``"vectorized"``.
+4. the built-in default, ``"native"``.
+
+Where cffi or a C compiler is missing, ``native`` resolves to the shared
+``vectorized`` instance after one :class:`RuntimeWarning`, so the name a
+caller configured is not always the kernel that runs:
+``resolve_backend(kernel).name`` is.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from repro.kernels.vectorized import VectorizedKernel
 #: Environment variable consulted when no explicit backend is configured.
 BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
-#: The built-in default backend name.
-DEFAULT_BACKEND = "vectorized"
+#: The built-in default backend name (falls back to ``vectorized`` where the
+#: native extension cannot be built).
+DEFAULT_BACKEND = "native"
 
 _FACTORIES: Dict[str, Callable[[], KernelBackend]] = {
     "native": make_native_backend,

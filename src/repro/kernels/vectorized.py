@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.base import KernelBackend, MetricsEval
+from repro.kernels.base import KernelBackend, MetricsEval, check_segments
 from repro.objectives.regularizers import NoRegularizer
 from repro.sparse.csr import CSRMatrix
 
@@ -69,6 +69,7 @@ class VectorizedKernel(KernelBackend):
     def segment_margins(
         self, idx: np.ndarray, val: np.ndarray, lengths: np.ndarray, w: np.ndarray
     ) -> np.ndarray:
+        check_segments(idx, val, lengths)
         return _segment_sums(val * w[idx], lengths)
 
     def scatter_add(self, w: np.ndarray, idx: np.ndarray, weights: np.ndarray) -> None:

@@ -192,8 +192,8 @@ class MetricsRecorder:
     snapshot plus the solver's progress counters.
 
     Evaluation dispatches through a compute-kernel backend
-    (:mod:`repro.kernels`): the default ``vectorized`` backend shares one
-    batched matvec between the objective value and the error rate — the
+    (:mod:`repro.kernels`): the ``native`` and ``vectorized`` backends share
+    one batched matvec between the objective value and the error rate — the
     full-dataset evaluation is the dominant per-epoch cost, so this is the
     single biggest lever on end-to-end epoch time.
     """

@@ -22,8 +22,9 @@ class HingeObjective(Objective):
 
     # -- scalar hot path ------------------------------------------------ #
     def sample_loss(self, w: np.ndarray, x_idx: np.ndarray, x_val: np.ndarray, y: float) -> float:
-        margin = self.sample_margin(w, x_idx, x_val)
-        return max(0.0, 1.0 - y * margin)
+        slack = 1.0 - y * self.sample_margin(w, x_idx, x_val)
+        # Not max(0.0, slack): a NaN slack stays NaN, as in _vector_loss.
+        return 0.0 if slack <= 0.0 else slack
 
     def _loss_derivative(self, margin_or_pred: float, y: float) -> float:
         if 1.0 - y * margin_or_pred > 0.0:

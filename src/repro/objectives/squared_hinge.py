@@ -31,8 +31,9 @@ class SquaredHingeObjective(Objective):
 
     # -- scalar hot path ------------------------------------------------ #
     def sample_loss(self, w: np.ndarray, x_idx: np.ndarray, x_val: np.ndarray, y: float) -> float:
-        margin = self.sample_margin(w, x_idx, x_val)
-        slack = max(0.0, 1.0 - y * margin)
+        slack = 1.0 - y * self.sample_margin(w, x_idx, x_val)
+        # Not max(0.0, slack): a NaN slack stays NaN, as in _vector_loss.
+        slack = 0.0 if slack <= 0.0 else slack
         return slack * slack
 
     def _loss_derivative(self, margin_or_pred: float, y: float) -> float:
@@ -47,8 +48,10 @@ class SquaredHingeObjective(Objective):
         return slack * slack
 
     def _vector_loss_derivative(self, margins: np.ndarray, y: np.ndarray) -> np.ndarray:
-        slack = np.maximum(0.0, 1.0 - y * margins)
-        return -2.0 * y * slack
+        # The branch of _loss_derivative, not -2y * max(0, slack): an
+        # infinite label would give inf * 0 = NaN where the hinge is inactive.
+        slack = 1.0 - y * margins
+        return np.where(slack <= 0.0, 0.0, -2.0 * y * slack)
 
     # -- smoothness ------------------------------------------------------ #
     def smoothness_coefficient(self) -> float:

@@ -72,7 +72,6 @@ def fold_block(
     delays: Optional[np.ndarray] = None,
     history_overflows: int = 0,
     dense_coords_per_iteration: Optional[int] = None,
-    count_sample_draws: Optional[bool] = None,
 ) -> None:
     """Fold one macro-step (``iterations`` inner iterations) in bulk.
 
@@ -85,9 +84,6 @@ def fold_block(
     if dense_coords_per_iteration is None:
         dense = getattr(rule, "dense_delta", None)
         dense_coords_per_iteration = 0 if dense is None else int(dense.shape[0])
-    draws = count_sample_draws
-    if draws is None:
-        draws = getattr(rule, "counts_sample_draws", True)
     stale_reads = 0
     max_delay = 0
     if delays is not None and delays.size:
@@ -98,7 +94,7 @@ def fold_block(
         grad_nnz=int(getattr(rule, "grad_nnz_multiplier", 1)) * int(support_nnz),
         dense_coords=int(dense_coords_per_iteration) * n,
         conflicts=int(conflicts),
-        sample_draws=n if draws else 0,
+        sample_draws=n if getattr(rule, "counts_sample_draws", True) else 0,
         stale_reads=stale_reads,
         max_delay=max_delay,
         history_overflows=int(history_overflows),

@@ -236,7 +236,13 @@ class TestRunStateIsTheCut:
 
 class TestStoreOf210:
     """Checkpoints written before they stopped carrying cumulative counter
-    totals (release 2.1.0) still resume, bit-identically on one worker."""
+    totals (release 2.1.0) still resume, bit-identically on one worker.
+
+    The drivers run the ``vectorized`` kernel, the one that wrote the
+    fixture: native ``scatter_add`` adds each entry in turn where
+    ``vectorized`` sums a column's deltas first, so a resume on another
+    kernel may differ in the last bit.
+    """
 
     @staticmethod
     def _driver(store):
@@ -248,7 +254,7 @@ class TestStoreOf210:
         part = partition_dataset(np.arange(8), obj.lipschitz_constants(X, y), 1,
                                  scheme="uniform")
         return ClusterDriver(X, y, obj, part, step_size=0.15, seed=9, rule="sgd",
-                             checkpoint_store=store)
+                             checkpoint_store=store, kernel_name="vectorized")
 
     def test_resumes_bit_identically(self, tmp_path):
         shutil.copytree(STORE_2_1_0, tmp_path / "store")

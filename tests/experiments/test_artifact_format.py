@@ -5,6 +5,9 @@ weights as a JSON float list) with::
 
     python -m repro run --dataset news20_smoke --solver sgd --epochs 2 --seed 0 \
         --store tests/experiments/data/format1
+
+That release's default kernel was ``vectorized``, so :data:`SPEC` names it:
+the fixture's key is the key of a ``vectorized`` run.
 """
 
 import json
@@ -22,7 +25,7 @@ from repro.utils.arrays import decode_array
 FORMAT1_STORE = Path(__file__).parent / "data" / "format1"
 FORMAT1_KEY = "47ccb418d6b03d986b64d5a102debebfc007134832f904f78e4a7dc7045e1469"
 SPEC = RunSpec(dataset="news20_smoke", solver="sgd", num_workers=1,
-               step_size=0.5, epochs=2, seed=0)
+               step_size=0.5, epochs=2, seed=0, solver_kwargs=(("kernel", "vectorized"),))
 
 
 def _format1_weights() -> np.ndarray:

@@ -13,6 +13,7 @@ from repro.experiments.store import (
     run_identity,
     run_key,
 )
+from repro.kernels.registry import resolve_backend
 
 
 def _spec(**overrides):
@@ -59,8 +60,10 @@ class TestRunKey:
         assert identity["async_mode"] is None
 
     def test_kernel_default_resolved_into_identity(self, monkeypatch):
+        # The identity records the kernel that runs: "native", or
+        # "vectorized" where the extension cannot be built.
         monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert run_identity(_spec())["kernel"] == "vectorized"
+        assert run_identity(_spec())["kernel"] == resolve_backend(None).name
         explicit = _spec(solver_kwargs=(("kernel", "reference"),))
         assert run_identity(explicit)["kernel"] == "reference"
         assert run_key(explicit) != run_key(_spec())
@@ -78,29 +81,42 @@ class TestRunKey:
 
 class TestPinnedIdentityKeys:
     """Literal keys of stored runs: refactoring how the async mode or the
-    kernel is resolved must not turn every stored artifact into a miss."""
+    kernel is resolved must not turn every stored artifact into a miss.
 
-    @pytest.fixture(autouse=True)
-    def _registry_defaults(self, monkeypatch):
+    One key per kernel that can run by default.  Each case runs with the
+    kernel variable unset (the default) and set to ``vectorized``; where
+    the native extension cannot be built both resolve to ``vectorized``
+    and must give its key.
+    """
+
+    @pytest.fixture(autouse=True, params=[None, "vectorized"], ids=["default", "vectorized"])
+    def _kernel(self, request, monkeypatch):
         monkeypatch.delenv("REPRO_ASYNC_MODE", raising=False)
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        if request.param is None:
+            monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", request.param)
+        return resolve_backend(None).name
 
-    def test_async_spec_with_explicit_mode(self):
+    def test_async_spec_with_explicit_mode(self, _kernel):
         spec = _spec(solver_kwargs=(("async_mode", "batched"),))
-        assert identity_key(run_identity(spec)) == (
-            "3461dad1126ff1563739ff73c99ec5577b989e374b90d26446a91db2a5fa4750"
-        )
+        assert identity_key(run_identity(spec)) == {
+            "vectorized": "3461dad1126ff1563739ff73c99ec5577b989e374b90d26446a91db2a5fa4750",
+            "native": "234f845d1adaeb9001d4dba8f5aca50c4729593fb06732e28e29ebabe836a4b2",
+        }[_kernel]
 
-    def test_async_spec_with_default_mode(self):
-        assert identity_key(run_identity(_spec())) == (
-            "903f137454324da0df89a92eb9b0ab186bf4e20eb524e12a54406e9bdb4fa86b"
-        )
+    def test_async_spec_with_default_mode(self, _kernel):
+        assert identity_key(run_identity(_spec())) == {
+            "vectorized": "903f137454324da0df89a92eb9b0ab186bf4e20eb524e12a54406e9bdb4fa86b",
+            "native": "ccb5563b32b6e24fafb4503f1db8e078db09420e356612c336639f2582281c0c",
+        }[_kernel]
 
-    def test_serial_spec(self):
+    def test_serial_spec(self, _kernel):
         spec = _spec(solver="sgd", num_workers=1)
-        assert identity_key(run_identity(spec)) == (
-            "47ccb418d6b03d986b64d5a102debebfc007134832f904f78e4a7dc7045e1469"
-        )
+        assert identity_key(run_identity(spec)) == {
+            "vectorized": "47ccb418d6b03d986b64d5a102debebfc007134832f904f78e4a7dc7045e1469",
+            "native": "968dd4f0bb43726a1eec98ea3c385dd87621e92746c698ea7f30128ec9dba35f",
+        }[_kernel]
 
 
 class TestArtifactStore:
@@ -273,7 +289,7 @@ class TestIdentityCompleteness:
         monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
         explicit = _spec(solver_kwargs=(("async_mode", "per_sample"),))
         assert run_key(explicit) == run_key(_spec())
-        explicit_kernel = _spec(solver_kwargs=(("kernel", "vectorized"),))
+        explicit_kernel = _spec(solver_kwargs=(("kernel", "native"),))
         assert run_key(explicit_kernel) == run_key(_spec())
 
     def test_hoisted_kwargs_leave_identity_kwargs(self):

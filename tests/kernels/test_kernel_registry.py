@@ -76,10 +76,13 @@ class TestRegistry:
 
 
 class TestDefaultResolution:
-    def test_builtin_default_is_vectorized(self, monkeypatch):
+    def test_builtin_default_is_native(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert default_backend_name() == "vectorized"
-        assert isinstance(get_default_backend(), VectorizedKernel)
+        assert default_backend_name() == "native"
+        backend = get_default_backend()
+        assert backend is make_backend("native")
+        # Without a C compiler the name resolves to the vectorized instance.
+        assert backend.name == "native" or backend is make_backend("vectorized")
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "reference")

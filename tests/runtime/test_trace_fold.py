@@ -87,12 +87,6 @@ class TestFoldBlock:
         fold_block(event, _FakeRule(), iterations=3, support_nnz=6, conflicts=0)
         assert event.dense_coordinate_updates == 3 * 7
 
-    def test_count_sample_draws_override(self):
-        event = EpochEvent(epoch=0)
-        fold_block(event, _FakeRule(), iterations=4, support_nnz=4, conflicts=0,
-                   count_sample_draws=True)
-        assert event.sample_draws == 4
-
 
 class TestFoldSyncStep:
     def test_prices_one_full_pass(self):
