@@ -3,8 +3,8 @@
 The metadata lives here, with no ``pyproject.toml``, so that
 ``pip install -e . --no-use-pep517`` works on machines without the
 ``wheel`` package (offline machines).  numpy is the only install
-requirement: scipy and cffi are imported lazily by the features that use
-them.
+requirement: cffi is imported lazily by the ``native`` kernel, the one
+feature that uses it.
 
 As a convenience, building the package also best-effort pre-compiles the
 ``native`` kernel extension so installed environments do not pay the

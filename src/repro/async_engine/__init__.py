@@ -30,7 +30,6 @@ from repro.async_engine.staleness import (
     GeometricDelay,
     StalenessModel,
     UniformDelay,
-    make_staleness_model,
 )
 from repro.async_engine.worker import SimulatedWorker
 from repro.async_engine.events import EpochEvent, IterationEvent
@@ -46,7 +45,6 @@ __all__ = [
     "UniformDelay",
     "ConstantDelay",
     "GeometricDelay",
-    "make_staleness_model",
     "SimulatedWorker",
     "EpochEvent",
     "IterationEvent",

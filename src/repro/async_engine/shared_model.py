@@ -68,11 +68,6 @@ class SharedModel:
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
-    def read_latest(self, indices: np.ndarray) -> np.ndarray:
-        """Fresh read of ``w[indices]`` (no staleness)."""
-        self.read_count += 1
-        return self._w[indices].copy()
-
     def read_stale(self, indices: np.ndarray, delay: int, *, writer_id: Optional[int] = None) -> Tuple[np.ndarray, int]:
         """Read ``w[indices]`` as it was ``delay`` updates ago.
 
@@ -177,13 +172,6 @@ class SharedModel:
     # ------------------------------------------------------------------ #
     # Maintenance
     # ------------------------------------------------------------------ #
-    def reset_counters(self) -> None:
-        """Zero the read/conflict counters (the weights are untouched)."""
-        self.conflict_count = 0
-        self.stale_read_count = 0
-        self.read_count = 0
-        self.history_overflow = 0
-
     def conflict_rate(self) -> float:
         """Conflicts per read performed so far (0.0 when nothing was read)."""
         if self.read_count == 0:

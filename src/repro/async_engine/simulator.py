@@ -63,7 +63,7 @@ class AsyncSimulator:
     update_rule:
         The registered update rule (:mod:`repro.rules`).
     staleness:
-        Delay model; defaults to ``UniformDelay(num_workers)``.
+        Delay model; defaults to ``UniformDelay(num_workers - 1)``.
     seed:
         Seed for the scheduler interleaving and delay draws.
     kernel:

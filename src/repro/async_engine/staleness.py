@@ -4,7 +4,8 @@ The delay parameter τ is "the maximum lag between when a gradient is
 computed and when it is applied" and is assumed to be linearly related to
 the concurrency (Section 3.1).  The simulator draws a per-iteration delay
 from one of the models below; the default :class:`UniformDelay` with
-``max_delay = num_workers`` matches that assumption.
+``max_delay = num_workers - 1`` (``num_workers`` for IS-ASGD) matches that
+assumption.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from abc import ABC, abstractmethod
 from typing import Optional
 
 import numpy as np
-
-from repro.utils.rng import RandomState, as_rng
 
 
 class StalenessModel(ABC):
@@ -126,22 +125,9 @@ class GeometricDelay(StalenessModel):
         return f"GeometricDelay(max={self.max_delay}, mean={self.mean_delay:.2f})"
 
 
-def make_staleness_model(kind: str, max_delay: int, **kwargs) -> StalenessModel:
-    """Factory: ``"uniform"``, ``"constant"`` or ``"geometric"``."""
-    kind = kind.lower()
-    if kind == "uniform":
-        return UniformDelay(max_delay)
-    if kind == "constant":
-        return ConstantDelay(max_delay)
-    if kind == "geometric":
-        return GeometricDelay(max_delay, kwargs.get("mean_delay"))
-    raise ValueError(f"unknown staleness model {kind!r}")
-
-
 __all__ = [
     "StalenessModel",
     "ConstantDelay",
     "UniformDelay",
     "GeometricDelay",
-    "make_staleness_model",
 ]

@@ -478,7 +478,6 @@ def cmd_list(args: argparse.Namespace) -> int:
             "deterministic": "yes" if row["deterministic"] else "-",
             "fused_loop": "yes" if row.get("fused_kernel_loop") else "-",
             "fault_tol": "yes" if row.get("fault_tolerant") else "-",
-            "rules": " ".join(row["rules"]),
         }
         for row in matrix
     ]

@@ -217,14 +217,10 @@ class ClusterDriver:
         ``1/(n_a p_i)`` re-weighting (clipped at ``step_clip``) when True,
         uniformly otherwise.
     rule:
-        A registered :mod:`repro.rules` name (``"sgd"``, ``"is_sgd"``,
-        ``"svrg"``, ``"svrg_skip_dense"``); the workers execute the rule's
-        single block definition, and the driver provisions its shared
-        state (SVRG's per-epoch µ/snapshot blocks).  Custom rules registered at
-        runtime are only constructible inside the worker processes when
-        they inherit the parent's registry (the ``fork`` start method) —
-        the runtime dispatch therefore routes them to the in-process tiers
-        instead (see ``ProcessBackend.capabilities``).
+        A :mod:`repro.rules` name (``"sgd"``, ``"is_sgd"``, ``"svrg"``,
+        ``"svrg_skip_dense"``); the workers execute the rule's single block
+        definition, and the driver provisions its shared state (SVRG's
+        per-epoch µ/snapshot blocks).
     batch_size:
         Macro-block length per worker (``"auto"`` picks a block that keeps
         per-block Python overhead negligible without making reads much

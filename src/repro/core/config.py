@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.balancing import DEFAULT_ZETA, BalancingDecision
 from repro.core.importance import ImportanceScheme
-from repro.utils.validation import check_in_range, check_positive
+from repro.utils.validation import check_positive
 
 
 @dataclass
@@ -39,10 +39,6 @@ class ISASGDConfig:
         Regenerate (True) or merely permute (False) the per-worker sample
         sequences at every epoch.  The paper notes the permute-only variant
         removes the residual sampling overhead with no practical loss.
-    max_delay:
-        Maximum staleness (in iterations) injected by the asynchronous
-        engine; ``None`` uses the worker count, mirroring the common
-        assumption that delay is proportional to concurrency.
     step_clip:
         Upper bound applied to the re-weighting factor ``1/(n p_i)`` to keep
         rarely-sampled points from producing destabilising steps.
@@ -58,7 +54,6 @@ class ISASGDConfig:
     force_balancing: Optional[BalancingDecision] = None
     balancing_method: str = "head_tail"
     reshuffle_sequences: bool = True
-    max_delay: Optional[int] = None
     step_clip: float = 100.0
     seed: int = 0
     record_every: int = 1
@@ -74,19 +69,12 @@ class ISASGDConfig:
         check_positive(self.step_clip, "step_clip")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if self.max_delay is not None and self.max_delay < 0:
-            raise ValueError("max_delay must be >= 0 when given")
         if isinstance(self.importance, str):
             self.importance = ImportanceScheme(self.importance)
         if self.balancing_method not in {"head_tail", "snake"}:
             raise ValueError(
                 f"balancing_method must be 'head_tail' or 'snake', got {self.balancing_method!r}"
             )
-
-    @property
-    def effective_max_delay(self) -> int:
-        """The τ actually used by the asynchronous engine."""
-        return self.num_workers if self.max_delay is None else self.max_delay
 
     def with_updates(self, **kwargs) -> "ISASGDConfig":
         """Return a copy with the given fields replaced."""

@@ -48,7 +48,8 @@ class ISASGDSolver(AsyncSolver):
         on top of it.
     staleness:
         Optional override of the delay model (defaults to
-        ``UniformDelay(config.effective_max_delay)``).
+        ``UniformDelay(config.num_workers)``, one step more than the
+        other async solvers' ``num_workers - 1``).
 
     ``cost_model``, ``kernel``, ``async_mode`` and ``batch_size`` are
     :class:`~repro.solvers.base.AsyncSolver`'s.
@@ -118,7 +119,7 @@ class ISASGDSolver(AsyncSolver):
             problem,
             partition,
             rng,
-            staleness=self.staleness or UniformDelay(cfg.effective_max_delay),
+            staleness=self.staleness or UniformDelay(cfg.num_workers),
             include_sampling=True,
             extra_info=self._diagnostics(problem, partition, balancing),
             initial_weights=initial_weights,

@@ -252,19 +252,6 @@ class SampleSequence:
             )
         return cls(indices=s.sample(length, rng=rng), probabilities=probabilities)
 
-    @classmethod
-    def uniform_epoch(cls, n: int, *, seed: RandomState = None) -> "SampleSequence":
-        """A without-replacement random permutation of ``range(n)`` (plain SGD epoch)."""
-        rng = as_rng(seed)
-        p = np.full(n, 1.0 / n)
-        return cls(indices=rng.permutation(n), probabilities=p)
-
-    def empirical_frequencies(self) -> np.ndarray:
-        """Observed visit frequencies (should approach ``probabilities`` for long sequences)."""
-        counts = np.bincount(self.indices, minlength=self.probabilities.shape[0])
-        total = counts.sum()
-        return counts / total if total else counts.astype(np.float64)
-
 
 __all__ = [
     "AliasSampler",

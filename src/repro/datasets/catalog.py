@@ -22,8 +22,8 @@ observation that the KDD datasets benefit most from IS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.datasets.synthetic import SyntheticSpec
 
@@ -50,11 +50,6 @@ class DatasetDescriptor:
     step_size: float
     epochs: int
     description: str = ""
-
-    @property
-    def surrogate_density(self) -> float:
-        """Expected density of the surrogate design matrix."""
-        return self.surrogate.density
 
 
 def _spec(name: str, n_samples: int, n_features: int, nnz: float, skew: float,

@@ -62,14 +62,4 @@ def train_test_split(
     )
 
 
-def k_fold_indices(n: int, k: int, seed: RandomState = 0) -> list[np.ndarray]:
-    """Return ``k`` disjoint index folds covering ``range(n)``."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if k > n:
-        raise ValueError("cannot create more folds than samples")
-    order = as_rng(seed).permutation(n)
-    return [np.sort(fold) for fold in np.array_split(order, k)]
-
-
-__all__ = ["train_test_split", "k_fold_indices"]
+__all__ = ["train_test_split"]

@@ -362,11 +362,6 @@ def make_config(name: str, **overrides: Any) -> ExperimentConfig:
     return builder(**kwargs)
 
 
-def register_config(name: str, builder: Callable[..., ExperimentConfig]) -> None:
-    """Register a custom configuration builder (overwrites an existing name)."""
-    _CONFIG_BUILDERS[name] = builder
-
-
 __all__ = [
     "PAPER_THREAD_COUNTS",
     "FAST_THREAD_COUNTS",
@@ -379,5 +374,4 @@ __all__ = [
     "available_configs",
     "config_description",
     "make_config",
-    "register_config",
 ]

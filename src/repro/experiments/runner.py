@@ -26,7 +26,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.async_engine.cost_model import CostModel
@@ -140,12 +140,14 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 def _pin_resolved_execution(spec: RunSpec, identity: Dict[str, Any]) -> RunSpec:
     """Make the identity's resolved ``async_mode``/``kernel`` explicit on a spec.
 
-    Pool workers may be fresh ``spawn`` processes without the parent's
-    programmatic registry defaults (``set_default_async_mode`` etc.), so a
-    spec relying on an ambient default could train something other than
-    what :func:`~repro.experiments.store.run_identity` hashed.  Pinning
-    the resolved values as explicit kwargs makes the worker execute
-    exactly the identity regardless of the start method.
+    Pool workers need not see the environment the identity was resolved
+    under: a ``forkserver`` pool (``REPRO_CLUSTER_START_METHOD``) forks
+    from a server started before any later change to
+    ``REPRO_ASYNC_MODE``/``REPRO_KERNEL_BACKEND``, so a spec relying on an
+    ambient default could train something other than what
+    :func:`~repro.experiments.store.run_identity` hashed.  Pinning the
+    resolved values as explicit kwargs makes the worker execute exactly
+    the identity regardless of the start method.
     """
     from dataclasses import replace
 

@@ -57,7 +57,7 @@ def run_identity(
 
     The identity resolves every ambient default that influences the result:
     for async solvers the execution mode (explicit kwarg, else the
-    process-wide default resolved by :mod:`repro.runtime`), for all
+    default resolved by :mod:`repro.runtime`), for all
     solvers the kernel backend that actually runs (explicit kwarg, else the
     registry default; ``native`` records ``vectorized`` where the extension
     cannot be built), and the cost model pricing the simulated wall-clock

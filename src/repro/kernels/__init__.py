@@ -30,9 +30,8 @@ constructor, :class:`~repro.metrics.convergence.MetricsRecorder`, and the
 ``Objective`` batch API):
 
 1. an explicit backend instance or registry name;
-2. :func:`~repro.kernels.registry.set_default_backend` (process-wide);
-3. the ``REPRO_KERNEL_BACKEND`` environment variable;
-4. the built-in default ``"native"`` (``vectorized`` where it cannot be built).
+2. the ``REPRO_KERNEL_BACKEND`` environment variable;
+3. the built-in default ``"native"`` (``vectorized`` where it cannot be built).
 
 Batch-API contract
 ------------------
@@ -69,11 +68,8 @@ from repro.kernels.registry import (
     backend_availability,
     backend_doc_class,
     default_backend_name,
-    get_default_backend,
     make_backend,
-    register_backend,
     resolve_backend,
-    set_default_backend,
 )
 from repro.kernels.vectorized import VectorizedKernel
 
@@ -89,12 +85,9 @@ __all__ = [
     "backend_availability",
     "backend_doc_class",
     "default_backend_name",
-    "get_default_backend",
     "make_backend",
     "make_native_backend",
     "native_build_error",
     "native_status",
-    "register_backend",
     "resolve_backend",
-    "set_default_backend",
 ]

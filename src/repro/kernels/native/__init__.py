@@ -10,6 +10,8 @@ docs/kernels.md).
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from typing import Optional
 
@@ -18,6 +20,22 @@ from repro.kernels.native.builder import NativeBuildError
 
 _fallback_warned = False
 _build_error: Optional[str] = None
+
+_KERNELS_DIR = os.path.dirname(os.path.dirname(__file__)) + os.sep
+
+
+def _caller_stacklevel() -> int:
+    """``warnings.warn`` stacklevel of the first frame outside ``repro/kernels/``.
+
+    The fallback warning is raised several kernel frames below the code that
+    asked for a backend (``resolve_backend`` → ``make_backend`` → here); it
+    should name that code.  (``skip_file_prefixes`` would do this, but
+    needs Python 3.12.)
+    """
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_KERNELS_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def make_native_backend():
@@ -39,7 +57,7 @@ def make_native_backend():
                 f"native kernel backend unavailable ({exc}); "
                 "falling back to the 'vectorized' backend",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
         from repro.kernels.registry import make_backend
 

@@ -5,9 +5,8 @@ The active backend is resolved in priority order:
 1. an explicit :class:`~repro.kernels.base.KernelBackend` instance or name
    passed to the caller (solver constructors, ``MetricsRecorder``,
    ``Objective.batch_margins`` all accept a ``kernel`` argument);
-2. the process-wide default set via :func:`set_default_backend`;
-3. the ``REPRO_KERNEL_BACKEND`` environment variable;
-4. the built-in default, ``"native"``.
+2. the ``REPRO_KERNEL_BACKEND`` environment variable;
+3. the built-in default, ``"native"``.
 
 Where cffi or a C compiler is missing, ``native`` resolves to the shared
 ``vectorized`` instance after one :class:`RuntimeWarning`, so the name a
@@ -18,7 +17,7 @@ caller configured is not always the kernel that runs:
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Union
 
 from repro.kernels.base import KernelBackend
 from repro.kernels.native import make_native_backend, native_status
@@ -42,8 +41,6 @@ _FACTORIES: Dict[str, Callable[[], KernelBackend]] = {
 # once per process is enough.
 _INSTANCES: Dict[str, KernelBackend] = {}
 
-_default_override: Optional[str] = None
-
 
 def available_backends() -> List[str]:
     """Names accepted by :func:`make_backend`, sorted alphabetically."""
@@ -51,7 +48,7 @@ def available_backends() -> List[str]:
 
 
 def backend_availability() -> Dict[str, str]:
-    """Availability status per registered backend name (no build side-effects).
+    """Availability status per backend name (no build side-effects).
 
     The pure-Python backends are always ``"available"``; ``native`` reports
     whether a compiled extension is loaded/cached, a fallback was taken, or
@@ -69,7 +66,7 @@ def _unknown_backend_error(name: str) -> ValueError:
 
 
 def make_backend(name: str) -> KernelBackend:
-    """Return the (shared) backend instance registered under ``name``."""
+    """Return the (shared) backend instance named ``name``."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
@@ -92,43 +89,22 @@ def backend_doc_class(name: str) -> type:
         from repro.kernels.native.backend import NativeKernel
 
         return NativeKernel
-    factory = _FACTORIES[name]
-    if isinstance(factory, type):
-        return factory
-    return type(make_backend(name))
-
-
-def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
-    """Register a custom backend factory (overwrites an existing name)."""
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
+    return _FACTORIES[name]
 
 
 def default_backend_name() -> str:
-    """The name the process currently resolves ``kernel=None`` to."""
-    if _default_override is not None:
-        return _default_override
+    """The name the process resolves ``kernel=None`` to."""
     env = os.environ.get(BACKEND_ENV_VAR, "").strip()
     return env if env else DEFAULT_BACKEND
 
 
-def set_default_backend(name: Optional[str]) -> None:
-    """Set (or clear, with ``None``) the process-wide default backend."""
-    global _default_override
-    if name is not None and name not in _FACTORIES:
-        raise _unknown_backend_error(name)
-    _default_override = name
-
-
-def get_default_backend() -> KernelBackend:
-    """The backend instance used when no explicit ``kernel`` is given."""
-    return make_backend(default_backend_name())
-
-
 def resolve_backend(kernel: Union[KernelBackend, str, None]) -> KernelBackend:
-    """Normalise a ``kernel`` argument (instance, name or None) to a backend."""
+    """Normalise a ``kernel`` argument (instance, name or None) to a backend.
+
+    ``None`` selects :func:`default_backend_name`'s backend.
+    """
     if kernel is None:
-        return get_default_backend()
+        return make_backend(default_backend_name())
     if isinstance(kernel, KernelBackend):
         return kernel
     if isinstance(kernel, str):
@@ -145,9 +121,6 @@ __all__ = [
     "backend_availability",
     "backend_doc_class",
     "make_backend",
-    "register_backend",
     "default_backend_name",
-    "set_default_backend",
-    "get_default_backend",
     "resolve_backend",
 ]

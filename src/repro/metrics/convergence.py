@@ -10,7 +10,7 @@ v?") that the speedup computations of Figure 4/5 are built on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -146,16 +146,6 @@ class ConvergenceCurve:
         frac = (prev_v - target) / (prev_v - cur_v)
         frac = float(np.clip(frac, 0.0, 1.0))
         return float(prev_x + frac * (cur_x - prev_x))
-
-    def value_at_time(self, t: float, *, metric: str = "error_rate") -> float:
-        """Running-best metric value at wall-clock ``t`` (clamped to the curve ends)."""
-        best = self.running_best(metric)
-        times = self._axis_values("wall_clock")
-        if t <= times[0]:
-            return float(best[0])
-        if t >= times[-1]:
-            return float(best[-1])
-        return float(np.interp(t, times, best))
 
     # ------------------------------------------------------------------ #
     def as_dict(self) -> Dict[str, list]:

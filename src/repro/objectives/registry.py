@@ -63,9 +63,4 @@ def make_objective(name: str, *, eta: float = 1e-4) -> Objective:
     return factory(eta)
 
 
-def register_objective(name: str, factory: Callable[[float], Objective]) -> None:
-    """Register a custom objective factory under ``name`` (overwrites existing)."""
-    _FACTORIES[name] = factory
-
-
-__all__ = ["available_objectives", "make_objective", "register_objective"]
+__all__ = ["available_objectives", "make_objective"]

@@ -4,16 +4,15 @@ Every update rule in the repository — the coefficient/step math that turns
 a block of (possibly stale) margins into model deltas — lives in exactly
 one module under this package and is instantiated by name through
 :func:`make_rule`.  The execution backends (:mod:`repro.runtime`) are rule
-consumers only: adding a solver means writing one rule module and
-registering it here, after which every tier that lists the rule in its
-capabilities can run it.
+consumers only: adding a solver means writing one rule module and adding
+it to the table here, after which every tier runs it.
 
-Registered rules:
+The rules:
 
 * ``sgd`` — plain stochastic gradient (ASGD's update).
 * ``is_sgd`` — importance-sampled SGD; same coefficient math as ``sgd``
   (the ``1/(n_a p_i)`` re-weighting arrives via the sampler's step
-  weights), registered separately so capability matrices can name it.
+  weights), listed separately so IS-ASGD's rule has its own name.
 * ``svrg`` — asynchronous SVRG (Algorithm 1), dense µ every iteration.
 * ``svrg_skip_dense`` — the paper's skip-µ ablation (dense term folded in
   once per epoch).
@@ -57,27 +56,18 @@ def available_rules() -> List[str]:
 
 
 def rule_description(name: str) -> str:
-    """One-line description of a registered rule."""
+    """One-line description of a rule."""
     _require(name)
-    return RULE_DESCRIPTIONS.get(name, "")
+    return RULE_DESCRIPTIONS[name]
 
 
 def make_rule(name: str, objective, step_size: float, **kwargs) -> UpdateRuleKernel:
-    """Instantiate a registered update rule.
+    """Instantiate an update rule by name.
 
     ``kwargs`` are rule-specific (``skip_dense_term`` for ``svrg``); unknown
     names raise with the full list of valid rules.
     """
     return _require(name)(objective, step_size, **kwargs)
-
-
-def register_rule(
-    name: str, factory: Callable[..., UpdateRuleKernel], *, description: str = ""
-) -> None:
-    """Register a custom rule factory (overwrites an existing name)."""
-    _FACTORIES[name] = factory
-    if description:
-        RULE_DESCRIPTIONS[name] = description
 
 
 def _require(name: str) -> Callable[..., UpdateRuleKernel]:
@@ -99,5 +89,4 @@ __all__ = [
     "available_rules",
     "rule_description",
     "make_rule",
-    "register_rule",
 ]

@@ -58,8 +58,8 @@ class SGDRule(UpdateRuleKernel):
 class ISSGDRule(SGDRule):
     """Importance-sampled SGD: identical math, importance-weighted steps.
 
-    Registered separately so capability matrices and the parity suite can
-    name the paper's headline configuration; the coefficient/step logic is
+    Listed separately so the parity suite and ``repro list`` can name the
+    paper's headline configuration; the coefficient/step logic is
     inherited *unchanged* from :class:`SGDRule` — the re-weighting lives in
     the sampler's ``step_weights``, not in the rule.
     """

@@ -1,17 +1,14 @@
 """The unified execution runtime: one rule definition, three backends.
 
-``repro.runtime`` is the seam between *what* a solver computes (a
-registered update rule from :mod:`repro.rules`, a sampler configuration, a
-data partition) and *how* it executes (which of the three interchangeable
-tiers runs it).  Solvers build an
-:class:`~repro.runtime.backends.ExecutionRequest` and call
+``repro.runtime`` is the seam between *what* a solver computes (an update
+rule from :mod:`repro.rules`, a sampler configuration, a data partition)
+and *how* it executes (which of the three interchangeable tiers runs it).
+Solvers build an :class:`~repro.runtime.backends.ExecutionRequest` and call
 :func:`~repro.runtime.backends.execute`; the backend registry resolves the
 ``async_mode`` (:func:`~repro.runtime.backends.resolve_async_mode`: explicit
-name, else the process default, else ``REPRO_ASYNC_MODE``, else
-``per_sample``), validates the rule/backend combination against the
-capability metadata and returns an
-:class:`~repro.runtime.backends.ExecutionResult` whose trace plugs into the
-metrics/cost/experiments pipeline unchanged.
+name, else ``REPRO_ASYNC_MODE``, else ``per_sample``), checks the rule name
+and returns an :class:`~repro.runtime.backends.ExecutionResult` whose trace
+plugs into the metrics/cost/experiments pipeline unchanged.
 
 See ``docs/runtime.md`` for the backend contract, the capability table and
 the "add a solver in one file" walkthrough.
@@ -25,15 +22,11 @@ from repro.runtime.backends import (
     ExecutionRequest,
     ExecutionResult,
     available_backend_names,
-    backend_capabilities,
-    backends_supporting,
     capability_matrix,
     default_async_mode,
     execute,
     get_backend,
-    register_backend,
     resolve_async_mode,
-    set_default_async_mode,
 )
 from repro.runtime.trace_fold import (
     build_schedule,
@@ -51,15 +44,11 @@ __all__ = [
     "ExecutionRequest",
     "ExecutionResult",
     "available_backend_names",
-    "backend_capabilities",
-    "backends_supporting",
     "capability_matrix",
     "default_async_mode",
     "execute",
     "get_backend",
-    "register_backend",
     "resolve_async_mode",
-    "set_default_async_mode",
     "build_schedule",
     "fold_block",
     "fold_iteration",

@@ -1,16 +1,16 @@
 """Execution backends: one contract, three interchangeable tiers.
 
 This module is the runtime layer's registry and the one place an execution
-tier is registered, named and resolved.  An :class:`ExecutionBackend`
-turns an :class:`ExecutionRequest` — "this data, this partition, this
-registered update rule, this many epochs" — into an
-:class:`ExecutionResult`, and advertises what it can do through
-:class:`BackendCapabilities`.  The asynchronous solvers are pure request
-builders: they declare *what* to run (rule + sampler + partition) and the
-registry decides *how* (which engine, with which trace guarantees), so
-adding a solver touches no engine and adding an engine touches no solver.
+tier is named and resolved.  An :class:`ExecutionBackend` turns an
+:class:`ExecutionRequest` — "this data, this partition, this update rule,
+this many epochs" — into an :class:`ExecutionResult`, and advertises what
+it can do through :class:`BackendCapabilities`.  The asynchronous solvers
+are pure request builders: they declare *what* to run (rule + sampler +
+partition) and the registry decides *how* (which engine, with which trace
+guarantees), so adding a solver touches no engine and adding an engine
+touches no solver.
 
-Registered backends:
+The backends (every one runs every :mod:`repro.rules` rule):
 
 ====================  ==========================================================
 ``per_sample``        trace-exact ground-truth simulator (one Python iteration
@@ -20,31 +20,24 @@ Registered backends:
                       wall-clock (:mod:`repro.cluster`)
 ====================  ==========================================================
 
-An ``async_mode`` of ``None`` resolves, in priority order, to the
-process-wide default set via :func:`set_default_async_mode`, then the
-``REPRO_ASYNC_MODE`` environment variable, then :data:`DEFAULT_ASYNC_MODE`
-(``per_sample``, the trace-exact ground truth).
+An ``async_mode`` of ``None`` resolves to the ``REPRO_ASYNC_MODE``
+environment variable, else :data:`DEFAULT_ASYNC_MODE` (``per_sample``, the
+trace-exact ground truth).
 
-Requesting a rule a backend does not support, or an unknown backend name,
-raises immediately with the full list of valid choices — failures surface
-at dispatch, not deep inside an engine.
+Requesting an unknown rule or backend name raises immediately with the
+full list of valid choices — failures surface at dispatch, not deep inside
+an engine.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.utils.rng import RandomState
-
-#: Built-in rule names, in registry (sorted) order.  The cluster tier pins
-#: its support to these: it provisions rule-specific shared-memory state
-#: and rebuilds rules inside child processes, so runtime-registered custom
-#: rules cannot be guaranteed there.
-_BUILTIN_RULES: Tuple[str, ...] = ("is_sgd", "sgd", "svrg", "svrg_skip_dense")
 
 #: Environment variable consulted when no explicit mode is configured.
 ASYNC_MODE_ENV_VAR = "REPRO_ASYNC_MODE"
@@ -83,11 +76,6 @@ class BackendCapabilities:
         Whether the tier survives worker death mid-run: consistent
         checkpoints at every epoch barrier, automatic fleet replacement
         and replay from the last checkpoint (see ``docs/cluster.md``).
-    supported_rules:
-        Registered rule names this backend can execute, or ``None`` for
-        "every rule in the live :mod:`repro.rules` registry" — the
-        rule-generic tiers use ``None`` so a custom ``register_rule``
-        immediately runs on them.
     """
 
     name: str
@@ -98,19 +86,6 @@ class BackendCapabilities:
     deterministic: bool
     fused_kernel_loop: bool = False
     fault_tolerant: bool = False
-    supported_rules: Optional[Tuple[str, ...]] = None
-
-    def resolved_rules(self) -> List[str]:
-        """The rule names this backend currently supports."""
-        if self.supported_rules is not None:
-            return list(self.supported_rules)
-        from repro.rules import available_rules
-
-        return available_rules()
-
-    def supports_rule(self, rule: str) -> bool:
-        """Whether ``rule`` (a :mod:`repro.rules` name) can run here."""
-        return rule in self.resolved_rules()
 
     def as_row(self) -> Dict[str, Any]:
         """Flat JSON-friendly row for capability matrices."""
@@ -123,7 +98,6 @@ class BackendCapabilities:
             "deterministic": self.deterministic,
             "fused_kernel_loop": self.fused_kernel_loop,
             "fault_tolerant": self.fault_tolerant,
-            "rules": self.resolved_rules(),
         }
 
 
@@ -133,16 +107,16 @@ class ExecutionRequest:
 
     Built by the solvers from their configuration; deliberately free of any
     engine-specific object so the same request can be handed to any
-    registered backend.  A backend calls ``epoch_callback`` (when set)
-    exactly once per completed epoch, in order, with ``(epoch, weights)``;
-    ``weights`` is a copy the callee may keep.
+    backend.  A backend calls ``epoch_callback`` (when set) exactly once
+    per completed epoch, in order, with ``(epoch, weights)``; ``weights``
+    is a copy the callee may keep.
     """
 
     X: Any                                  # CSRMatrix
     y: np.ndarray
     objective: Any                          # repro Objective
     partition: Any                          # core.partition.Partition
-    rule: str                               # repro.rules registry name
+    rule: str                               # repro.rules name
     step_size: float
     epochs: int
     engine_seed: RandomState = 0            # schedule/delay/process seed
@@ -159,7 +133,7 @@ class ExecutionRequest:
     epoch_callback: Optional[Callable[[int, np.ndarray], None]] = None
 
     def build_rule(self):
-        """Instantiate the requested update rule from the registry."""
+        """Instantiate the requested update rule."""
         from repro.rules import make_rule
 
         return make_rule(self.rule, self.objective, self.step_size)
@@ -298,12 +272,6 @@ class ProcessBackend(ExecutionBackend):
         measured_wall_clock=True,
         deterministic=False,
         fault_tolerant=True,
-        # Pinned: worker processes rebuild their rule from a fresh
-        # interpreter's registry and the driver provisions rule-specific
-        # arena state, so runtime-registered custom rules are rejected at
-        # dispatch (with the generic tiers listed) instead of surfacing as
-        # an opaque broken-barrier crash inside a child.
-        supported_rules=_BUILTIN_RULES,
     )
 
     def run(self, request: ExecutionRequest) -> ExecutionResult:
@@ -341,16 +309,15 @@ class ProcessBackend(ExecutionBackend):
 # --------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------- #
-_BACKENDS: Dict[str, ExecutionBackend] = {}
-
-
-def register_backend(backend: ExecutionBackend) -> None:
-    """Register an execution backend (overwrites an existing name)."""
-    _BACKENDS[backend.capabilities.name] = backend
+_BACKENDS: Dict[str, ExecutionBackend] = {
+    "per_sample": PerSampleBackend(),
+    "batched": BatchedBackend(),
+    "process": ProcessBackend(),
+}
 
 
 def available_backend_names() -> List[str]:
-    """Backend names in registration order (``per_sample`` first)."""
+    """Backend names in canonical order (``per_sample`` first)."""
     return list(_BACKENDS)
 
 
@@ -365,48 +332,23 @@ def get_backend(name: str) -> ExecutionBackend:
         ) from None
 
 
-def backend_capabilities(name: str) -> BackendCapabilities:
-    """Capability metadata of a registered backend."""
-    return get_backend(name).capabilities
-
-
 def capability_matrix() -> List[Dict[str, Any]]:
-    """One JSON-friendly row per registered backend (CLI / docs)."""
-    return [get_backend(name).capabilities.as_row() for name in available_backend_names()]
-
-
-def backends_supporting(rule: str) -> List[str]:
-    """Names of the backends whose capabilities include ``rule``."""
-    return [
-        name
-        for name in available_backend_names()
-        if get_backend(name).capabilities.supports_rule(rule)
-    ]
-
-
-_default_override: Optional[str] = None
+    """One JSON-friendly row per backend (CLI / docs)."""
+    return [backend.capabilities.as_row() for backend in _BACKENDS.values()]
 
 
 def default_async_mode() -> str:
-    """The mode the process currently resolves ``async_mode=None`` to."""
-    if _default_override is not None:
-        return _default_override
+    """The mode the process resolves ``async_mode=None`` to."""
     env = os.environ.get(ASYNC_MODE_ENV_VAR, "").strip()
     if env:
         return resolve_async_mode(env)
     return DEFAULT_ASYNC_MODE
 
 
-def set_default_async_mode(mode: Optional[str]) -> None:
-    """Set (or clear, with ``None``) the process-wide default async mode."""
-    global _default_override
-    _default_override = None if mode is None else resolve_async_mode(mode)
-
-
 def resolve_async_mode(mode: Optional[str]) -> str:
     """Normalise an ``async_mode`` argument (name or ``None``) to a mode name.
 
-    Unknown names raise with the list of registered modes.
+    Unknown names raise with the list of valid modes.
     """
     if mode is None:
         return default_async_mode()
@@ -417,11 +359,10 @@ def resolve_async_mode(mode: Optional[str]) -> str:
 def execute(mode: Optional[str], request: ExecutionRequest) -> ExecutionResult:
     """Resolve ``mode`` and run the request on the selected backend.
 
-    ``mode`` may be a backend name or ``None`` (resolved through the
-    process default / ``REPRO_ASYNC_MODE``, exactly like the solvers'
-    ``async_mode`` argument).  Unknown rules, unknown modes and
-    rule/backend combinations the capabilities cannot honour all fail
-    *here*, with actionable messages, instead of deep inside an engine.
+    ``mode`` may be a backend name or ``None`` (resolved through
+    ``REPRO_ASYNC_MODE``, exactly like the solvers' ``async_mode``
+    argument).  Unknown rules and unknown modes fail *here*, with the
+    valid choices listed, instead of deep inside an engine.
     """
     from repro.rules import available_rules
 
@@ -430,21 +371,7 @@ def execute(mode: Optional[str], request: ExecutionRequest) -> ExecutionResult:
             f"unknown update rule {request.rule!r}; available: "
             f"{', '.join(available_rules())}"
         )
-    backend = get_backend(resolve_async_mode(mode))
-    caps = backend.capabilities
-    if not caps.supports_rule(request.rule):
-        supporting = backends_supporting(request.rule) or ["<none>"]
-        raise ValueError(
-            f"async mode {caps.name!r} does not support update rule "
-            f"{request.rule!r} (it supports: {', '.join(caps.resolved_rules())}); "
-            f"modes supporting {request.rule!r}: {', '.join(supporting)}"
-        )
-    return backend.run(request)
-
-
-register_backend(PerSampleBackend())
-register_backend(BatchedBackend())
-register_backend(ProcessBackend())
+    return get_backend(resolve_async_mode(mode)).run(request)
 
 
 __all__ = [
@@ -458,13 +385,9 @@ __all__ = [
     "BatchedBackend",
     "ProcessBackend",
     "available_backend_names",
-    "backend_capabilities",
-    "backends_supporting",
     "capability_matrix",
     "default_async_mode",
     "execute",
     "get_backend",
-    "register_backend",
     "resolve_async_mode",
-    "set_default_async_mode",
 ]

@@ -15,14 +15,14 @@ the asynchronous solvers, which run through the execution runtime
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.async_engine.cost_model import CostModel
 from repro.async_engine.events import EpochEvent, ExecutionTrace
-from repro.async_engine.staleness import StalenessModel, UniformDelay
+from repro.async_engine.staleness import StalenessModel
 from repro.core.balancing import random_order
 from repro.core.partition import partition_dataset
 from repro.kernels.base import KernelBackend
@@ -276,9 +276,10 @@ class AsyncSolver(BaseSolver):
     num_workers:
         Degree of concurrency (the paper's thread count).
     staleness:
-        Delay model for the simulated tiers; defaults to
-        ``UniformDelay(num_workers - 1)``, matching the assumption that the
-        maximum delay is proportional to concurrency.
+        Delay model for the simulated tiers; ``None`` leaves the default to
+        :meth:`~repro.runtime.ExecutionRequest.resolved_staleness`
+        (``UniformDelay(num_workers - 1)``), matching the assumption that
+        the maximum delay is proportional to concurrency.
     async_mode:
         Execution backend, resolved through the runtime registry:
         ``"per_sample"``, ``"batched"`` or ``"process"``; ``None`` resolves
@@ -336,7 +337,7 @@ class AsyncSolver(BaseSolver):
             problem,
             partition,
             rng,
-            staleness=self.staleness or UniformDelay(max(self.num_workers - 1, 0)),
+            staleness=self.staleness,
             include_sampling=False,
             extra_info=self._info(),
             initial_weights=initial_weights,

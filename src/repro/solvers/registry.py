@@ -49,17 +49,9 @@ _FACTORIES: Dict[str, Callable[..., BaseSolver]] = {
 }
 
 #: Solvers that execute through the runtime layer (accept ``async_mode``).
+#: The experiment store reads it to decide which runs carry an execution
+#: mode in their identity.
 ASYNC_SOLVER_NAMES = ("asgd", "is_asgd", "svrg_asgd")
-
-
-def async_solver_names() -> List[str]:
-    """Registry names of the solvers that accept ``async_mode``.
-
-    The experiment store and CLI use this to decide which runs carry an
-    execution-backend dimension in their identity, instead of hard-coding
-    the solver list in several places.
-    """
-    return list(ASYNC_SOLVER_NAMES)
 
 
 def available_solvers() -> List[str]:
@@ -85,11 +77,6 @@ def make_solver(name: str, **kwargs: Any) -> BaseSolver:
     return factory(**kwargs)
 
 
-def register_solver(name: str, factory: Callable[..., BaseSolver]) -> None:
-    """Register a custom solver factory (overwrites an existing name)."""
-    _FACTORIES[name] = factory
-
-
 #: Where each built-in solver class lives (``docs/reference.md`` generation).
 _CLASS_PATHS: Dict[str, str] = {
     "sgd": "repro.solvers.sgd:SGDSolver",
@@ -104,18 +91,13 @@ def solver_class(name: str) -> type:
     """The concrete solver class behind a registry name.
 
     Used by the reference-page generator to introspect docstrings and
-    constructor signatures without instantiating anything.  Only built-in
-    solvers are resolvable; custom factories registered at runtime raise.
+    constructor signatures without instantiating anything.
     """
-    if name not in _FACTORIES:
-        raise ValueError(
-            f"unknown solver {name!r}; available: {', '.join(available_solvers())}"
-        )
     try:
         path = _CLASS_PATHS[name]
     except KeyError:
         raise ValueError(
-            f"solver {name!r} was registered dynamically; no class path is recorded"
+            f"unknown solver {name!r}; available: {', '.join(available_solvers())}"
         ) from None
     import importlib
 
@@ -125,9 +107,7 @@ def solver_class(name: str) -> type:
 
 __all__ = [
     "ASYNC_SOLVER_NAMES",
-    "async_solver_names",
     "available_solvers",
     "make_solver",
-    "register_solver",
     "solver_class",
 ]

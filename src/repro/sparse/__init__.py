@@ -4,28 +4,18 @@ The paper's entire argument about absolute convergence rests on the cost of
 index-compressed sparse updates versus dense vector updates, so the library
 implements its own compact CSR container (:class:`~repro.sparse.csr.CSRMatrix`)
 plus the handful of index-compressed kernels (:mod:`repro.sparse.ops`) that
-the solvers build on.  ``scipy.sparse`` interoperability is provided for
-convenience but no solver depends on it.
+the solvers build on; it depends on NumPy alone.
 """
 
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import (
-    scatter_add,
-    sparse_dot,
-    sparse_norm_sq,
-    sparse_scale,
-    sparse_squared_norms,
-)
+from repro.sparse.ops import scatter_add, sparse_norm_sq
 from repro.sparse.io import load_libsvm, save_libsvm, parse_libsvm_line
 from repro.sparse.stats import DatasetStats, gradient_sparsity, psi, rho, describe_dataset
 
 __all__ = [
     "CSRMatrix",
     "scatter_add",
-    "sparse_dot",
     "sparse_norm_sq",
-    "sparse_scale",
-    "sparse_squared_norms",
     "load_libsvm",
     "save_libsvm",
     "parse_libsvm_line",

@@ -2,9 +2,9 @@
 
 The container stores three flat arrays (``data``, ``indices``, ``indptr``)
 exactly as a classical CSR layout does.  It exposes only the operations the
-solvers need — per-row access, row-vector inner products, row permutation,
-and conversions — which keeps the hot paths free of the generality (and
-overhead) of ``scipy.sparse``.
+solvers need — per-row access, row-vector inner products, row gathers and
+row permutation — which keeps the hot paths free of the generality (and
+overhead) of a general-purpose sparse library.
 
 Rows are the training samples and columns are features throughout the
 library; a row is therefore the index-compressed representation of one
@@ -25,7 +25,7 @@ views zero-copy).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -164,18 +164,6 @@ class CSRMatrix:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.data[lo:hi]
 
-    def row_dense(self, i: int) -> np.ndarray:
-        """Return row ``i`` as a dense vector of length ``n_cols``."""
-        idx, val = self.row(i)
-        out = np.zeros(self.n_cols, dtype=np.float64)
-        out[idx] = val
-        return out
-
-    def iter_rows(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Iterate over ``(indices, values)`` pairs of every row."""
-        for i in range(self.n_rows):
-            yield self.row(i)
-
     def row_dot(self, i: int, w: np.ndarray) -> float:
         """Inner product ``<x_i, w>`` using only the non-zero coordinates."""
         idx, val = self.row(i)
@@ -256,13 +244,6 @@ class CSRMatrix:
         )
         return self.indices[pos], self.data[pos], lengths
 
-    def column_nnz(self) -> np.ndarray:
-        """Number of rows touching each column (feature occurrence counts)."""
-        counts = np.zeros(self.n_cols, dtype=np.int64)
-        if self.nnz:
-            np.add.at(counts, self.indices, 1)
-        return counts
-
     def to_dense(self) -> np.ndarray:
         """Materialise the matrix as a dense ``(n_rows, n_cols)`` array."""
         out = np.zeros(self.shape, dtype=np.float64)
@@ -271,36 +252,8 @@ class CSRMatrix:
             out[i, idx] = val
         return out
 
-    def transpose(self) -> "CSRMatrix":
-        """The transpose ``X.T`` as a new canonical :class:`CSRMatrix`.
-
-        Rows of the transpose are the features of ``X``, which lets
-        feature-level tooling (e.g. the conflict graph of
-        :mod:`repro.graph`) reuse the row-oriented machinery unchanged: two
-        features co-occur in a sample of ``X`` iff the corresponding rows of
-        ``X.T`` share a column.
-        """
-        if self.nnz == 0:
-            return CSRMatrix(
-                data=np.zeros(0, dtype=np.float64),
-                indices=np.zeros(0, dtype=np.int64),
-                indptr=np.zeros(self.n_cols + 1, dtype=np.int64),
-                n_cols=self.n_rows,
-            )
-        row_of_entry = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr))
-        order = np.lexsort((row_of_entry, self.indices))
-        indptr = np.zeros(self.n_cols + 1, dtype=np.int64)
-        counts = np.bincount(self.indices, minlength=self.n_cols)
-        np.cumsum(counts, out=indptr[1:])
-        return CSRMatrix(
-            data=self.data[order],
-            indices=row_of_entry[order],
-            indptr=indptr,
-            n_cols=self.n_rows,
-        )
-
     # ------------------------------------------------------------------ #
-    # Constructors / converters
+    # Constructors
     # ------------------------------------------------------------------ #
     @classmethod
     def from_rows(
@@ -328,29 +281,6 @@ class CSRMatrix:
             idx = np.nonzero(dense[i])[0]
             rows.append((idx, dense[i, idx]))
         return cls.from_rows(rows, n_cols=dense.shape[1])
-
-    @classmethod
-    def from_scipy(cls, mat) -> "CSRMatrix":
-        """Convert a ``scipy.sparse`` matrix (any format) to :class:`CSRMatrix`.
-
-        The input is canonicalised first (duplicates summed, indices sorted)
-        so the resulting layout satisfies this class's row invariants.
-        """
-        csr = mat.tocsr().copy()
-        csr.sum_duplicates()
-        csr.sort_indices()
-        return cls(
-            data=np.asarray(csr.data, dtype=np.float64),
-            indices=np.asarray(csr.indices, dtype=np.int64),
-            indptr=np.asarray(csr.indptr, dtype=np.int64),
-            n_cols=int(csr.shape[1]),
-        )
-
-    def to_scipy(self):
-        """Convert to a ``scipy.sparse.csr_matrix`` (lazy scipy import)."""
-        from scipy import sparse as sp
-
-        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
 
     # ------------------------------------------------------------------ #
     # Row selection
@@ -415,25 +345,6 @@ class CSRMatrix:
         )
 
 
-def vstack(blocks: Sequence[CSRMatrix]) -> CSRMatrix:
-    """Stack CSR matrices vertically (all blocks must share ``n_cols``)."""
-    if not blocks:
-        raise ValueError("need at least one block to stack")
-    n_cols = blocks[0].n_cols
-    for b in blocks:
-        if b.n_cols != n_cols:
-            raise ValueError("all blocks must have the same number of columns")
-    data = np.concatenate([b.data for b in blocks])
-    indices = np.concatenate([b.indices for b in blocks])
-    indptr_parts = [blocks[0].indptr]
-    offset = blocks[0].indptr[-1]
-    for b in blocks[1:]:
-        indptr_parts.append(b.indptr[1:] + offset)
-        offset += b.indptr[-1]
-    indptr = np.concatenate(indptr_parts)
-    return CSRMatrix(data=data, indices=indices, indptr=indptr, n_cols=n_cols)
-
-
 def canonical_rows(
     rows: Sequence[Tuple[Sequence[int], Sequence[float]]],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -469,4 +380,4 @@ def canonical_rows(
     return data, indices, indptr
 
 
-__all__ = ["CSRMatrix", "canonical_rows", "vstack"]
+__all__ = ["CSRMatrix", "canonical_rows"]

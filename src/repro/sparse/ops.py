@@ -4,23 +4,11 @@ These free functions are the numeric core of every solver: a stochastic
 gradient is represented as a pair ``(indices, values)`` and applied to the
 model with :func:`scatter_add`, exactly the "index-compressed update" the
 paper contrasts with SVRG's dense full-gradient add (its Figure 1).
-
-The functions also expose *operation counts* so the simulated cost model can
-translate a training trace into wall-clock time without re-running it.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
-
-
-def sparse_dot(indices: np.ndarray, values: np.ndarray, w: np.ndarray) -> float:
-    """Inner product between a sparse vector ``(indices, values)`` and dense ``w``."""
-    if indices.size == 0:
-        return 0.0
-    return float(np.dot(values, w[indices]))
 
 
 def scatter_add(w: np.ndarray, indices: np.ndarray, values: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -32,11 +20,6 @@ def scatter_add(w: np.ndarray, indices: np.ndarray, values: np.ndarray, scale: f
     if indices.size:
         np.add.at(w, indices, scale * values)
     return w
-
-
-def sparse_scale(values: np.ndarray, scale: float) -> np.ndarray:
-    """Return ``scale * values`` (new array; the indices are unchanged)."""
-    return values * scale
 
 
 def sparse_norm_sq(values: np.ndarray) -> float:
@@ -62,88 +45,8 @@ def segment_bool_any(mask: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return (lengths > 0) & (np.add.reduceat(padded, starts) > 0)
 
 
-def sparse_squared_norms(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-row squared norms for a CSR layout given its raw arrays."""
-    n_rows = indptr.size - 1
-    if data.size == 0:
-        return np.zeros(n_rows, dtype=np.float64)
-    sq = np.add.reduceat(data * data, indptr[:-1])
-    lengths = np.diff(indptr)
-    return np.asarray(np.where(lengths > 0, sq, 0.0), dtype=np.float64)
-
-
-def sparse_add(
-    idx_a: np.ndarray,
-    val_a: np.ndarray,
-    idx_b: np.ndarray,
-    val_b: np.ndarray,
-    beta: float = 1.0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Return the sparse vector ``a + beta * b`` as ``(indices, values)``.
-
-    The result has sorted, de-duplicated indices; exact zeros produced by
-    cancellation are kept (dropping them would make operation counts depend
-    on data values, which the cost model does not want).
-    """
-    if idx_a.size == 0:
-        return idx_b.copy(), beta * val_b
-    if idx_b.size == 0:
-        return idx_a.copy(), val_a.copy()
-    idx = np.concatenate([idx_a, idx_b])
-    val = np.concatenate([val_a, beta * val_b])
-    order = np.argsort(idx, kind="stable")
-    idx, val = idx[order], val[order]
-    uniq, start = np.unique(idx, return_index=True)
-    summed = np.add.reduceat(val, start)
-    return uniq, summed
-
-
-def densify(indices: np.ndarray, values: np.ndarray, dim: int) -> np.ndarray:
-    """Expand a sparse vector into a dense vector of length ``dim``."""
-    out = np.zeros(dim, dtype=np.float64)
-    if indices.size:
-        np.add.at(out, indices, values)
-    return out
-
-
-def sparsify(vector: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Compress a dense vector into ``(indices, values)`` of its non-zeros."""
-    idx = np.nonzero(vector)[0].astype(np.int64)
-    return idx, vector[idx].astype(np.float64)
-
-
-# --------------------------------------------------------------------------- #
-# Operation counting (used by the simulated wall-clock cost model)
-# --------------------------------------------------------------------------- #
-def sparse_update_flops(nnz: int) -> int:
-    """Floating-point operations of one index-compressed SGD update.
-
-    One multiply-add per stored coordinate for the gradient scale plus the
-    scatter add: ``2 * nnz`` multiplies + ``nnz`` adds ≈ ``3 * nnz``.
-    """
-    return 3 * int(nnz)
-
-
-def dense_update_flops(dim: int) -> int:
-    """Floating-point operations of one dense full-length vector update.
-
-    SVRG's variance-reduced gradient ``∇f_i(w) - ∇f_i(s) + µ`` requires two
-    dense adds of length ``d`` on top of the sparse part, i.e. ``2 * d``
-    adds plus the dense scaled write ``d``.
-    """
-    return 3 * int(dim)
-
-
 __all__ = [
-    "sparse_dot",
     "scatter_add",
-    "sparse_scale",
     "sparse_norm_sq",
     "segment_bool_any",
-    "sparse_squared_norms",
-    "sparse_add",
-    "densify",
-    "sparsify",
-    "sparse_update_flops",
-    "dense_update_flops",
 ]

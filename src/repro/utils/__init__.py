@@ -5,24 +5,21 @@ library so that every other sub-package may import them freely without
 creating circular imports.
 """
 
-from repro.utils.rng import RandomState, as_rng, spawn_rngs
+from repro.utils.rng import RandomState, as_rng
 from repro.utils.validation import (
     check_array_1d,
     check_in_range,
     check_positive,
     check_probability_vector,
-    check_same_length,
 )
 from repro.utils.logging import get_logger
 
 __all__ = [
     "RandomState",
     "as_rng",
-    "spawn_rngs",
     "check_array_1d",
     "check_in_range",
     "check_positive",
     "check_probability_vector",
-    "check_same_length",
     "get_logger",
 ]

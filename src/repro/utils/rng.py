@@ -9,7 +9,7 @@ reproducible end-to-end from a single seed.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -40,31 +40,6 @@ def as_rng(seed: RandomState = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: RandomState, count: int) -> list[np.random.Generator]:
-    """Create ``count`` statistically independent generators from one seed.
-
-    This is the canonical way to hand an independent stream to each
-    simulated worker so that changing the number of workers does not
-    silently correlate their sample sequences.
-
-    Parameters
-    ----------
-    seed:
-        Master seed (any :data:`RandomState`).
-    count:
-        Number of child generators, must be non-negative.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if isinstance(seed, np.random.Generator):
-        # Generators cannot be split deterministically; derive children from
-        # integers drawn from the parent stream instead.
-        seeds = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(count)]
-
-
 def derive_seed(seed: RandomState, *tags: int) -> int:
     """Derive a reproducible integer sub-seed from ``seed`` and ``tags``.
 
@@ -88,18 +63,9 @@ def permutation(rng: RandomState, n: int) -> np.ndarray:
     return as_rng(rng).permutation(n).astype(np.int64)
 
 
-def sample_without_replacement(rng: RandomState, n: int, k: int) -> np.ndarray:
-    """Sample ``k`` distinct indices from ``range(n)``."""
-    if k > n:
-        raise ValueError(f"cannot sample {k} items from a population of {n}")
-    return as_rng(rng).choice(n, size=k, replace=False).astype(np.int64)
-
-
 __all__ = [
     "RandomState",
     "as_rng",
-    "spawn_rngs",
     "derive_seed",
     "permutation",
-    "sample_without_replacement",
 ]

@@ -7,7 +7,7 @@ than deep inside a numeric kernel.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -61,12 +61,6 @@ def check_array_1d(
     return out
 
 
-def check_same_length(name_a: str, a, name_b: str, b) -> None:
-    """Validate two sequences have matching length."""
-    if len(a) != len(b):
-        raise ValueError(f"{name_a} and {name_b} must have the same length, got {len(a)} != {len(b)}")
-
-
 def check_probability_vector(p, name: str = "p", *, atol: float = 1e-8) -> np.ndarray:
     """Validate that ``p`` is a non-negative vector summing to one."""
     out = check_array_1d(p, name, dtype=np.float64, min_len=1)
@@ -78,15 +72,6 @@ def check_probability_vector(p, name: str = "p", *, atol: float = 1e-8) -> np.nd
     # Clean tiny negatives introduced by floating point noise.
     out = np.clip(out, 0.0, None)
     return out / out.sum()
-
-
-def check_labels_pm1(y, name: str = "y") -> np.ndarray:
-    """Validate binary labels encoded as -1/+1 (the encoding used throughout)."""
-    out = check_array_1d(y, name, dtype=np.float64, min_len=1)
-    values = np.unique(out)
-    if not np.all(np.isin(values, (-1.0, 1.0))):
-        raise ValueError(f"{name} must only contain -1/+1 labels, found values {values[:8]}")
-    return out
 
 
 def check_index_array(idx, name: str, *, upper: Optional[int] = None) -> np.ndarray:
@@ -105,8 +90,6 @@ __all__ = [
     "check_positive",
     "check_in_range",
     "check_array_1d",
-    "check_same_length",
     "check_probability_vector",
-    "check_labels_pm1",
     "check_index_array",
 ]

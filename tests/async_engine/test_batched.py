@@ -23,12 +23,7 @@ from repro.async_engine.staleness import ConstantDelay, GeometricDelay, UniformD
 from repro.async_engine.worker import build_workers
 from repro.core.is_asgd import ISASGDSolver
 from repro.core.partition import partition_dataset
-from repro.runtime import (
-    available_backend_names,
-    default_async_mode,
-    resolve_async_mode,
-    set_default_async_mode,
-)
+from repro.runtime import available_backend_names, default_async_mode, resolve_async_mode
 from repro.rules.sgd import SGDRule
 from repro.solvers.asgd import ASGDSolver
 from repro.solvers.svrg_asgd import SVRGASGDSolver
@@ -289,14 +284,6 @@ class TestAsyncModeRegistry:
         assert resolve_async_mode("process") == "process"
         with pytest.raises(ValueError):
             resolve_async_mode("warp_speed")
-
-    def test_set_default_override(self):
-        try:
-            set_default_async_mode("batched")
-            assert resolve_async_mode(None) == "batched"
-        finally:
-            set_default_async_mode(None)
-        assert resolve_async_mode(None) == "per_sample"
 
     def test_env_var(self, monkeypatch):
         monkeypatch.setenv("REPRO_ASYNC_MODE", "batched")

@@ -99,13 +99,6 @@ class TestStaleReads:
         assert m.stale_read_count == 1
         assert m.read_count == 1
         assert m.conflict_rate() == pytest.approx(1.0)
-        m.reset_counters()
-        assert m.conflict_count == 0 and m.read_count == 0
-
-    def test_read_latest(self):
-        m = SharedModel(3)
-        m.apply_update(np.array([1]), np.array([4.0]))
-        np.testing.assert_allclose(m.read_latest(np.array([1, 2])), [4.0, 0.0])
 
 
 class TestHistoryOverflow:
@@ -143,15 +136,6 @@ class TestHistoryOverflow:
         for _ in range(3):
             m.apply_update(np.array([0]), np.array([1.0]))
         m.read_stale(np.array([], dtype=np.int64), delay=3)
-        assert m.history_overflow == 0
-
-    def test_reset_counters_clears_overflow(self):
-        m = SharedModel(3, history=1)
-        for _ in range(3):
-            m.apply_update(np.array([0]), np.array([1.0]))
-        m.read_stale(np.array([0]), delay=3)
-        assert m.history_overflow == 1
-        m.reset_counters()
         assert m.history_overflow == 0
 
     def test_simulator_surfaces_overflow_on_trace(self):

@@ -8,7 +8,6 @@ from repro.async_engine.staleness import (
     StalenessModel,
     GeometricDelay,
     UniformDelay,
-    make_staleness_model,
 )
 
 
@@ -63,19 +62,6 @@ class TestGeometricDelay:
 
     def test_zero_max(self, rng):
         assert GeometricDelay(0).draw(rng) == 0
-
-
-class TestFactory:
-    @pytest.mark.parametrize(
-        "kind,cls",
-        [("uniform", UniformDelay), ("constant", ConstantDelay), ("geometric", GeometricDelay)],
-    )
-    def test_factory_kinds(self, kind, cls):
-        assert isinstance(make_staleness_model(kind, 3), cls)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_staleness_model("exponential", 3)
 
 
 class TestDrawBatch:

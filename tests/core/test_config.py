@@ -17,14 +17,6 @@ class TestISASGDConfig:
         cfg = ISASGDConfig(importance="uniform")
         assert cfg.importance is ImportanceScheme.UNIFORM
 
-    def test_effective_max_delay_defaults_to_workers(self):
-        cfg = ISASGDConfig(num_workers=12)
-        assert cfg.effective_max_delay == 12
-
-    def test_effective_max_delay_override(self):
-        cfg = ISASGDConfig(num_workers=12, max_delay=3)
-        assert cfg.effective_max_delay == 3
-
     def test_with_updates_returns_copy(self):
         cfg = ISASGDConfig(num_workers=4)
         cfg2 = cfg.with_updates(num_workers=8)
@@ -39,7 +31,7 @@ class TestISASGDConfig:
             {"zeta": 0.0},
             {"step_clip": 0.0},
             {"record_every": 0},
-            {"max_delay": -1},
+            {"importance": "bogus"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -44,7 +44,7 @@ class TestCatalogContents:
         )
 
     def test_density_ordering_preserved(self):
-        densities = {k: d.surrogate_density for k, d in PAPER_DATASETS.items()}
+        densities = {k: d.surrogate.density for k, d in PAPER_DATASETS.items()}
         assert densities["news20"] > densities["url"] > densities["kdd_algebra"]
         assert densities["kdd_algebra"] > densities["kdd_bridge"] * 0.9
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datasets.splits import k_fold_indices, train_test_split
+from repro.datasets.splits import train_test_split
 
 
 class TestTrainTestSplit:
@@ -44,19 +44,3 @@ class TestTrainTestSplit:
         X, y, _ = small_dataset
         Xtr, ytr, Xte, yte = train_test_split(X, y, test_fraction=0.2, seed=0, stratify=False)
         assert Xtr.n_rows + Xte.n_rows == X.n_rows
-
-
-class TestKFold:
-    def test_folds_partition_everything(self):
-        folds = k_fold_indices(20, 4, seed=0)
-        combined = np.sort(np.concatenate(folds))
-        np.testing.assert_array_equal(combined, np.arange(20))
-
-    def test_fold_count(self):
-        assert len(k_fold_indices(10, 5, seed=0)) == 5
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            k_fold_indices(10, 1)
-        with pytest.raises(ValueError):
-            k_fold_indices(3, 5)

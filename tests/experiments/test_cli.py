@@ -23,12 +23,17 @@ class TestList:
         code, out, _ = _run(capsys, "list", "--json")
         assert code == 0
         registries = json.loads(out)
-        assert "is_asgd" in registries["solvers"]
-        assert "vectorized" in registries["kernel_backends"]
-        assert "process" in registries["async_modes"]
-        assert "figures" in registries["configs"]
+        # The registries are closed tables: pin each one exactly.
+        assert registries["solvers"] == ["asgd", "is_asgd", "is_sgd", "sgd", "svrg_asgd"]
+        assert registries["kernel_backends"] == ["native", "reference", "vectorized"]
+        assert registries["async_modes"] == ["per_sample", "batched", "process"]
+        assert registries["rules"] == ["is_sgd", "sgd", "svrg", "svrg_skip_dense"]
+        assert registries["configs"] == ["ablation", "cluster", "figures", "table1"]
+        assert registries["objectives"] == [
+            "hinge", "hinge_l2", "least_squares", "logistic", "logistic_elastic",
+            "logistic_l1", "logistic_l2", "ridge", "squared_hinge", "squared_hinge_l2",
+        ]
         assert "news20_smoke" in registries["datasets"]
-        assert "svrg_skip_dense" in registries["rules"]
 
     def test_backends_capability_matrix(self, capsys):
         code, out, _ = _run(capsys, "list", "--json")
@@ -38,7 +43,11 @@ class TestList:
         process = matrix[-1]
         assert process["true_parallelism"] and process["measured_wall_clock"]
         for row in matrix:
-            assert "svrg_skip_dense" in row["rules"]
+            assert set(row) == {
+                "backend", "description", "supports_batching", "true_parallelism",
+                "measured_wall_clock", "deterministic", "fused_kernel_loop",
+                "fault_tolerant",
+            }
 
     def test_backends_table_printed(self, capsys):
         code, out, _ = _run(capsys, "list")

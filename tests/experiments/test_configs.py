@@ -106,6 +106,44 @@ class TestClusterScalingConfig:
         assert dict(config.runs[0].solver_kwargs) == {"async_mode": "process"}
 
 
+class TestConfigTable:
+    """Each built-in config names only entries of the other closed tables."""
+
+    @pytest.mark.parametrize("name", ["ablation", "cluster", "figures", "table1"])
+    def test_builtin_config_names_only_builtin_entries(self, name):
+        from repro.datasets.catalog import list_datasets
+        from repro.experiments.configs import make_config
+        from repro.objectives.registry import available_objectives
+        from repro.runtime import available_backend_names
+        from repro.solvers.registry import available_solvers
+
+        config = make_config(name)
+        assert config.runs
+        assert config.objective in available_objectives()
+        datasets = list_datasets(include_smoke=True)
+        for run in config.runs:
+            assert run.dataset in datasets
+            # Table 1 only computes dataset statistics; every other config trains.
+            if name == "table1":
+                assert run.solver == "none"
+            else:
+                assert run.solver in available_solvers()
+            mode = run.kwargs().get("async_mode")
+            assert mode is None or mode in available_backend_names()
+
+    @pytest.mark.parametrize("name", ["ablation", "cluster", "figures", "table1"])
+    def test_every_config_has_a_description(self, name):
+        from repro.experiments.configs import config_description
+
+        assert config_description(name).strip()
+
+    def test_unknown_config_lists_the_builtins(self):
+        from repro.experiments.configs import make_config
+
+        with pytest.raises(ValueError, match="available: ablation, cluster, figures, table1"):
+            make_config("fig")
+
+
 class TestMakeConfig:
     """The uniform CLI override namespace must map, not silently drop."""
 

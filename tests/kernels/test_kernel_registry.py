@@ -1,4 +1,4 @@
-"""Tests for kernel-backend selection and registration."""
+"""Tests for kernel-backend selection."""
 
 import numpy as np
 import pytest
@@ -10,18 +10,9 @@ from repro.kernels import (
     VectorizedKernel,
     available_backends,
     default_backend_name,
-    get_default_backend,
     make_backend,
-    register_backend,
     resolve_backend,
-    set_default_backend,
 )
-
-
-@pytest.fixture(autouse=True)
-def _reset_default():
-    yield
-    set_default_backend(None)
 
 
 class TestRegistry:
@@ -60,26 +51,20 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown kernel backend"):
             backend_doc_class("bogus")
 
-    def test_register_custom_backend(self):
-        class Custom(VectorizedKernel):
-            name = "custom"
+    @pytest.mark.parametrize("name", ["native", "reference", "vectorized"])
+    def test_each_entry_documents_the_backend_of_its_name(self, name):
+        from repro.kernels import backend_doc_class
 
-        register_backend("custom", Custom)
-        try:
-            assert "custom" in available_backends()
-            assert isinstance(make_backend("custom"), Custom)
-        finally:
-            from repro.kernels import registry
-
-            registry._FACTORIES.pop("custom", None)
-            registry._INSTANCES.pop("custom", None)
+        # Trace and store records carry the backend's ``name``; it must be
+        # the key the table files it under.
+        assert backend_doc_class(name).name == name
 
 
 class TestDefaultResolution:
     def test_builtin_default_is_native(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         assert default_backend_name() == "native"
-        backend = get_default_backend()
+        backend = resolve_backend(None)
         assert backend is make_backend("native")
         # Without a C compiler the name resolves to the vectorized instance.
         assert backend.name == "native" or backend is make_backend("vectorized")
@@ -87,16 +72,15 @@ class TestDefaultResolution:
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
         assert default_backend_name() == "reference"
-        assert isinstance(get_default_backend(), ReferenceKernel)
+        assert isinstance(resolve_backend(None), ReferenceKernel)
 
-    def test_set_default_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
-        set_default_backend("vectorized")
-        assert default_backend_name() == "vectorized"
-
-    def test_set_default_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_default_backend("bogus")
+    def test_env_var_naming_no_backend_is_rejected(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
+        assert default_backend_name() == "bogus"
+        with pytest.raises(ValueError, match="unknown kernel backend 'bogus'"):
+            resolve_backend(None)
+        # An explicit name still wins over the variable.
+        assert isinstance(resolve_backend("reference"), ReferenceKernel)
 
     def test_resolve_accepts_instance_name_and_none(self):
         inst = ReferenceKernel()

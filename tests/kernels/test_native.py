@@ -8,7 +8,12 @@ block primitives against their per-step equivalents, and the graceful
 per-call fallback for objectives the C dispatch does not know.
 """
 
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,8 +89,38 @@ class TestFallback:
         _reset_fallback_state()
         monkeypatch.setenv(registry.BACKEND_ENV_VAR, "native")
         with pytest.warns(RuntimeWarning):
-            backend = registry.get_default_backend()
+            backend = registry.resolve_backend(None)
         assert type(backend) is VectorizedKernel
+
+    def test_fallback_warning_names_the_caller(self, tmp_path):
+        """A real failed build warns at the line that asked for the kernel.
+
+        Runs in a child process with no usable compiler and an empty build
+        directory, so the extension genuinely cannot be built.
+        """
+        script = tmp_path / "caller.py"
+        script.write_text(
+            "import json, warnings\n"
+            "from repro.kernels import make_backend, resolve_backend\n"
+            "from repro.kernels import registry\n"
+            "from repro.kernels.native import _reset_fallback_state\n"
+            "with warnings.catch_warnings(record=True) as caught:\n"
+            "    warnings.simplefilter('always')\n"
+            "    resolve_backend(None)\n"
+            "    registry._INSTANCES.pop('native', None)\n"
+            "    _reset_fallback_state()\n"
+            "    make_backend('native')\n"
+            "print(json.dumps([[w.filename, w.lineno] for w in caught]))\n"
+        )
+        root = Path(__file__).resolve().parents[2]
+        env = {k: v for k, v in os.environ.items() if k != registry.BACKEND_ENV_VAR}
+        env.update(CC="/bin/false", CXX="/bin/false",
+                   REPRO_NATIVE_BUILD_DIR=str(tmp_path / "build"))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[str(script), 7], [str(script), 10]]
 
 
 class TestFusedPrimitives:

@@ -24,19 +24,19 @@ from repro.datasets.synthetic import SyntheticSpec, make_sparse_classification
 from repro.kernels.registry import available_backends
 from repro.objectives.registry import available_objectives, make_objective
 from repro.solvers.base import Problem
-from repro.solvers.registry import async_solver_names, available_solvers, make_solver
+from repro.solvers.registry import ASYNC_SOLVER_NAMES, available_solvers, make_solver
 from repro.sparse.csr import CSRMatrix
 
 #: Each asynchronous solver, and the flag that makes ``svrg_asgd`` run the
 #: ``svrg_skip_dense`` rule (the skip-µ ablation), by the name used in ids.
 ASYNC_VARIANTS = {
-    **{name: (name, {}) for name in async_solver_names()},
+    **{name: (name, {}) for name in ASYNC_SOLVER_NAMES},
     "svrg_asgd_skip_dense": ("svrg_asgd", {"skip_dense_term": True}),
 }
 
 #: Each registered solver; an asynchronous one once per deterministic tier.
 SOLVERS = [
-    *(name for name in available_solvers() if name not in async_solver_names()),
+    *(name for name in available_solvers() if name not in ASYNC_SOLVER_NAMES),
     *(f"{name}/{mode}" for name in ASYNC_VARIANTS for mode in ("per_sample", "batched")),
 ]
 

@@ -67,12 +67,6 @@ class TestRunningBestAndInterpolation:
         c = _curve([0.5, 0.3, 0.1])
         assert c.time_to_reach(0.3, axis="epochs") == pytest.approx(1.0)
 
-    def test_value_at_time(self):
-        c = _curve([0.5, 0.3], times=[1.0, 3.0])
-        assert c.value_at_time(0.5) == pytest.approx(0.5)
-        assert c.value_at_time(2.0) == pytest.approx(0.4)
-        assert c.value_at_time(10.0) == pytest.approx(0.3)
-
     def test_unknown_metric_or_axis(self):
         c = _curve([0.5])
         with pytest.raises(ValueError):

@@ -4,19 +4,12 @@ import numpy as np
 import pytest
 
 from repro.runtime.backends import (
-    BackendCapabilities,
-    ExecutionBackend,
     ExecutionRequest,
     ExecutionResult,
-    _BACKENDS,
     available_backend_names,
-    backend_capabilities,
-    backends_supporting,
     capability_matrix,
     execute,
     get_backend,
-    register_backend,
-    resolve_async_mode,
 )
 
 
@@ -50,33 +43,67 @@ class TestRegistry:
             assert set(row) == {
                 "backend", "description", "supports_batching", "true_parallelism",
                 "measured_wall_clock", "deterministic", "fused_kernel_loop",
-                "fault_tolerant", "rules",
+                "fault_tolerant",
             }
 
     def test_only_batched_advertises_fused_kernel_loop(self):
-        assert backend_capabilities("batched").fused_kernel_loop
+        assert get_backend("batched").capabilities.fused_kernel_loop
         for name in ("per_sample", "process"):
-            assert not backend_capabilities(name).fused_kernel_loop
+            assert not get_backend(name).capabilities.fused_kernel_loop
 
     def test_only_process_measures_wall_clock(self):
-        assert backend_capabilities("process").measured_wall_clock
+        assert get_backend("process").capabilities.measured_wall_clock
         for name in ("per_sample", "batched"):
-            assert not backend_capabilities(name).measured_wall_clock
+            assert not get_backend(name).capabilities.measured_wall_clock
 
     def test_only_process_is_fault_tolerant(self):
-        assert backend_capabilities("process").fault_tolerant
+        assert get_backend("process").capabilities.fault_tolerant
         for name in ("per_sample", "batched"):
-            assert not backend_capabilities(name).fault_tolerant
-
-    def test_every_builtin_backend_supports_every_rule(self):
-        from repro.rules import available_rules
-
-        for rule in available_rules():
-            assert backends_supporting(rule) == available_backend_names()
+            assert not get_backend(name).capabilities.fault_tolerant
 
     def test_unknown_backend_lists_valid_modes(self):
         with pytest.raises(ValueError, match="per_sample, batched, process"):
             get_backend("bogus")
+
+
+class TestRequestDefaults:
+    def _partitioned(self, problem, workers, **overrides):
+        from repro.core.partition import partition_dataset
+
+        partition = partition_dataset(
+            np.arange(problem.n_samples), problem.lipschitz_constants(), workers,
+            scheme="uniform",
+        )
+        return _request(problem, partition=partition, **overrides)
+
+    @pytest.mark.parametrize("workers,max_delay", [(1, 0), (2, 1), (8, 7)])
+    def test_default_delay_is_uniform_up_to_workers_minus_one(
+        self, small_problem, workers, max_delay
+    ):
+        from repro.async_engine.staleness import UniformDelay
+
+        staleness = self._partitioned(small_problem, workers).resolved_staleness()
+        assert type(staleness) is UniformDelay
+        assert staleness.max_delay == max_delay
+
+    def test_explicit_staleness_passes_through(self, small_problem):
+        from repro.async_engine.staleness import ConstantDelay
+
+        model = ConstantDelay(3)
+        request = self._partitioned(small_problem, 4, staleness=model)
+        assert request.resolved_staleness() is model
+
+    def test_default_iterations_split_the_samples(self, small_problem):
+        request = self._partitioned(small_problem, 4)
+        assert request.resolved_iterations_per_worker() == small_problem.n_samples // 4
+
+    def test_explicit_iterations_are_at_least_one(self, small_problem):
+        assert self._partitioned(
+            small_problem, 2, iterations_per_worker=7
+        ).resolved_iterations_per_worker() == 7
+        assert self._partitioned(
+            small_problem, 2, iterations_per_worker=0
+        ).resolved_iterations_per_worker() == 1
 
 
 class TestDispatchErrors:
@@ -88,76 +115,11 @@ class TestDispatchErrors:
         with pytest.raises(ValueError, match="unknown update rule 'adamw'.*sgd"):
             execute("per_sample", _request(small_problem, rule="adamw"))
 
-    def test_unsupported_rule_backend_combination_lists_alternatives(self, small_problem):
-        class SgdOnlyBackend(ExecutionBackend):
-            capabilities = BackendCapabilities(
-                name="sgd_only",
-                description="test backend supporting sgd only",
-                supports_batching=False,
-                true_parallelism=False,
-                measured_wall_clock=False,
-                deterministic=True,
-                supported_rules=("sgd",),
-            )
-
-        register_backend(SgdOnlyBackend())
-        try:
-            with pytest.raises(ValueError) as exc:
-                execute("sgd_only", _request(small_problem, rule="svrg"))
-            message = str(exc.value)
-            assert "does not support update rule 'svrg'" in message
-            # ... and tells the caller which modes do support it.
-            assert "per_sample" in message and "process" in message
-        finally:
-            _BACKENDS.pop("sgd_only", None)
-
     def test_solver_surfaces_dispatch_error(self, small_problem):
         from repro.solvers.asgd import ASGDSolver
 
         with pytest.raises(ValueError, match="unknown async mode"):
             ASGDSolver(step_size=0.1, epochs=1, num_workers=2, async_mode="quantum")
-
-
-class TestCustomRules:
-    def _register_scaled_sgd(self):
-        from repro.objectives.base import Objective
-        from repro.rules import register_rule
-        from repro.rules.sgd import SGDRule
-
-        class HalfStepSGD(SGDRule):
-            name = "half_sgd"
-
-            def __init__(self, objective: Objective, step_size: float) -> None:
-                super().__init__(objective, step_size / 2.0)
-
-        register_rule("half_sgd", HalfStepSGD, description="sgd at half the step")
-        return HalfStepSGD
-
-    def test_custom_rule_runs_on_generic_tiers(self, small_problem):
-        import repro.rules as rules
-
-        self._register_scaled_sgd()
-        try:
-            assert backends_supporting("half_sgd") == ["per_sample", "batched"]
-            result = execute("per_sample", _request(small_problem, rule="half_sgd"))
-            assert result.trace.total_iterations > 0
-        finally:
-            rules._FACTORIES.pop("half_sgd", None)
-            rules.RULE_DESCRIPTIONS.pop("half_sgd", None)
-
-    def test_custom_rule_rejected_on_process_with_alternatives(self, small_problem):
-        import repro.rules as rules
-
-        self._register_scaled_sgd()
-        try:
-            with pytest.raises(ValueError) as exc:
-                execute("process", _request(small_problem, rule="half_sgd"))
-            message = str(exc.value)
-            assert "'process' does not support update rule 'half_sgd'" in message
-            assert "per_sample" in message  # the tiers that do run it
-        finally:
-            rules._FACTORIES.pop("half_sgd", None)
-            rules.RULE_DESCRIPTIONS.pop("half_sgd", None)
 
 
 class TestExecute:
@@ -180,32 +142,3 @@ class TestExecute:
         # equal to the final weights.
         assert calls[0][1].tobytes() != calls[-1][1].tobytes()
         assert calls[-1][1].tobytes() == result.weights.tobytes()
-
-    def test_custom_backend_is_dispatchable(self, small_problem):
-        class EchoBackend(ExecutionBackend):
-            capabilities = BackendCapabilities(
-                name="echo",
-                description="returns zeros without training",
-                supports_batching=False,
-                true_parallelism=False,
-                measured_wall_clock=False,
-                deterministic=True,
-            )
-
-            def run(self, request):
-                from repro.async_engine.events import EpochEvent, ExecutionTrace
-
-                trace = ExecutionTrace()
-                trace.add_epoch(EpochEvent(epoch=0, iterations=1))
-                w = np.zeros(request.X.n_cols)
-                return ExecutionResult(weights=w, trace=trace, info={"async_mode": "echo"})
-
-        register_backend(EchoBackend())
-        try:
-            assert "echo" in available_backend_names()
-            result = execute("echo", _request(small_problem))
-            assert result.info["async_mode"] == "echo"
-            # The mode resolver sees the new backend too.
-            assert resolve_async_mode("echo") == "echo"
-        finally:
-            _BACKENDS.pop("echo", None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.async_engine.staleness import ConstantDelay
+from repro.core.is_asgd import ISASGDSolver
 from repro.rules.sgd import SGDRule
 from repro.solvers.asgd import ASGDSolver
 from repro.solvers.sgd import SGDSolver
@@ -42,6 +43,10 @@ class TestASGDSolver:
     def test_num_workers_recorded(self, small_problem):
         result = ASGDSolver(step_size=0.3, epochs=2, num_workers=6, seed=0).fit(small_problem)
         assert result.info["num_workers"] == 6
+        # The default delay models: UniformDelay(W - 1) for ASGD (and
+        # SVRG-ASGD), UniformDelay(W) for IS-ASGD.
+        is_asgd = ISASGDSolver(step_size=0.3, epochs=2, num_workers=6, seed=0).fit(small_problem)
+        assert (result.info["max_delay"], is_asgd.info["max_delay"]) == (5, 6)
 
     def test_simulated_time_scales_down_with_workers(self, small_problem):
         slow = ASGDSolver(step_size=0.3, epochs=3, num_workers=1, seed=0).fit(small_problem)
@@ -120,3 +125,20 @@ def test_initial_weights_of_the_wrong_shape_are_rejected(solver, async_mode):
     model = make_solver(solver, epochs=1, seed=0, **kwargs)
     with pytest.raises(ValueError, match=rf"must have shape \({d},\)"):
         model.fit(problem, initial_weights=np.full(1, 0.5))
+
+
+@pytest.mark.parametrize("async_mode", ["per_sample", "batched"])
+@pytest.mark.parametrize(
+    "solver,max_delay", [("asgd", 4), ("svrg_asgd", 4), ("is_asgd", 5)]
+)
+def test_default_delay_model_on_each_simulated_tier(small_problem, solver, max_delay, async_mode):
+    """Without ``staleness=`` ASGD and SVRG-ASGD draw delays up to W - 1
+    (``ExecutionRequest.resolved_staleness``) and IS-ASGD up to W
+    (``ISASGDSolver.fit``), on both simulated tiers alike."""
+    from repro.solvers.registry import make_solver
+
+    model = make_solver(solver, step_size=0.1, epochs=1, num_workers=5, seed=0,
+                        async_mode=async_mode)
+    result = model.fit(small_problem)
+    assert result.info["async_mode"] == async_mode
+    assert result.info["max_delay"] == max_delay

@@ -3,29 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sparse.ops import (
-    dense_update_flops,
-    densify,
-    scatter_add,
-    sparse_add,
-    sparse_dot,
-    sparse_norm_sq,
-    sparse_scale,
-    sparse_squared_norms,
-    sparse_update_flops,
-    sparsify,
-)
-
-
-class TestSparseDot:
-    def test_matches_dense(self):
-        w = np.arange(6, dtype=float)
-        idx = np.array([1, 4])
-        val = np.array([2.0, -1.0])
-        assert sparse_dot(idx, val, w) == pytest.approx(2 * 1 - 4)
-
-    def test_empty(self):
-        assert sparse_dot(np.array([], dtype=np.int64), np.array([]), np.ones(3)) == 0.0
+from repro.sparse.csr import CSRMatrix
+from repro.sparse.ops import scatter_add, segment_bool_any, sparse_norm_sq
 
 
 class TestScatterAdd:
@@ -50,63 +29,37 @@ class TestScatterAdd:
 
 
 class TestNormsAndScale:
-    def test_sparse_scale(self):
-        np.testing.assert_allclose(sparse_scale(np.array([1.0, 2.0]), 3.0), [3.0, 6.0])
-
     def test_norm_sq(self):
         assert sparse_norm_sq(np.array([3.0, 4.0])) == pytest.approx(25.0)
         assert sparse_norm_sq(np.array([])) == 0.0
 
-    def test_squared_norms_per_row(self):
-        data = np.array([1.0, 2.0, 3.0])
-        indptr = np.array([0, 2, 2, 3])
-        np.testing.assert_allclose(sparse_squared_norms(data, indptr), [5.0, 0.0, 9.0])
 
-    def test_squared_norms_empty(self):
-        np.testing.assert_allclose(
-            sparse_squared_norms(np.array([]), np.array([0, 0, 0])), [0.0, 0.0]
+class TestSegmentBoolAny:
+    def test_any_per_segment(self):
+        mask = np.array([False, True, False, False, False, True])
+        lengths = np.array([2, 3, 1])
+        np.testing.assert_array_equal(segment_bool_any(mask, lengths), [True, False, True])
+
+    def test_empty_segments_are_false(self):
+        # Empty rows sit between, before and after non-empty ones.
+        mask = np.array([True, True, False])
+        lengths = np.array([0, 1, 0, 2, 0])
+        np.testing.assert_array_equal(
+            segment_bool_any(mask, lengths), [False, True, False, True, False]
         )
 
+    def test_no_entries_at_all(self):
+        out = segment_bool_any(np.zeros(0, dtype=bool), np.array([0, 0, 0]))
+        assert out.dtype == bool
+        np.testing.assert_array_equal(out, [False, False, False])
+        assert segment_bool_any(np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)).size == 0
 
-class TestSparseAdd:
-    def test_disjoint_supports(self):
-        idx, val = sparse_add(np.array([0]), np.array([1.0]), np.array([2]), np.array([3.0]))
-        np.testing.assert_array_equal(idx, [0, 2])
-        np.testing.assert_allclose(val, [1.0, 3.0])
-
-    def test_overlapping_supports(self):
-        idx, val = sparse_add(
-            np.array([0, 2]), np.array([1.0, 1.0]), np.array([2, 3]), np.array([1.0, 1.0]), beta=2.0
-        )
-        np.testing.assert_array_equal(idx, [0, 2, 3])
-        np.testing.assert_allclose(val, [1.0, 3.0, 2.0])
-
-    def test_empty_operands(self):
-        idx, val = sparse_add(np.array([], dtype=np.int64), np.array([]), np.array([1]), np.array([2.0]), beta=0.5)
-        np.testing.assert_array_equal(idx, [1])
-        np.testing.assert_allclose(val, [1.0])
-        idx, val = sparse_add(np.array([1]), np.array([2.0]), np.array([], dtype=np.int64), np.array([]))
-        np.testing.assert_array_equal(idx, [1])
-
-
-class TestDensifySparsify:
-    def test_roundtrip(self):
-        vec = np.array([0.0, 2.0, 0.0, -1.0])
-        idx, val = sparsify(vec)
-        np.testing.assert_allclose(densify(idx, val, 4), vec)
-
-    def test_densify_duplicates(self):
-        out = densify(np.array([1, 1]), np.array([1.0, 2.0]), 3)
-        assert out[1] == pytest.approx(3.0)
-
-
-class TestFlopCounts:
-    def test_sparse_flops_scale_with_nnz(self):
-        assert sparse_update_flops(10) == 30
-
-    def test_dense_flops_scale_with_dim(self):
-        assert dense_update_flops(100) == 300
-
-    def test_dense_much_larger_for_sparse_data(self):
-        # The Figure-1 argument: dense update cost dwarfs the sparse one.
-        assert dense_update_flops(1_000_000) / sparse_update_flops(10) > 1e4
+    def test_matches_a_per_row_loop_on_gathered_rows(self):
+        rng = np.random.default_rng(0)
+        dense = rng.random((40, 12)) * (rng.random((40, 12)) < 0.2)
+        X = CSRMatrix.from_dense(dense)
+        rows = rng.integers(0, 40, size=60)
+        idx, _, lengths = X.gather_rows(rows)
+        hot = rng.random(12) < 0.3
+        expected = [bool(hot[X.row(r)[0]].any()) for r in rows]
+        np.testing.assert_array_equal(segment_bool_any(hot[idx], lengths), expected)

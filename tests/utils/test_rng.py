@@ -1,15 +1,8 @@
 """Tests for repro.utils.rng."""
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import (
-    as_rng,
-    derive_seed,
-    permutation,
-    sample_without_replacement,
-    spawn_rngs,
-)
+from repro.utils.rng import as_rng, derive_seed, permutation
 
 
 class TestAsRng:
@@ -36,35 +29,6 @@ class TestAsRng:
         assert isinstance(a, np.random.Generator)
 
 
-class TestSpawnRngs:
-    def test_count(self):
-        rngs = spawn_rngs(0, 5)
-        assert len(rngs) == 5
-
-    def test_children_are_independent(self):
-        rngs = spawn_rngs(0, 3)
-        draws = [r.random(4) for r in rngs]
-        assert not np.allclose(draws[0], draws[1])
-        assert not np.allclose(draws[1], draws[2])
-
-    def test_reproducible_from_same_seed(self):
-        a = [r.random() for r in spawn_rngs(9, 4)]
-        b = [r.random() for r in spawn_rngs(9, 4)]
-        assert a == b
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_spawn_from_generator(self):
-        gen = np.random.default_rng(3)
-        rngs = spawn_rngs(gen, 2)
-        assert len(rngs) == 2
-
-
 class TestDeriveSeed:
     def test_deterministic(self):
         assert derive_seed(10, 1, 2) == derive_seed(10, 1, 2)
@@ -75,16 +39,25 @@ class TestDeriveSeed:
     def test_returns_int(self):
         assert isinstance(derive_seed(0, 7), int)
 
+    def test_generator_seed_draws_from_the_generator(self):
+        # Same-seeded generators derive the same sub-seed; the parent advances.
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        assert derive_seed(a, 1) == derive_seed(b, 1)
+        assert derive_seed(a, 1) != derive_seed(np.random.default_rng(4), 1)
+
+    def test_seed_sequence_is_deterministic(self):
+        assert derive_seed(np.random.SeedSequence(8), 3) == derive_seed(
+            np.random.SeedSequence(8), 3
+        )
+
 
 class TestSamplingHelpers:
     def test_permutation_is_permutation(self):
         p = permutation(0, 10)
         assert sorted(p.tolist()) == list(range(10))
 
-    def test_sample_without_replacement_unique(self):
-        s = sample_without_replacement(0, 20, 10)
-        assert len(set(s.tolist())) == 10
-
-    def test_sample_without_replacement_too_many(self):
-        with pytest.raises(ValueError):
-            sample_without_replacement(0, 3, 5)
+    def test_permutation_is_reproducible_int64(self):
+        p = permutation(5, 12)
+        assert p.dtype == np.int64
+        np.testing.assert_array_equal(p, permutation(5, 12))
+        assert permutation(5, 0).size == 0

@@ -7,10 +7,8 @@ from repro.utils.validation import (
     check_array_1d,
     check_in_range,
     check_index_array,
-    check_labels_pm1,
     check_positive,
     check_probability_vector,
-    check_same_length,
 )
 
 
@@ -42,6 +40,10 @@ class TestCheckInRange:
         with pytest.raises(ValueError):
             check_in_range(2.0, "x", low=0.0, high=1.0)
 
+    def test_message_names_argument_and_bounds(self):
+        with pytest.raises(ValueError, match=r"zeta must satisfy 0.0 < zeta < 1.0"):
+            check_in_range(1.0, "zeta", low=0.0, high=1.0, inclusive=False)
+
 
 class TestCheckArray1d:
     def test_coerces_list(self):
@@ -60,6 +62,16 @@ class TestCheckArray1d:
         with pytest.raises(ValueError):
             check_array_1d([], "x", min_len=1)
 
+    def test_non_finite_allowed_when_not_required(self):
+        out = check_array_1d([1.0, np.inf, np.nan], "x", finite=False)
+        assert np.isinf(out[1]) and np.isnan(out[2])
+
+    def test_returns_contiguous_copy_of_strided_input(self):
+        base = np.arange(10, dtype=np.float64)
+        out = check_array_1d(base[::2], "x")
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, [0.0, 2.0, 4.0, 6.0, 8.0])
+
 
 class TestCheckProbabilityVector:
     def test_normalises_fp_noise(self):
@@ -74,23 +86,13 @@ class TestCheckProbabilityVector:
         with pytest.raises(ValueError):
             check_probability_vector([0.2, 0.2])
 
+    def test_clips_noise_level_negatives(self):
+        p = check_probability_vector([-1e-12, 0.5, 0.5 + 1e-12])
+        assert p.min() >= 0.0
+        assert p.sum() == pytest.approx(1.0)
+
 
 class TestMisc:
-    def test_same_length_ok(self):
-        check_same_length("a", [1, 2], "b", [3, 4])
-
-    def test_same_length_mismatch(self):
-        with pytest.raises(ValueError):
-            check_same_length("a", [1], "b", [1, 2])
-
-    def test_labels_pm1_ok(self):
-        out = check_labels_pm1([1, -1, 1])
-        assert set(np.unique(out)) == {-1.0, 1.0}
-
-    def test_labels_pm1_rejects_01(self):
-        with pytest.raises(ValueError):
-            check_labels_pm1([0, 1, 1])
-
     def test_index_array_bounds(self):
         out = check_index_array([0, 1, 2], "idx", upper=3)
         assert out.dtype == np.int64
@@ -98,3 +100,8 @@ class TestMisc:
             check_index_array([0, 3], "idx", upper=3)
         with pytest.raises(ValueError):
             check_index_array([-1], "idx")
+
+    def test_index_array_rejects_2d_and_accepts_empty(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            check_index_array([[0, 1]], "idx")
+        assert check_index_array([], "idx", upper=0).size == 0

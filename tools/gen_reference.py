@@ -136,8 +136,7 @@ def _kernels_section() -> list[str]:
     )
 
     lines = ["## Kernel backends", "",
-             "Selected per call (`kernel=`), per process "
-             "(`set_default_backend`) or via `REPRO_KERNEL_BACKEND`.", "",
+             "Selected per call (`kernel=`) or via `REPRO_KERNEL_BACKEND`.", "",
              "| name | class | fused loop | description |",
              "| --- | --- | --- | --- |"]
     for name in available_backends():
@@ -158,21 +157,20 @@ def _async_modes_section() -> list[str]:
         return "yes" if value else "-"
 
     lines = ["## Execution backends (async modes)", "",
-             "Selected per solver (`async_mode=`), per process "
-             "(`repro.runtime.set_default_async_mode`) or via `REPRO_ASYNC_MODE`; the "
-             "capability matrix comes from the `repro.runtime` backend "
-             "registry (see [runtime.md](runtime.md)).", "",
-             "| name | batching | true parallelism | measured time | deterministic | fault tolerant | rules | description |",
-             "| --- | --- | --- | --- | --- | --- | --- | --- |"]
+             "Selected per solver (`async_mode=`) or via `REPRO_ASYNC_MODE`; "
+             "every mode runs every update rule. The capability matrix comes "
+             "from the `repro.runtime` backend registry (see "
+             "[runtime.md](runtime.md)).", "",
+             "| name | batching | true parallelism | measured time | deterministic | fault tolerant | description |",
+             "| --- | --- | --- | --- | --- | --- | --- |"]
     for row in capability_matrix():
         name = row["backend"]
         marker = " (default)" if name == DEFAULT_ASYNC_MODE else ""
-        rules = " ".join(f"`{r}`" for r in row["rules"])
         lines.append(
             f"| `{name}`{marker} | {_flag(row['supports_batching'])} "
             f"| {_flag(row['true_parallelism'])} | {_flag(row['measured_wall_clock'])} "
             f"| {_flag(row['deterministic'])} | {_flag(row.get('fault_tolerant', False))} "
-            f"| {rules} | {row['description']} |"
+            f"| {row['description']} |"
         )
     lines.append("")
     return lines
@@ -180,17 +178,14 @@ def _async_modes_section() -> list[str]:
 
 def _rules_section() -> list[str]:
     from repro.rules import available_rules, rule_description
-    from repro.runtime import backends_supporting
 
     lines = ["## Update rules", "",
              "Single-source update-rule definitions from `repro.rules` "
-             "(`make_rule(name, objective, step_size)`); every backend "
-             "listing a rule in its capabilities executes the same "
-             "definition.", "",
-             "| name | backends | description |", "| --- | --- | --- |"]
+             "(`make_rule(name, objective, step_size)`); every async mode "
+             "executes the same definition.", "",
+             "| name | description |", "| --- | --- |"]
     for name in available_rules():
-        backends = " ".join(f"`{b}`" for b in backends_supporting(name))
-        lines.append(f"| `{name}` | {backends} | {rule_description(name)} |")
+        lines.append(f"| `{name}` | {rule_description(name)} |")
     lines.append("")
     return lines
 
