@@ -47,7 +47,7 @@ from repro.sparse import CSRMatrix, load_libsvm
 from repro.async_engine import CostModel
 from repro.cluster import ClusterDriver
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "__version__",

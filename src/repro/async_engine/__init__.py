@@ -33,7 +33,7 @@ from repro.async_engine.staleness import (
 )
 from repro.async_engine.worker import SimulatedWorker
 from repro.async_engine.events import EpochEvent, IterationEvent
-from repro.async_engine.simulator import AsyncSimulator, SimulationResult
+from repro.async_engine.simulator import AsyncSimulator
 from repro.async_engine.batched import BatchedSimulator
 from repro.async_engine.cost_model import CostModel, CostParameters
 
@@ -49,7 +49,6 @@ __all__ = [
     "EpochEvent",
     "IterationEvent",
     "AsyncSimulator",
-    "SimulationResult",
     "CostModel",
     "CostParameters",
 ]

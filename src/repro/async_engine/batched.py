@@ -1,35 +1,34 @@
 """Batched macro-step execution engine for the asynchronous simulator.
 
 :class:`~repro.async_engine.simulator.AsyncSimulator` reproduces asynchrony
-one Python-level iteration at a time — worker bookkeeping, a staleness draw,
-a stale read reconstructed record-by-record, a scalar update.  That is the
-semantics the paper's Section 3 analysis wants, but it makes reproducing the
-*speedup* figures the slowest path in the repository.
+one Python-level iteration at a time — a stale read reconstructed
+record-by-record, then a scalar update.  That is the semantics the paper's
+Section 3 analysis wants, but it makes reproducing the *speedup* figures the
+slowest path in the repository.
 
-:class:`BatchedSimulator` is the fast path.  It executes the same randomised
-schedule in **macro-steps** of ``batch_size`` consecutive iterations:
+:class:`BatchedSimulator` is the fast path.  It shares the per-sample
+engine's epoch driver — the same schedule, delays, samples and step weights
+per epoch — and runs the epoch in **macro-steps** of ``batch_size``
+consecutive iterations over slices of those arrays:
 
-1. every worker contributes its scheduled samples for the block in one
-   vectorized slice (:meth:`SimulatedWorker.next_samples`);
-2. the touched rows are gathered once (:meth:`CSRMatrix.gather_rows`) and
+1. the touched rows are gathered once (:meth:`CSRMatrix.gather_rows`) and
    all block margins are computed at the block-start iterate through the
    kernel backend (:meth:`KernelBackend.segment_margins` →
    :meth:`Objective.batch_grad_coeffs` inside the update rule);
-3. the per-entry update deltas of the whole block are folded into the model
+2. the per-entry update deltas of the whole block are folded into the model
    with one scatter-add (:meth:`KernelBackend.scatter_add` — a
    bincount-style accumulation in the vectorized backend);
-4. the per-iteration staleness/conflict accounting of the per-sample engine
-   is **replayed exactly**: the same delay sequence is drawn (array draws
-   consume the ``Generator`` stream identically to scalar draws), and each
-   iteration's conflicts are recomputed against the same bounded update
-   history the per-sample :class:`SharedModel` would have walked.
+3. the per-iteration staleness/conflict accounting of the per-sample engine
+   is **replayed exactly**: each iteration's conflicts are recomputed
+   against the same bounded update history the per-sample
+   :class:`SharedModel` would have walked.
 
 Semantics vs the per-sample engine
 ----------------------------------
 The *trace* (iterations, sparse/dense coordinate counts, conflicts, stale
-reads, delays) is bit-identical to the per-sample simulator for the built-in
-staleness models, because the schedule, the delay draws and the conflict
-window arithmetic are replayed exactly.  The *iterates* are not bitwise
+reads, delays) is bit-identical to the per-sample simulator, because the
+schedule and delays come from the shared driver and the conflict window
+arithmetic is replayed exactly.  The *iterates* are not bitwise
 equal: inside one macro-step every read observes the block-start model
 rather than the partially-updated one, i.e. batching injects an additional
 staleness of up to ``batch_size - 1`` updates.  That is the same
@@ -49,25 +48,14 @@ the ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
-from repro.async_engine.events import EpochEvent, ExecutionTrace, IterationEvent
-from repro.async_engine.simulator import SimulationResult
-from repro.async_engine.staleness import StalenessModel, UniformDelay
-from repro.async_engine.worker import SimulatedWorker
-from repro.kernels.base import KernelBackend
-from repro.kernels.registry import resolve_backend
-from repro.rules.base import UpdateRuleKernel
-from repro.runtime.trace_fold import build_schedule, fold_block
-from repro.sparse.csr import CSRMatrix
+from repro.async_engine.events import EpochEvent
+from repro.async_engine.simulator import MAX_HISTORY, AsyncSimulator
+from repro.runtime.trace_fold import fold_block
 from repro.sparse.ops import segment_bool_any
-from repro.utils.rng import RandomState, as_rng
-
-#: Upper bound on the per-sample history replayed for stale reads; must
-#: match ``AsyncSimulator``'s ``SharedModel(history=min(..., 4096))``.
-_HISTORY_CAP = 4096
 
 
 @dataclass
@@ -102,108 +90,45 @@ class _RecordLog:
 
 
 @dataclass
-class BatchedSimulator:
+class BatchedSimulator(AsyncSimulator):
     """Macro-step execution of asynchronous SGD-style solvers.
 
     Drop-in counterpart of :class:`~repro.async_engine.simulator.AsyncSimulator`
-    (same constructor surface plus ``batch_size`` / ``kernel``), selected per
-    solver via ``async_mode="batched"`` or globally via the
-    ``REPRO_ASYNC_MODE`` environment variable (see :mod:`repro.runtime`).
+    (same constructor surface plus ``batch_size``), selected per solver via
+    ``async_mode="batched"`` or globally via the ``REPRO_ASYNC_MODE``
+    environment variable (see :mod:`repro.runtime`).  It runs the same
+    epoch driver, so the same seed yields the identical schedule, delay
+    sequence and samples; only the epoch body differs.
 
     Parameters
     ----------
-    X, y:
-        Full design matrix and labels.
-    workers:
-        The simulated workers, one per thread.
-    update_rule:
-        The registered update rule (:mod:`repro.rules`); its
-        :meth:`~repro.rules.base.UpdateRuleKernel.block_entry_weights`
-        computes a whole macro-step.
-    staleness:
-        Delay model; defaults to ``UniformDelay(num_workers - 1)``.
-    seed:
-        Seed (or shared ``Generator``) for the scheduler interleaving and
-        delay draws; passing the same seed as an ``AsyncSimulator`` yields
-        the identical schedule and delay sequence.
     batch_size:
         Iterations per macro-step, or ``"auto"`` for
         ``num_workers * (max_delay + 1)`` — an extra lag on the scale of the
         modelled delay.  Larger blocks are faster but staler.
-    kernel:
-        Kernel backend (instance, registry name or ``None`` for the
-        configured default) used for the batched margins and scatter-adds.
-    record_iterations:
-        Materialise per-iteration events (tests only).
-    epoch_callback:
-        Optional ``(epoch_index, weights)`` callable invoked once after
-        every epoch with a copy of the weights, as on :class:`AsyncSimulator`.
 
-    The rule's own ``epoch_begin``/``epoch_end`` hooks (SVRG's snapshot
-    sync) run around every epoch and its ``counts_sample_draws`` prices the
-    trace, exactly as on :class:`AsyncSimulator`.
+    The other parameters are :class:`AsyncSimulator`'s.  Here ``kernel``
+    also computes the batched margins and scatter-adds, the rule's
+    :meth:`~repro.rules.base.UpdateRuleKernel.block_entry_weights` computes
+    a whole macro-step, and a ``history`` override is replayed with the
+    per-sample window arithmetic, so traces stay bit-equal under it too.
     """
 
-    X: CSRMatrix
-    y: np.ndarray
-    workers: List[SimulatedWorker]
-    update_rule: UpdateRuleKernel
-    staleness: Optional[StalenessModel] = None
-    seed: RandomState = 0
     batch_size: Union[int, str] = "auto"
-    kernel: Union[KernelBackend, str, None] = None
-    record_iterations: bool = False
-    epoch_callback: Optional[Callable[[int, np.ndarray], None]] = None
-    #: Bounded-history override mirroring ``AsyncSimulator.history`` — the
-    #: replay clamps and counts ``history_overflows`` with the identical
-    #: window arithmetic, so traces stay bit-equal under an override too.
-    history: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not self.workers:
-            raise ValueError("at least one worker is required")
-        if self.y.shape[0] != self.X.n_rows:
-            raise ValueError("X and y row counts differ")
-        self._rng = as_rng(self.seed)
-        if self.staleness is None:
-            self.staleness = UniformDelay(max(len(self.workers) - 1, 0))
+        super().__post_init__()
         if isinstance(self.batch_size, str):
             if self.batch_size != "auto":
                 raise ValueError("batch_size must be a positive int or 'auto'")
         elif int(self.batch_size) < 1:
             raise ValueError("batch_size must be a positive int or 'auto'")
-        self.kernel = resolve_backend(self.kernel)
-        self._w: Optional[np.ndarray] = None
-        self._log: Optional[_RecordLog] = None
-        self._maxlen = 0
-        self._dense_masks: dict[int, np.ndarray] = {}
-        self._dense_ref_counter = 0
-        self._last_dense_obj: Optional[np.ndarray] = None
-        self._last_dense_ref = -1
-
-    # ------------------------------------------------------------------ #
-    @property
-    def num_workers(self) -> int:
-        """Number of simulated workers."""
-        return len(self.workers)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The live weight buffer of the current run (hooks may read it)."""
-        if self._w is None:
-            raise RuntimeError("weights are only available while run() is active")
-        return self._w
-
-    @property
-    def inner_iterations(self) -> int:
-        """Inner iterations per epoch (all workers combined)."""
-        return sum(w.iterations_per_epoch for w in self.workers)
 
     def resolved_batch_size(self) -> int:
         """The macro-step length actually used."""
         if self.batch_size == "auto":
             tau = self.staleness.max_delay
-            return int(min(max(self.num_workers * (tau + 1), 1), _HISTORY_CAP))
+            return int(min(max(self.num_workers * (tau + 1), 1), MAX_HISTORY))
         return int(self.batch_size)
 
     def apply_dense_update(self, delta: np.ndarray, *, worker_id: int = -1) -> None:
@@ -214,7 +139,7 @@ class BatchedSimulator:
         replay exactly as :meth:`SharedModel.apply_dense_update` would —
         including the record's support, ``nonzero(delta)``.
         """
-        if self._w is None or self._log is None:
+        if self._w is None:
             raise RuntimeError("apply_dense_update is only valid while run() is active")
         self._w += delta
         self._log.append(
@@ -239,105 +164,57 @@ class BatchedSimulator:
         self._dense_masks = {k: v for k, v in self._dense_masks.items() if k in live}
 
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        epochs: int,
-        *,
-        initial_weights: Optional[np.ndarray] = None,
-        reshuffle: bool = True,
-        regenerate: bool = False,
-    ) -> SimulationResult:
-        """Simulate ``epochs`` passes of batched asynchronous execution."""
-        if epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        d = self.X.n_cols
-        if initial_weights is not None:
-            w = np.ascontiguousarray(initial_weights, dtype=np.float64).copy()
-            if w.shape != (d,):
-                raise ValueError(f"initial_weights must have shape ({d},)")
-        else:
-            w = np.zeros(d, dtype=np.float64)
-        self._w = w
-        if self.history is not None:
-            self._maxlen = min(int(self.history), _HISTORY_CAP)
-        else:
-            self._maxlen = min(
-                max(self.staleness.max_delay, 1) * max(self.num_workers, 1), _HISTORY_CAP
-            )
-        rpi = int(getattr(self.update_rule, "records_per_iteration", 1))
+    # The batched epoch body
+    # ------------------------------------------------------------------ #
+    def _start(self, w: np.ndarray) -> np.ndarray:
+        self._maxlen = self._history()
+        rpi = self.update_rule.records_per_iteration
         # A stale read looks back at most max_delay records; keep one extra
         # iteration's worth so block boundaries never truncate a window.
         self._log = _RecordLog(keep=max(min(self.staleness.max_delay, self._maxlen) + rpi, rpi))
-        self._dense_masks = {}
+        self._dense_masks: dict[int, np.ndarray] = {}
         self._dense_ref_counter = 0
         self._last_dense_obj = None
         self._last_dense_ref = -1
-        block = self.resolved_batch_size()
+        return w
 
-        epoch_begin = getattr(self.update_rule, "epoch_begin", None)
-        epoch_end = getattr(self.update_rule, "epoch_end", None)
-        trace = ExecutionTrace(iterations=[] if self.record_iterations else None)
-        global_step = 0
-
-        for epoch in range(epochs):
-            event = EpochEvent(epoch=epoch)
-            if epoch_begin is not None:
-                epoch_begin(self, epoch, event)
-            if epoch > 0:
-                for worker in self.workers:
-                    worker.start_epoch(reshuffle=reshuffle, regenerate=regenerate)
-            schedule = build_schedule(self.workers, self._rng)
-
-            # Vectorized worker bookkeeping: each worker hands over its
-            # scheduled samples for the whole epoch in one slice, placed at
-            # its schedule positions (the consumption order per worker is
-            # identical to the per-sample engine's).
-            rows = np.empty(schedule.size, dtype=np.int64)
-            step_weights = np.empty(schedule.size, dtype=np.float64)
-            for worker in self.workers:
-                mask = schedule == worker.worker_id
-                count = int(mask.sum())
-                if count:
-                    g_rows, _local, s_w = worker.next_samples(count)
-                    rows[mask] = g_rows
-                    step_weights[mask] = s_w
-
-            for start in range(0, schedule.size, block):
-                stop = min(start + block, schedule.size)
-                global_step = self._run_block(
-                    event,
-                    trace,
-                    rows[start:stop],
-                    schedule[start:stop],
-                    step_weights[start:stop],
-                    global_step,
-                )
-
-            if epoch_end is not None:
-                epoch_end(self, epoch, event)
-            trace.add_epoch(event)
-            if self.epoch_callback is not None:
-                self.epoch_callback(epoch, w.copy())
-
-        self._w = None
+    def _stop(self) -> None:
         self._log = None
-        return SimulationResult(weights=w.copy(), trace=trace)
+        self._dense_masks = {}
 
-    # ------------------------------------------------------------------ #
+    def _run_epoch(
+        self,
+        event: EpochEvent,
+        wids: np.ndarray,
+        rows: np.ndarray,
+        step_weights: np.ndarray,
+        delays: np.ndarray,
+    ) -> np.ndarray:
+        """Run the epoch in macro-steps; returns every iteration's conflicts."""
+        block = self.resolved_batch_size()
+        return np.concatenate([
+            self._run_block(
+                event,
+                wids[start : start + block],
+                rows[start : start + block],
+                step_weights[start : start + block],
+                delays[start : start + block],
+            )
+            for start in range(0, wids.size, block)
+        ])
+
     def _run_block(
         self,
         event: EpochEvent,
-        trace: ExecutionTrace,
-        rows: np.ndarray,
         wids: np.ndarray,
+        rows: np.ndarray,
         step_weights: np.ndarray,
-        global_step: int,
-    ) -> int:
-        """Execute one macro-step; returns the advanced global step counter."""
+        delays: np.ndarray,
+    ) -> np.ndarray:
+        """Execute one macro-step; returns its per-iteration conflict counts."""
         w = self._w
         rule = self.update_rule
         n_iter = rows.size
-        delays = self.staleness.draw_batch(self._rng, n_iter)
 
         idx, val, lengths = self.X.gather_rows(rows)
         # Stateless SGD-style rules on a kernel with a fused frozen-block
@@ -346,8 +223,8 @@ class BatchedSimulator:
         # regulariser-at-block-start evaluation) runs as one native call
         # after the conflict replay below.
         fused = (
-            getattr(rule, "frozen_fusable", False)
-            and getattr(self.kernel, "fused_sample_block", False)
+            rule.frozen_fusable
+            and self.kernel.fused_sample_block
             and self.kernel.supports_objective(rule.objective)
         )
         entry_weights = None
@@ -393,15 +270,13 @@ class BatchedSimulator:
         # k reads at record position log.total + rpi*k with at most _maxlen
         # retained records; a requested delay beyond what is retained *and*
         # ever written counts as a truncated reconstruction.
-        rpi = int(getattr(rule, "records_per_iteration", 1))
+        rpi = rule.records_per_iteration
         read_pos = self._log.total - rpi * n_iter + rpi * np.arange(n_iter, dtype=np.int64)
         avail = np.minimum(read_pos, self._maxlen)
         overflows = int(
             np.count_nonzero((delays > avail) & (read_pos > avail) & (lengths > 0))
         )
 
-        # The per-sample engine prices a dense update at the full dimension
-        # (SharedModel.apply_dense_update touches every coordinate).
         fold_block(
             event,
             rule,
@@ -410,22 +285,8 @@ class BatchedSimulator:
             conflicts=int(conflicts.sum()),
             delays=delays,
             history_overflows=overflows,
-            dense_coords_per_iteration=int(dense.shape[0]) if dense is not None else 0,
         )
-        if self.record_iterations and trace.iterations is not None:
-            for k in range(n_iter):
-                trace.iterations.append(
-                    IterationEvent(
-                        global_step=global_step + k,
-                        worker_id=int(wids[k]),
-                        sample_index=int(rows[k]),
-                        delay=int(delays[k]),
-                        conflicts=int(conflicts[k]),
-                        grad_nnz=int(lengths[k]),
-                        step_scale=float(step_weights[k]),
-                    )
-                )
-        return global_step + n_iter
+        return conflicts
 
     # ------------------------------------------------------------------ #
     def _block_records(
@@ -437,7 +298,7 @@ class BatchedSimulator:
         records (SVRG applies its dense µ term before the sparse delta, so
         within an iteration the sparse record comes last).
         """
-        rpi = int(getattr(self.update_rule, "records_per_iteration", 1))
+        rpi = self.update_rule.records_per_iteration
         n_iter = wids.size
         if rpi == 1:
             return np.ones(n_iter, dtype=np.int8), wids, rows, np.full(n_iter, -1, dtype=np.int64)
@@ -470,7 +331,7 @@ class BatchedSimulator:
         max_delay = int(self.staleness.max_delay)
         if max_delay == 0:
             return conflicts
-        rpi = int(getattr(self.update_rule, "records_per_iteration", 1))
+        rpi = self.update_rule.records_per_iteration
         log = self._log
 
         # Record positions and clamped window lengths.

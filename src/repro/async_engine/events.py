@@ -64,29 +64,6 @@ class EpochEvent:
     #: ``SharedModel.history_overflow``).
     history_overflows: int = 0
 
-    def merge_iteration(
-        self,
-        *,
-        grad_nnz: int,
-        dense_coords: int,
-        conflicts: int,
-        delay: int,
-        drew_sample: bool = True,
-        history_overflow: int = 0,
-    ) -> None:
-        """Fold one iteration's counters into the epoch aggregate."""
-        self.iterations += 1
-        self.sparse_coordinate_updates += int(grad_nnz)
-        self.dense_coordinate_updates += int(dense_coords)
-        self.conflicts += int(conflicts)
-        if delay > 0:
-            self.stale_reads += 1
-        if drew_sample:
-            self.sample_draws += 1
-        if delay > self.max_observed_delay:
-            self.max_observed_delay = int(delay)
-        self.history_overflows += int(history_overflow)
-
     def merge_bulk(
         self,
         *,
@@ -99,11 +76,10 @@ class EpochEvent:
         max_delay: int = 0,
         history_overflows: int = 0,
     ) -> None:
-        """Fold a whole batch of iterations' counters in at once.
+        """Fold the summed counters of ``iterations`` iterations in at once.
 
-        Equivalent to ``iterations`` calls of :meth:`merge_iteration` with
-        the given totals; the serial solvers use this so the Python-level
-        per-iteration bookkeeping disappears from their hot loops.
+        Every tier folds through this, a block or an epoch at a time, so no
+        hot loop keeps per-iteration bookkeeping.
         """
         self.iterations += int(iterations)
         self.sparse_coordinate_updates += int(grad_nnz)

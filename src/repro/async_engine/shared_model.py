@@ -60,9 +60,6 @@ class SharedModel:
             self._w = np.zeros(self.dim, dtype=np.float64)
         self.version = 0
         self._updates: Deque[UpdateRecord] = deque(maxlen=self.history if self.history else 1)
-        self.conflict_count = 0
-        self.stale_read_count = 0
-        self.read_count = 0
         self.history_overflow = 0
 
     # ------------------------------------------------------------------ #
@@ -92,7 +89,6 @@ class SharedModel:
         :attr:`history_overflow` instead of passing silently — the
         simulators surface that counter on the execution trace.
         """
-        self.read_count += 1
         values = self._w[indices].copy()
         requested = int(max(delay, 0))
         available = len(self._updates)
@@ -103,7 +99,6 @@ class SharedModel:
             self.history_overflow += 1
         if delay == 0 or indices.size == 0:
             return values, 0
-        self.stale_read_count += 1
         conflicts = 0
         # Walk the most recent `delay` updates and subtract their effect on
         # the coordinates being read.
@@ -121,7 +116,6 @@ class SharedModel:
                     hit = True
             if hit:
                 conflicts += 1
-        self.conflict_count += conflicts
         return values, conflicts
 
     def snapshot(self) -> np.ndarray:
@@ -169,20 +163,8 @@ class SharedModel:
             )
         return self.version
 
-    # ------------------------------------------------------------------ #
-    # Maintenance
-    # ------------------------------------------------------------------ #
-    def conflict_rate(self) -> float:
-        """Conflicts per read performed so far (0.0 when nothing was read)."""
-        if self.read_count == 0:
-            return 0.0
-        return self.conflict_count / self.read_count
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SharedModel(dim={self.dim}, version={self.version}, "
-            f"conflicts={self.conflict_count})"
-        )
+        return f"SharedModel(dim={self.dim}, version={self.version})"
 
 
 __all__ = ["SharedModel", "UpdateRecord"]

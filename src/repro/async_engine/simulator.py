@@ -1,25 +1,34 @@
 """The perturbed-iterate asynchronous execution simulator.
 
 The simulator interleaves the iterations of ``num_workers`` simulated
-workers against one :class:`~repro.async_engine.shared_model.SharedModel`.
-Each iteration:
+workers against one shared model.  :class:`AsyncSimulator` owns the epoch
+driver both simulated tiers run; per epoch it:
 
-1. the scheduler picks the next worker (randomised round-robin);
-2. the worker provides its next sample and importance re-weighting factor;
-3. the worker *reads* the model coordinates on the sample's support with a
-   random staleness drawn from the staleness model — this is the perturbed
-   iterate ``ŵ_t = w_t + θ_t`` of Section 3.1;
-4. the update rule computes the index-compressed (plus optionally dense)
-   update from the stale view;
-5. the update is applied atomically to the shared model and the conflict /
-   operation counters are folded into the epoch trace through
-   :mod:`repro.runtime.trace_fold`.
+1. calls the rule's ``epoch_begin`` hook and refreshes the workers'
+   sequences;
+2. draws the randomised round-robin schedule (:func:`build_schedule`) and,
+   right after it, every iteration's delay in one
+   :meth:`~repro.async_engine.staleness.StalenessModel.draw_batch`;
+3. takes each worker's scheduled samples and importance re-weighting
+   factors in one :meth:`~repro.async_engine.worker.SimulatedWorker.next_samples`
+   slice, placed at the worker's schedule positions;
+4. runs the tier's epoch body over those arrays, which folds its counters
+   into the epoch trace through :func:`~repro.runtime.trace_fold.fold_block`;
+5. calls ``epoch_end``, records per-iteration events when asked and hands
+   the weights to ``epoch_callback``.
 
-The simulator is solver-agnostic: it executes any
-:class:`~repro.rules.base.UpdateRuleKernel` through the rule's scalar entry
-point, and
-invokes the rule's epoch hooks around every epoch — SVRG's snapshot sync
-runs here without the simulator knowing the rule exists.
+The per-sample body (this class) walks the epoch one update at a time: the
+worker *reads* the model on the sample's support with its drawn staleness
+(the perturbed iterate ``ŵ_t = w_t + θ_t`` of Section 3.1, reconstructed
+by :meth:`SharedModel.read_stale`), the rule computes the
+index-compressed update through its scalar entry point, and the update is
+applied at once.  :class:`~repro.async_engine.batched.BatchedSimulator`
+runs macro-steps over slices of the same arrays instead.
+
+The driver is solver-agnostic: it executes any
+:class:`~repro.rules.base.UpdateRuleKernel` and invokes the rule's epoch
+hooks around every epoch — SVRG's snapshot sync runs here without the
+simulator knowing the rule exists.
 """
 
 from __future__ import annotations
@@ -36,17 +45,13 @@ from repro.async_engine.worker import SimulatedWorker
 from repro.kernels.base import KernelBackend
 from repro.kernels.registry import resolve_backend
 from repro.rules.base import UpdateRuleKernel
-from repro.runtime.trace_fold import build_schedule, fold_iteration
+from repro.runtime.backends import ExecutionResult
+from repro.runtime.trace_fold import build_schedule, fold_block
 from repro.sparse.csr import CSRMatrix
 from repro.utils.rng import RandomState, as_rng
 
-
-@dataclass
-class SimulationResult:
-    """Outcome of :meth:`AsyncSimulator.run`."""
-
-    weights: np.ndarray
-    trace: ExecutionTrace
+#: Most update records a stale read reaches back over, on either tier.
+MAX_HISTORY = 4096
 
 
 @dataclass
@@ -65,7 +70,8 @@ class AsyncSimulator:
     staleness:
         Delay model; defaults to ``UniformDelay(num_workers - 1)``.
     seed:
-        Seed for the scheduler interleaving and delay draws.
+        Seed (or shared ``Generator``) for the scheduler interleaving and
+        delay draws; both tiers draw the same schedule and delays from it.
     kernel:
         Kernel backend handed to rule epoch hooks (snapshot margins, table
         initialisation); instance, registry name or ``None`` for the
@@ -77,12 +83,12 @@ class AsyncSimulator:
         ``(epoch_index, weights)``; ``weights`` is a copy the callee may
         keep.  Solvers evaluate their convergence curve through it.
     history:
-        Size of the shared model's bounded update history; defaults to
-        ``max(max_delay, 1) * num_workers`` (capped at 4096), which is
-        always large enough for the configured staleness model.  Smaller
-        overrides make stale reads reconstruct from a truncated window —
-        explicitly clamped and surfaced as ``history_overflows`` on the
-        trace.
+        Update records a stale read can reach back over; defaults to
+        ``max(max_delay, 1) * num_workers`` (capped at :data:`MAX_HISTORY`),
+        which is always large enough for the configured staleness model.
+        Smaller overrides make stale reads reconstruct from a truncated
+        window — explicitly clamped and surfaced as ``history_overflows``
+        on the trace.
     """
 
     X: CSRMatrix
@@ -101,10 +107,13 @@ class AsyncSimulator:
             raise ValueError("at least one worker is required")
         if self.y.shape[0] != self.X.n_rows:
             raise ValueError("X and y row counts differ")
+        if self.history is not None and int(self.history) < 0:
+            raise ValueError("history must be >= 0")
         self._rng = as_rng(self.seed)
         if self.staleness is None:
-            self.staleness = UniformDelay(max(len(self.workers) - 1, 0))
+            self.staleness = UniformDelay(len(self.workers) - 1)
         self.kernel = resolve_backend(self.kernel)
+        self._w: Optional[np.ndarray] = None
         self._model: Optional[SharedModel] = None
 
     @property
@@ -117,10 +126,10 @@ class AsyncSimulator:
     # ------------------------------------------------------------------ #
     @property
     def weights(self) -> np.ndarray:
-        """Snapshot of the live model (hooks may read it)."""
-        if self._model is None:
+        """The live weight buffer of the current run (hooks may read it)."""
+        if self._w is None:
             raise RuntimeError("weights are only available while run() is active")
-        return self._model.snapshot()
+        return self._w
 
     @property
     def inner_iterations(self) -> int:
@@ -134,6 +143,8 @@ class AsyncSimulator:
         self._model.apply_dense_update(delta, worker_id=worker_id)
 
     # ------------------------------------------------------------------ #
+    # The epoch driver
+    # ------------------------------------------------------------------ #
     def run(
         self,
         epochs: int,
@@ -141,7 +152,7 @@ class AsyncSimulator:
         initial_weights: Optional[np.ndarray] = None,
         reshuffle: bool = True,
         regenerate: bool = False,
-    ) -> SimulationResult:
+    ) -> ExecutionResult:
         """Simulate ``epochs`` passes of asynchronous execution.
 
         Parameters
@@ -156,84 +167,103 @@ class AsyncSimulator:
         """
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.history is not None:
-            history = int(self.history)
+        d = self.X.n_cols
+        if initial_weights is None:
+            w = np.zeros(d, dtype=np.float64)
         else:
-            history = max(self.staleness.max_delay, 1) * max(self.num_workers, 1)
-        model = SharedModel(self.X.n_cols, history=min(history, 4096), initial=initial_weights)
-        self._model = model
+            w = np.array(initial_weights, dtype=np.float64)
+            if w.shape != (d,):
+                raise ValueError(f"initial_weights must have shape ({d},)")
         rule = self.update_rule
-        epoch_begin = getattr(rule, "epoch_begin", None)
-        epoch_end = getattr(rule, "epoch_end", None)
-        drew_sample = bool(getattr(rule, "counts_sample_draws", True))
-
         trace = ExecutionTrace(iterations=[] if self.record_iterations else None)
-        global_step = 0
-
+        self._w = self._start(w)
         try:
             for epoch in range(epochs):
                 event = EpochEvent(epoch=epoch)
-                if epoch_begin is not None:
-                    epoch_begin(self, epoch, event)
+                rule.epoch_begin(self, epoch, event)
                 if epoch > 0:
                     for worker in self.workers:
                         worker.start_epoch(reshuffle=reshuffle, regenerate=regenerate)
-                schedule = build_schedule(self.workers, self._rng)
-                worker_by_id = {w.worker_id: w for w in self.workers}
+                wids = build_schedule(self.workers, self._rng)
+                delays = self.staleness.draw_batch(self._rng, wids.size)
+                rows = np.empty(wids.size, dtype=np.int64)
+                step_weights = np.empty(wids.size, dtype=np.float64)
+                for worker in self.workers:
+                    mask = wids == worker.worker_id
+                    rows[mask], _local, step_weights[mask] = worker.next_samples(int(mask.sum()))
 
-                for wid in schedule:
-                    worker = worker_by_id[int(wid)]
-                    global_row, _local, step_weight = worker.next_sample()
-                    x_idx, x_val = self.X.row(global_row)
-                    delay = self.staleness.draw(self._rng)
-                    overflow_before = model.history_overflow
-                    stale_coords, conflicts = model.read_stale(
-                        x_idx, delay, writer_id=worker.worker_id
-                    )
-                    overflowed = model.history_overflow - overflow_before
-                    delta_values, dense_coords = rule.compute_update(
-                        stale_coords, x_idx, x_val, float(self.y[global_row]), step_weight,
-                        row=global_row,
-                    )
-                    if dense_coords:
-                        dense_delta = getattr(rule, "dense_delta", None)
-                        if dense_delta is not None:
-                            model.apply_dense_update(dense_delta, worker_id=worker.worker_id)
-                    model.apply_update(x_idx, delta_values, worker_id=worker.worker_id)
+                conflicts = self._run_epoch(event, wids, rows, step_weights, delays)
 
-                    fold_iteration(
-                        event,
-                        rule,
-                        nnz=int(x_idx.size),
-                        dense_coords=int(dense_coords),
-                        conflicts=conflicts,
-                        delay=delay,
-                        drew_sample=drew_sample,
-                        history_overflow=overflowed,
+                if trace.iterations is not None:
+                    first = len(trace.iterations)
+                    # In IterationEvent's field order, after global_step.
+                    columns = zip(wids.tolist(), rows.tolist(), delays.tolist(),
+                                  conflicts.tolist(), self.X.row_nnz()[rows].tolist(),
+                                  step_weights.tolist())
+                    trace.iterations.extend(
+                        IterationEvent(first + k, *column) for k, column in enumerate(columns)
                     )
-                    if self.record_iterations and trace.iterations is not None:
-                        trace.iterations.append(
-                            IterationEvent(
-                                global_step=global_step,
-                                worker_id=worker.worker_id,
-                                sample_index=global_row,
-                                delay=delay,
-                                conflicts=conflicts,
-                                grad_nnz=int(x_idx.size),
-                                step_scale=step_weight,
-                            )
-                        )
-                    global_step += 1
-
-                if epoch_end is not None:
-                    epoch_end(self, epoch, event)
+                rule.epoch_end(self, epoch, event)
                 trace.add_epoch(event)
                 if self.epoch_callback is not None:
-                    self.epoch_callback(epoch, model.snapshot())
+                    self.epoch_callback(epoch, self._w.copy())
+            return ExecutionResult(weights=self._w.copy(), trace=trace)
         finally:
-            self._model = None
+            self._w = None
+            self._stop()
 
-        return SimulationResult(weights=model.snapshot(), trace=trace)
+    def _history(self) -> int:
+        """Update records a stale read can reach back over (see ``history``)."""
+        if self.history is not None:
+            return min(int(self.history), MAX_HISTORY)
+        return min(max(self.staleness.max_delay, 1) * self.num_workers, MAX_HISTORY)
+
+    # ------------------------------------------------------------------ #
+    # The per-sample epoch body
+    # ------------------------------------------------------------------ #
+    def _start(self, w: np.ndarray) -> np.ndarray:
+        """Set up the run's model around ``w``; returns the live weight buffer."""
+        self._model = SharedModel(self.X.n_cols, history=self._history(), initial=w)
+        return self._model.weights
+
+    def _stop(self) -> None:
+        self._model = None
+
+    def _run_epoch(
+        self,
+        event: EpochEvent,
+        wids: np.ndarray,
+        rows: np.ndarray,
+        step_weights: np.ndarray,
+        delays: np.ndarray,
+    ) -> np.ndarray:
+        """Run one epoch's iterations in order; returns their conflict counts."""
+        model = self._model
+        rule = self.update_rule
+        dense = rule.dense_delta
+        overflows = model.history_overflow
+        conflicts = np.empty(wids.size, dtype=np.int64)
+        for k, (wid, row, step_weight, delay) in enumerate(zip(
+            wids.tolist(), rows.tolist(), step_weights.tolist(), delays.tolist()
+        )):
+            x_idx, x_val = self.X.row(row)
+            stale_coords, conflicts[k] = model.read_stale(x_idx, delay, writer_id=wid)
+            delta_values = rule.compute_update(
+                stale_coords, x_idx, x_val, float(self.y[row]), step_weight, row=row
+            )
+            if dense is not None:
+                model.apply_dense_update(dense, worker_id=wid)
+            model.apply_update(x_idx, delta_values, worker_id=wid)
+        fold_block(
+            event,
+            rule,
+            iterations=wids.size,
+            support_nnz=int(self.X.row_nnz()[rows].sum()),
+            conflicts=int(conflicts.sum()),
+            delays=delays,
+            history_overflows=model.history_overflow - overflows,
+        )
+        return conflicts
 
 
-__all__ = ["AsyncSimulator", "SimulationResult"]
+__all__ = ["AsyncSimulator"]

@@ -2,7 +2,7 @@
 
 The delay parameter τ is "the maximum lag between when a gradient is
 computed and when it is applied" and is assumed to be linearly related to
-the concurrency (Section 3.1).  The simulator draws a per-iteration delay
+the concurrency (Section 3.1).  The simulators draw a per-iteration delay
 from one of the models below; the default :class:`UniformDelay` with
 ``max_delay = num_workers - 1`` (``num_workers`` for IS-ASGD) matches that
 assumption.
@@ -23,21 +23,14 @@ class StalenessModel(ABC):
     max_delay: int = 0
 
     @abstractmethod
-    def draw(self, rng: np.random.Generator) -> int:
-        """Sample the delay (number of missed updates) for one read."""
-
     def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Sample ``size`` delays at once (``int64`` array).
+        """Sample the delays (missed updates) of ``size`` reads (``int64`` array).
 
-        The default falls back to ``size`` scalar :meth:`draw` calls, so a
-        custom model stays exactly stream-compatible with the per-sample
-        simulator; the built-in models override it with one vectorized NumPy
-        draw, which consumes the ``Generator`` bit stream identically to the
-        scalar loop (NumPy draws array elements sequentially) — the batched
-        engine therefore sees the *same* delay sequence as the per-sample
-        engine for a given seed.
+        The simulators draw one epoch's delays in one call.  NumPy draws
+        array elements sequentially, so one call of any size consumes the
+        ``Generator`` bit stream exactly as the same draws split over
+        several calls would.
         """
-        return np.array([self.draw(rng) for _ in range(size)], dtype=np.int64)
 
     def expected_delay(self) -> float:
         """Expected delay (used by reports); subclasses may override."""
@@ -51,9 +44,6 @@ class ConstantDelay(StalenessModel):
         if delay < 0:
             raise ValueError("delay must be >= 0")
         self.max_delay = int(delay)
-
-    def draw(self, rng: np.random.Generator) -> int:
-        return self.max_delay
 
     def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.max_delay, dtype=np.int64)
@@ -72,11 +62,6 @@ class UniformDelay(StalenessModel):
         if max_delay < 0:
             raise ValueError("max_delay must be >= 0")
         self.max_delay = int(max_delay)
-
-    def draw(self, rng: np.random.Generator) -> int:
-        if self.max_delay == 0:
-            return 0
-        return int(rng.integers(0, self.max_delay + 1))
 
     def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.max_delay == 0:
@@ -105,16 +90,10 @@ class GeometricDelay(StalenessModel):
         self.mean_delay = float(mean_delay)
         self._p = 1.0 / (1.0 + self.mean_delay)
 
-    def draw(self, rng: np.random.Generator) -> int:
-        if self.max_delay == 0:
-            return 0
-        # numpy's geometric counts trials >= 1; shift to start at 0.
-        value = int(rng.geometric(self._p)) - 1
-        return min(value, self.max_delay)
-
     def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.max_delay == 0:
             return np.zeros(size, dtype=np.int64)
+        # numpy's geometric counts trials >= 1; shift to start at 0.
         values = rng.geometric(self._p, size=size).astype(np.int64) - 1
         return np.minimum(values, self.max_delay)
 

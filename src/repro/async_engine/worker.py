@@ -1,9 +1,9 @@
 """Simulated asynchronous worker.
 
 A :class:`SimulatedWorker` owns one shard of the (re-ordered) dataset, its
-local sampling distribution and a pre-generated sample sequence.  At every
-simulated iteration the engine asks the worker for its next sample and the
-step re-weighting factor; the worker does not touch the shared model itself
+local sampling distribution and a pre-generated sample sequence.  Every
+epoch the engine takes the worker's scheduled samples and their step
+re-weighting factors; the worker does not touch the shared model itself
 — separating "what to compute" (worker) from "how asynchrony perturbs it"
 (the simulator and shared model) keeps both testable in isolation.
 """
@@ -70,35 +70,14 @@ class SimulatedWorker:
         """Number of iterations this worker performs per epoch."""
         return len(self.sequence)
 
-    @property
-    def exhausted(self) -> bool:
-        """Whether the current epoch's sequence has been fully consumed."""
-        return self._position >= len(self.sequence)
-
     # ------------------------------------------------------------------ #
-    def next_sample(self) -> Tuple[int, int, float]:
-        """Return ``(global_row, local_row, step_weight)`` for the next iteration.
-
-        Raises ``RuntimeError`` when the epoch sequence is exhausted; callers
-        must invoke :meth:`start_epoch` between epochs.
-        """
-        if self.exhausted:
-            raise RuntimeError(
-                f"worker {self.worker_id} exhausted its epoch sequence; call start_epoch()"
-            )
-        local = int(self.sequence[self._position])
-        self._position += 1
-        global_row = int(self.shard.row_indices[local])
-        weight = float(self._reweighting[local])
-        return global_row, local, weight
-
     def next_samples(self, count: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Consume the next ``count`` samples at once.
+        """Consume the next ``count`` samples of the epoch sequence at once.
 
-        Returns ``(global_rows, local_rows, step_weights)`` as arrays — the
-        vectorized counterpart of ``count`` :meth:`next_sample` calls, used
-        by the batched engine so worker bookkeeping is one slice per
-        macro-step instead of one Python call per iteration.
+        Returns ``(global_rows, local_rows, step_weights)`` as arrays; the
+        epoch driver takes each worker's whole epoch in one slice.  Raises
+        ``RuntimeError`` past the end of the sequence: callers must invoke
+        :meth:`start_epoch` between epochs.
         """
         if count < 0:
             raise ValueError("count must be >= 0")

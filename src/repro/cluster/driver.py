@@ -169,7 +169,7 @@ def _collect_worker_failure(procs, arena: ShmArena) -> WorkerFailure:
 
 @dataclass
 class ClusterRunResult:
-    """Outcome of :meth:`ClusterDriver.run` (the cluster's ``SimulationResult``)."""
+    """Outcome of :meth:`ClusterDriver.run`, with the measured per-epoch statistics."""
 
     weights: np.ndarray
     trace: ExecutionTrace

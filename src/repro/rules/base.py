@@ -40,7 +40,7 @@ lookups use ``(w, idx)``.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Protocol, Tuple
+from typing import Any, Optional, Protocol
 
 import numpy as np
 
@@ -148,21 +148,21 @@ class UpdateRuleKernel:
         y: float,
         step_weight: float,
         row: int = 0,
-    ) -> Tuple[np.ndarray, int]:
+    ) -> np.ndarray:
         """Scalar entry point: one iteration == a block of size one.
 
         ``stale_coords`` is the (stale) view of the model on the sample's
         support; the separable regulariser only needs those coordinate
         values, so the support view doubles as the ``w`` argument of the
         block call (with ``idx = arange(nnz)``), exactly as the per-sample
-        engine has always evaluated it.  Returns ``(delta_values,
-        dense_coordinate_count)``; the dense vector itself — when the rule
-        has one — is read from :attr:`dense_delta` by the engine.
+        engine has always evaluated it.  Returns the delta values on the
+        support; the dense vector — when the rule has one — is read from
+        :attr:`dense_delta` by the engine.
         """
         k = int(x_idx.size)
         margin = float(np.dot(x_val, stale_coords)) if k else 0.0
         proxy = np.ascontiguousarray(stale_coords, dtype=np.float64)
-        entry = self.block_entry_weights(
+        return self.block_entry_weights(
             w=proxy,
             rows=np.array([row], dtype=np.int64),
             y=np.array([y], dtype=np.float64),
@@ -172,11 +172,6 @@ class UpdateRuleKernel:
             val=x_val,
             lengths=np.array([k], dtype=np.int64),
         )
-        return entry, self.dense_coordinate_count()
-
-    def dense_coordinate_count(self) -> int:
-        """Dense coordinates each iteration touches (0 for sparse rules)."""
-        return 0 if self.dense_delta is None else int(self.dense_delta.shape[0])
 
     # ------------------------------------------------------------------ #
     # Epoch hooks (no-ops by default)

@@ -31,7 +31,6 @@ from repro.runtime.backends import (
 from repro.runtime.trace_fold import (
     build_schedule,
     fold_block,
-    fold_iteration,
     fold_sync_step,
     fold_worker_counters,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "resolve_async_mode",
     "build_schedule",
     "fold_block",
-    "fold_iteration",
     "fold_sync_step",
     "fold_worker_counters",
 ]

@@ -225,21 +225,18 @@ class PerSampleBackend(ExecutionBackend):
             epoch_callback=request.epoch_callback,
             **engine_kwargs,
         )
-        sim = simulator.run(
+        result = simulator.run(
             request.epochs,
             initial_weights=request.initial_weights,
             reshuffle=request.reshuffle,
             regenerate=request.regenerate,
         )
-        return ExecutionResult(
-            weights=sim.weights,
-            trace=sim.trace,
-            info={
-                "async_mode": self.capabilities.name,
-                "max_delay": staleness.max_delay,
-                "conflict_rate": sim.trace.conflict_rate(),
-            },
-        )
+        result.info = {
+            "async_mode": self.capabilities.name,
+            "max_delay": staleness.max_delay,
+            "conflict_rate": result.trace.conflict_rate(),
+        }
+        return result
 
 
 class BatchedBackend(PerSampleBackend):

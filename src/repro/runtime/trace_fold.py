@@ -5,14 +5,14 @@ bookkeeping: building the randomised worker interleaving, folding iteration
 counters into :class:`~repro.async_engine.events.EpochEvent` records with
 the rule's multipliers applied, and (for the cluster tier) collapsing the
 per-worker shared-memory counter rows into one epoch event.  This module is
-the single home for that machinery; the per-sample simulator, the batched
-macro-step engine and the cluster driver all fold through it, so a new
-counter is added in exactly one place.
+the single home for that machinery; the simulated tiers' epoch driver and
+bodies and the cluster driver all fold through it, so a new counter is
+added in exactly one place.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,43 +23,14 @@ def build_schedule(workers: Sequence, rng: np.random.Generator) -> np.ndarray:
     """The randomised round-robin interleaving of one epoch.
 
     Every worker contributes ``iterations_per_epoch`` slots; the shuffled
-    order models the unpredictable scheduling of lock-free threads.  Both
-    simulated engines draw their schedule through this function, which is
-    what keeps their traces bit-comparable for one seed.
+    order models the unpredictable scheduling of lock-free threads.  The
+    epoch driver both simulated tiers share draws its schedule here.
     """
     schedule = np.concatenate(
         [np.full(w.iterations_per_epoch, w.worker_id, dtype=np.int64) for w in workers]
     )
     rng.shuffle(schedule)
     return schedule
-
-
-def fold_iteration(
-    event: EpochEvent,
-    rule,
-    *,
-    nnz: int,
-    dense_coords: int,
-    conflicts: int,
-    delay: int,
-    drew_sample: bool = True,
-    history_overflow: int = 0,
-) -> None:
-    """Fold one per-sample iteration, applying the rule's trace metadata.
-
-    ``nnz`` is the raw support size of the sample; the rule's
-    ``grad_nnz_multiplier`` (two margin evaluations for VR rules) prices it,
-    while ``dense_coords`` comes from the rule's scalar entry point so
-    custom duck-typed rules keep working.
-    """
-    event.merge_iteration(
-        grad_nnz=int(nnz) * int(getattr(rule, "grad_nnz_multiplier", 1)),
-        dense_coords=int(dense_coords),
-        conflicts=int(conflicts),
-        delay=int(delay),
-        drew_sample=bool(drew_sample),
-        history_overflow=int(history_overflow),
-    )
 
 
 def fold_block(
@@ -69,34 +40,29 @@ def fold_block(
     iterations: int,
     support_nnz: int,
     conflicts: int,
-    delays: Optional[np.ndarray] = None,
+    delays: np.ndarray,
     history_overflows: int = 0,
-    dense_coords_per_iteration: Optional[int] = None,
 ) -> None:
-    """Fold one macro-step (``iterations`` inner iterations) in bulk.
+    """Fold ``iterations`` inner iterations (a macro-step or an epoch) in bulk.
 
-    Equivalent to ``iterations`` :func:`fold_iteration` calls: the rule's
-    multipliers price the sparse/dense traffic, ``delays`` (one entry per
-    iteration, when the tier models delays) yields the stale-read count and
-    the epoch's running maximum delay.
+    The rule's trace metadata prices the traffic: ``grad_nnz_multiplier``
+    scales the summed support sizes (two margin evaluations for VR rules),
+    a rule with a ``dense_delta`` writes its full dimension every iteration
+    (as ``SharedModel.apply_dense_update`` does) and ``counts_sample_draws``
+    decides whether each iteration drew a weighted sample.  ``delays`` (one
+    entry per iteration) yields the stale-read count and the epoch's running
+    maximum delay.
     """
     n = int(iterations)
-    if dense_coords_per_iteration is None:
-        dense = getattr(rule, "dense_delta", None)
-        dense_coords_per_iteration = 0 if dense is None else int(dense.shape[0])
-    stale_reads = 0
-    max_delay = 0
-    if delays is not None and delays.size:
-        stale_reads = int(np.count_nonzero(delays > 0))
-        max_delay = int(delays.max(initial=0))
+    dense = rule.dense_delta
     event.merge_bulk(
         iterations=n,
-        grad_nnz=int(getattr(rule, "grad_nnz_multiplier", 1)) * int(support_nnz),
-        dense_coords=int(dense_coords_per_iteration) * n,
+        grad_nnz=rule.grad_nnz_multiplier * int(support_nnz),
+        dense_coords=0 if dense is None else int(dense.shape[0]) * n,
         conflicts=int(conflicts),
-        sample_draws=n if getattr(rule, "counts_sample_draws", True) else 0,
-        stale_reads=stale_reads,
-        max_delay=max_delay,
+        sample_draws=n if rule.counts_sample_draws else 0,
+        stale_reads=int(np.count_nonzero(delays > 0)),
+        max_delay=int(delays.max(initial=0)),
         history_overflows=int(history_overflows),
     )
 
@@ -148,7 +114,6 @@ def fold_worker_counters(
 
 __all__ = [
     "build_schedule",
-    "fold_iteration",
     "fold_block",
     "fold_sync_step",
     "fold_worker_counters",

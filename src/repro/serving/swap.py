@@ -136,6 +136,9 @@ class ArtifactWatcher:
         self.poll_interval = float(poll_interval)
         self.on_swap = on_swap
         self._current: Optional[Tuple[str, int]] = None  # (key, mtime_ns) served
+        # Serialises polls: the poll thread and load_initial() must not both
+        # load and swap in the same artifact.
+        self._poll_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -163,26 +166,31 @@ class ArtifactWatcher:
         return key, mtime
 
     def poll_once(self) -> Optional[ScoringModel]:
-        """One poll: swap and return the new model if a newer artifact exists."""
-        candidate = self._candidate()
-        if candidate is None or candidate == self._current:
-            return None
-        key, mtime = candidate
-        try:
-            model = ScoringModel.from_artifact(self.store, key, kernel=self.kernel)
-            version = self.ref.swap(model)
-        except ValueError as exc:
-            # Unservable artifact (no weights / corrupt / non-finite weights /
-            # a different model width): remember it so the poll loop does
-            # not retry-log forever, keep serving the old one.
-            LOGGER.warning("ignoring unservable artifact %s: %s", key[:12], exc)
+        """One poll: swap and return the new model if a newer artifact exists.
+
+        One lock spans the candidate check, the load and the swap, so a
+        concurrent poll waits and then finds the artifact already served.
+        """
+        with self._poll_lock:
+            candidate = self._candidate()
+            if candidate is None or candidate == self._current:
+                return None
+            key, mtime = candidate
+            try:
+                model = ScoringModel.from_artifact(self.store, key, kernel=self.kernel)
+                version = self.ref.swap(model)
+            except ValueError as exc:
+                # Unservable artifact (no weights / corrupt / non-finite
+                # weights / a different model width): remember it so the poll
+                # loop does not retry-log forever, keep serving the old one.
+                LOGGER.warning("ignoring unservable artifact %s: %s", key[:12], exc)
+                self._current = candidate
+                return None
             self._current = candidate
-            return None
-        self._current = candidate
-        LOGGER.info("hot-swapped artifact %s as model version %d", key[:12], version)
-        if self.on_swap is not None:
-            self.on_swap(model)
-        return model
+            LOGGER.info("hot-swapped artifact %s as model version %d", key[:12], version)
+            if self.on_swap is not None:
+                self.on_swap(model)
+            return model
 
     def load_initial(self) -> ScoringModel:
         """Blocking first load (raises when no matching artifact exists)."""

@@ -8,13 +8,12 @@ the solvers build on; it depends on NumPy alone.
 """
 
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import scatter_add, sparse_norm_sq
+from repro.sparse.ops import sparse_norm_sq
 from repro.sparse.io import load_libsvm, save_libsvm, parse_libsvm_line
 from repro.sparse.stats import DatasetStats, gradient_sparsity, psi, rho, describe_dataset
 
 __all__ = [
     "CSRMatrix",
-    "scatter_add",
     "sparse_norm_sq",
     "load_libsvm",
     "save_libsvm",

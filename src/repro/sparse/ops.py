@@ -1,25 +1,8 @@
-"""Index-compressed sparse kernels.
-
-These free functions are the numeric core of every solver: a stochastic
-gradient is represented as a pair ``(indices, values)`` and applied to the
-model with :func:`scatter_add`, exactly the "index-compressed update" the
-paper contrasts with SVRG's dense full-gradient add (its Figure 1).
-"""
+"""Index-compressed sparse kernels."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def scatter_add(w: np.ndarray, indices: np.ndarray, values: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """In-place update ``w[indices] += scale * values`` (the Hogwild write).
-
-    Duplicate indices are accumulated correctly via ``np.add.at``.
-    Returns ``w`` to allow chaining.
-    """
-    if indices.size:
-        np.add.at(w, indices, scale * values)
-    return w
 
 
 def sparse_norm_sq(values: np.ndarray) -> float:
@@ -46,7 +29,6 @@ def segment_bool_any(mask: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 __all__ = [
-    "scatter_add",
     "sparse_norm_sq",
     "segment_bool_any",
 ]

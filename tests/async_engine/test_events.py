@@ -6,10 +6,11 @@ from repro.async_engine.events import EpochEvent, ExecutionTrace, IterationEvent
 
 
 class TestEpochEvent:
-    def test_merge_iteration_accumulates(self):
+    def test_merge_bulk_accumulates(self):
         e = EpochEvent(epoch=0)
-        e.merge_iteration(grad_nnz=5, dense_coords=0, conflicts=1, delay=2)
-        e.merge_iteration(grad_nnz=3, dense_coords=10, conflicts=0, delay=0)
+        e.merge_bulk(iterations=1, grad_nnz=5, conflicts=1, sample_draws=1, stale_reads=1,
+                     max_delay=2, history_overflows=1)
+        e.merge_bulk(iterations=1, grad_nnz=3, dense_coords=10, sample_draws=1, max_delay=0)
         assert e.iterations == 2
         assert e.sparse_coordinate_updates == 8
         assert e.dense_coordinate_updates == 10
@@ -17,17 +18,13 @@ class TestEpochEvent:
         assert e.stale_reads == 1
         assert e.sample_draws == 2
         assert e.max_observed_delay == 2
+        assert e.history_overflows == 1
 
     def test_conflict_rate(self):
         e = EpochEvent(epoch=0)
         assert e.conflict_rate == 0.0
-        e.merge_iteration(grad_nnz=1, dense_coords=0, conflicts=2, delay=1)
+        e.merge_bulk(iterations=1, grad_nnz=1, conflicts=2)
         assert e.conflict_rate == pytest.approx(2.0)
-
-    def test_drew_sample_flag(self):
-        e = EpochEvent(epoch=0)
-        e.merge_iteration(grad_nnz=1, dense_coords=0, conflicts=0, delay=0, drew_sample=False)
-        assert e.sample_draws == 0
 
 
 class TestExecutionTrace:
@@ -35,7 +32,7 @@ class TestExecutionTrace:
         t = ExecutionTrace()
         for k in range(3):
             e = EpochEvent(epoch=k)
-            e.merge_iteration(grad_nnz=4, dense_coords=2, conflicts=k, delay=k)
+            e.merge_bulk(iterations=1, grad_nnz=4, dense_coords=2, conflicts=k, max_delay=k)
             t.add_epoch(e)
         return t
 

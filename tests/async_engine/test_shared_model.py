@@ -91,14 +91,12 @@ class TestStaleReads:
         # Only the last two updates can be undone.
         assert values[0] == pytest.approx(3.0)
 
-    def test_conflict_counters(self):
+    def test_read_returns_its_conflicts(self):
         m = SharedModel(3)
         m.apply_update(np.array([0]), np.array([1.0]), worker_id=0)
-        m.read_stale(np.array([0]), delay=1, writer_id=1)
-        assert m.conflict_count == 1
-        assert m.stale_read_count == 1
-        assert m.read_count == 1
-        assert m.conflict_rate() == pytest.approx(1.0)
+        assert m.read_stale(np.array([0]), delay=1, writer_id=1)[1] == 1
+        assert m.read_stale(np.array([0]), delay=1, writer_id=0)[1] == 0  # own write
+        assert m.read_stale(np.array([1]), delay=1, writer_id=1)[1] == 0  # other coordinate
 
 
 class TestHistoryOverflow:

@@ -13,8 +13,7 @@ from repro.async_engine.staleness import (
 
 class TestConstantDelay:
     def test_always_constant(self, rng):
-        model = ConstantDelay(5)
-        assert all(model.draw(rng) == 5 for _ in range(20))
+        assert ConstantDelay(5).draw_batch(rng, 20).tolist() == [5] * 20
 
     def test_expected_delay(self):
         assert ConstantDelay(4).expected_delay() == 4.0
@@ -27,17 +26,17 @@ class TestConstantDelay:
 class TestUniformDelay:
     def test_range(self, rng):
         model = UniformDelay(7)
-        draws = [model.draw(rng) for _ in range(500)]
-        assert min(draws) >= 0 and max(draws) <= 7
+        draws = model.draw_batch(rng, 500)
+        assert draws.min() >= 0 and draws.max() <= 7
         # All values should be hit for this many draws.
-        assert set(draws) == set(range(8))
+        assert set(draws.tolist()) == set(range(8))
 
     def test_zero_max(self, rng):
-        assert UniformDelay(0).draw(rng) == 0
+        assert UniformDelay(0).draw_batch(rng, 1).tolist() == [0]
 
     def test_mean_close_to_half_max(self, rng):
         model = UniformDelay(10)
-        draws = np.array([model.draw(rng) for _ in range(5000)])
+        draws = model.draw_batch(rng, 5000)
         assert abs(draws.mean() - 5.0) < 0.3
 
     def test_negative_rejected(self):
@@ -48,12 +47,12 @@ class TestUniformDelay:
 class TestGeometricDelay:
     def test_truncated_at_max(self, rng):
         model = GeometricDelay(4, mean_delay=10.0)
-        draws = [model.draw(rng) for _ in range(300)]
-        assert max(draws) <= 4 and min(draws) >= 0
+        draws = model.draw_batch(rng, 300)
+        assert draws.max() <= 4 and draws.min() >= 0
 
     def test_small_mean_mostly_fresh(self, rng):
         model = GeometricDelay(20, mean_delay=0.2)
-        draws = np.array([model.draw(rng) for _ in range(2000)])
+        draws = model.draw_batch(rng, 2000)
         assert (draws == 0).mean() > 0.6
 
     def test_invalid_mean(self):
@@ -61,11 +60,11 @@ class TestGeometricDelay:
             GeometricDelay(5, mean_delay=0.0)
 
     def test_zero_max(self, rng):
-        assert GeometricDelay(0).draw(rng) == 0
+        assert GeometricDelay(0).draw_batch(rng, 1).tolist() == [0]
 
 
 class TestDrawBatch:
-    """Vectorized draws must consume the Generator stream like scalar draws."""
+    """One draw of any size consumes the Generator stream like split draws."""
 
     @pytest.mark.parametrize(
         "make",
@@ -76,27 +75,20 @@ class TestDrawBatch:
         ],
         ids=["constant", "uniform", "geometric"],
     )
-    def test_matches_scalar_stream(self, make):
-        scalar_rng = np.random.default_rng(42)
-        batch_rng = np.random.default_rng(42)
+    def test_split_draws_match_one_draw(self, make):
         model = make()
-        scalars = [model.draw(scalar_rng) for _ in range(64)]
-        batch = model.draw_batch(batch_rng, 64)
-        assert batch.dtype == np.int64
-        assert batch.tolist() == scalars
+        whole = model.draw_batch(np.random.default_rng(42), 64)
+        split_rng = np.random.default_rng(42)
+        split = [model.draw_batch(split_rng, size) for size in (1, 20, 1, 42)]
+        assert whole.dtype == np.int64
+        assert whole.tolist() == np.concatenate(split).tolist()
 
-    def test_default_fallback_loops_scalar_draw(self):
-        class EveryOther(StalenessModel):
+    def test_draw_batch_is_the_abstract_method(self):
+        class NoDraws(StalenessModel):
             max_delay = 1
 
-            def draw(self, rng):
-                return int(rng.integers(0, 2))
-
-        scalar_rng = np.random.default_rng(0)
-        batch_rng = np.random.default_rng(0)
-        model = EveryOther()
-        scalars = [model.draw(scalar_rng) for _ in range(32)]
-        assert model.draw_batch(batch_rng, 32).tolist() == scalars
+        with pytest.raises(TypeError, match="draw_batch"):
+            NoDraws()
 
     def test_empty_batch(self, rng):
         assert UniformDelay(3).draw_batch(rng, 0).shape == (0,)
@@ -114,7 +106,6 @@ class TestZeroDelayEdgeCases:
         model = make()
         rng = np.random.default_rng(3)
         untouched = np.random.default_rng(3)
-        assert all(model.draw(rng) == 0 for _ in range(10))
         assert not model.draw_batch(rng, 100).any()
         # A zero-delay model never consumes randomness, so changing the
         # staleness model cannot shift any other seeded draw.

@@ -27,30 +27,35 @@ def worker(shard):
     return SimulatedWorker(shard=shard, sequence=seq, seed=0)
 
 
-class TestNextSample:
-    def test_returns_global_row(self, worker, shard):
-        global_row, local, weight = worker.next_sample()
-        assert global_row in shard.row_indices
-        assert 0 <= local < shard.size
-        assert weight > 0.0
+class TestNextSamples:
+    def test_returns_global_rows(self, worker, shard):
+        global_rows, local, weights = worker.next_samples(5)
+        assert np.isin(global_rows, shard.row_indices).all()
+        np.testing.assert_array_equal(global_rows, shard.row_indices[local])
+        assert ((local >= 0) & (local < shard.size)).all()
+        assert (weights > 0.0).all()
+
+    def test_follows_the_sequence_across_calls(self, worker):
+        _, first, _ = worker.next_samples(7)
+        _, rest, _ = worker.next_samples(13)
+        np.testing.assert_array_equal(np.concatenate([first, rest]), worker.sequence.indices)
 
     def test_reweighting_is_inverse_np(self, worker, shard):
         # weight for local sample i must be 1 / (n_a * p_i) (before clipping).
-        _, local, weight = worker.next_sample()
+        _, local, weights = worker.next_samples(20)
         expected = 1.0 / (shard.size * shard.probabilities[local])
-        assert weight == pytest.approx(min(expected, worker.step_clip))
+        np.testing.assert_allclose(weights, np.minimum(expected, worker.step_clip))
 
     def test_exhaustion_raises(self, worker):
-        for _ in range(worker.iterations_per_epoch):
-            worker.next_sample()
-        assert worker.exhausted
+        worker.next_samples(worker.iterations_per_epoch)
+        assert worker.next_samples(0)[0].size == 0
         with pytest.raises(RuntimeError):
-            worker.next_sample()
+            worker.next_samples(1)
 
     def test_remaining_iterations(self, worker):
         assert worker.remaining_iterations() == 20
-        worker.next_sample()
-        assert worker.remaining_iterations() == 19
+        worker.next_samples(3)
+        assert worker.remaining_iterations() == 17
 
 
 class TestStartEpoch:
@@ -59,7 +64,7 @@ class TestStartEpoch:
         worker.start_epoch(reshuffle=True)
         after = sorted(worker.sequence.indices.tolist())
         assert before == after
-        assert not worker.exhausted
+        assert worker.remaining_iterations() == worker.iterations_per_epoch
 
     def test_regenerate_draws_new_sequence(self, worker):
         before = worker.sequence.indices.copy()
@@ -90,17 +95,15 @@ class TestBuildWorkers:
         )
         workers = build_workers(partition, 10, seed=0, importance_sampling=False)
         for w in workers:
-            for _ in range(3):
-                _, _, weight = w.next_sample()
-                assert weight == pytest.approx(1.0)
+            np.testing.assert_allclose(w.next_samples(3)[2], 1.0)
 
     def test_importance_mode_weights_vary(self, heavy_tail_lipschitz):
         partition = partition_dataset(
             np.arange(heavy_tail_lipschitz.size), heavy_tail_lipschitz, num_workers=3
         )
         workers = build_workers(partition, 50, seed=0, importance_sampling=True)
-        weights = {round(workers[0].next_sample()[2], 6) for _ in range(30)}
-        assert len(weights) > 1
+        weights = np.round(workers[0].next_samples(30)[2], 6)
+        assert np.unique(weights).size > 1
 
 
 class TestOneAliasTablePerWorker:

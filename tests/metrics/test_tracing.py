@@ -17,7 +17,8 @@ def _record():
     curve.append(EpochMetrics(epoch=1, iterations=20, wall_clock=2.0, rmse=0.5, error_rate=0.2))
     trace = ExecutionTrace()
     e = EpochEvent(epoch=0)
-    e.merge_iteration(grad_nnz=5, dense_coords=0, conflicts=1, delay=1)
+    e.merge_bulk(iterations=1, grad_nnz=5, conflicts=1, sample_draws=1, stale_reads=1,
+                 max_delay=1)
     trace.add_epoch(e)
     return RunRecord(
         solver="is_asgd",

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from repro.async_engine.events import EpochEvent
+from repro.rules.sgd import SGDRule
 from repro.runtime.trace_fold import (
     build_schedule,
     fold_block,
-    fold_iteration,
     fold_sync_step,
     fold_worker_counters,
 )
@@ -49,43 +49,36 @@ class TestBuildSchedule:
         assert not np.all(schedule[:50] == 0)  # astronomically unlikely if shuffled
 
 
-class TestFoldIteration:
-    def test_applies_rule_multiplier(self):
+class TestFoldBlock:
+    def test_applies_rule_metadata(self):
         event = EpochEvent(epoch=0)
-        fold_iteration(event, _FakeRule(), nnz=5, dense_coords=7, conflicts=2,
-                       delay=3, drew_sample=False, history_overflow=1)
-        assert event.iterations == 1
-        assert event.sparse_coordinate_updates == 10  # 2 * nnz
-        assert event.dense_coordinate_updates == 7
-        assert event.conflicts == 2
-        assert event.stale_reads == 1
+        fold_block(event, _FakeRule(), iterations=5, support_nnz=15, conflicts=5,
+                   delays=np.array([0, 2, 1, 0, 4]), history_overflows=1)
+        assert event.iterations == 5
+        assert event.sparse_coordinate_updates == 30  # 2 * support_nnz
+        assert event.dense_coordinate_updates == 5 * 7  # the dense delta's dimension
+        assert event.conflicts == 5
+        assert event.stale_reads == 3
         assert event.sample_draws == 0
-        assert event.max_observed_delay == 3
+        assert event.max_observed_delay == 4
         assert event.history_overflows == 1
 
-    def test_duck_typed_rule_defaults(self):
-        event = EpochEvent(epoch=0)
-        fold_iteration(event, object(), nnz=4, dense_coords=0, conflicts=0, delay=0)
-        assert event.sparse_coordinate_updates == 4
-        assert event.sample_draws == 1
-
-
-class TestFoldBlock:
-    def test_equivalent_to_iteration_loop(self):
+    def test_split_blocks_fold_like_one(self):
         rule = _FakeRule()
-        loop = EpochEvent(epoch=0)
         delays = np.array([0, 2, 1, 0, 4])
-        for d in delays:
-            fold_iteration(loop, rule, nnz=3, dense_coords=7, conflicts=1,
-                           delay=int(d), drew_sample=False)
-        bulk = EpochEvent(epoch=0)
-        fold_block(bulk, rule, iterations=5, support_nnz=15, conflicts=5, delays=delays)
-        assert loop == bulk
+        split = EpochEvent(epoch=0)
+        fold_block(split, rule, iterations=2, support_nnz=6, conflicts=2, delays=delays[:2])
+        fold_block(split, rule, iterations=3, support_nnz=9, conflicts=3, delays=delays[2:])
+        whole = EpochEvent(epoch=0)
+        fold_block(whole, rule, iterations=5, support_nnz=15, conflicts=5, delays=delays)
+        assert split == whole
 
-    def test_dense_coords_default_from_rule(self):
+    def test_sparse_rule_counts_sample_draws(self):
         event = EpochEvent(epoch=0)
-        fold_block(event, _FakeRule(), iterations=3, support_nnz=6, conflicts=0)
-        assert event.dense_coordinate_updates == 3 * 7
+        fold_block(event, SGDRule(objective=None, step_size=0.1), iterations=3,
+                   support_nnz=6, conflicts=0, delays=np.zeros(3, dtype=np.int64))
+        assert (event.sparse_coordinate_updates, event.dense_coordinate_updates,
+                event.sample_draws, event.stale_reads) == (6, 0, 3, 0)
 
 
 class TestFoldSyncStep:

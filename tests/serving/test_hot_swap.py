@@ -307,3 +307,26 @@ def test_background_watcher_thread_swaps_under_load(tmp_path, swap_problem):
         assert response["margin"] == pytest.approx(
             expected[model_index][row], abs=1e-12
         )
+
+
+def test_load_initial_returns_the_served_model_when_a_load_outlasts_a_poll(
+    tmp_path, swap_problem, monkeypatch
+):
+    # The poll thread starts before load_initial(), and a model load here
+    # takes six poll intervals: the thread's first poll and load_initial()
+    # must not both load and swap in the same artifact.
+    _, pool, _ = swap_problem
+    store = ArtifactStore(tmp_path)
+    store.save("run-a", _record_with_weights(pool[0].weights), IDENTITY)
+    load = ScoringModel.from_artifact
+
+    def slow_load(*args, **kwargs):
+        time.sleep(0.3)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(ScoringModel, "from_artifact", slow_load)
+    ref = ModelRef()
+    with ArtifactWatcher(store, ref, key="run-a", poll_interval=0.05) as watcher:
+        model = watcher.load_initial()
+    assert ref.swaps == 1
+    assert ref.get() is model

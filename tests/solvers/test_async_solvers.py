@@ -18,8 +18,8 @@ class TestSGDRule:
         x_idx, x_val = small_problem.X.row(0)
         w = np.zeros(small_problem.n_features)
         grad = obj.sample_grad(w, x_idx, x_val, float(small_problem.y[0]))
-        delta, dense = rule.compute_update(w[x_idx], x_idx, x_val, float(small_problem.y[0]), 1.0)
-        assert dense == 0
+        delta = rule.compute_update(w[x_idx], x_idx, x_val, float(small_problem.y[0]), 1.0)
+        assert rule.dense_delta is None
         np.testing.assert_allclose(delta, -0.5 * grad.values)
 
     def test_step_weight_scales_delta(self, small_problem):
@@ -27,8 +27,8 @@ class TestSGDRule:
         rule = SGDRule(objective=obj, step_size=0.5)
         x_idx, x_val = small_problem.X.row(0)
         w = np.zeros(small_problem.n_features)
-        d1, _ = rule.compute_update(w[x_idx], x_idx, x_val, float(small_problem.y[0]), 1.0)
-        d2, _ = rule.compute_update(w[x_idx], x_idx, x_val, float(small_problem.y[0]), 2.0)
+        d1 = rule.compute_update(w[x_idx], x_idx, x_val, float(small_problem.y[0]), 1.0)
+        d2 = rule.compute_update(w[x_idx], x_idx, x_val, float(small_problem.y[0]), 2.0)
         np.testing.assert_allclose(d2, 2.0 * d1)
 
 

@@ -4,28 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import scatter_add, segment_bool_any, sparse_norm_sq
-
-
-class TestScatterAdd:
-    def test_basic(self):
-        w = np.zeros(5)
-        scatter_add(w, np.array([0, 3]), np.array([1.0, 2.0]), scale=2.0)
-        np.testing.assert_allclose(w, [2.0, 0, 0, 4.0, 0])
-
-    def test_duplicate_indices_accumulate(self):
-        w = np.zeros(3)
-        scatter_add(w, np.array([1, 1]), np.array([1.0, 1.0]))
-        assert w[1] == pytest.approx(2.0)
-
-    def test_empty_noop(self):
-        w = np.ones(3)
-        scatter_add(w, np.array([], dtype=np.int64), np.array([]))
-        np.testing.assert_allclose(w, 1.0)
-
-    def test_returns_same_array(self):
-        w = np.zeros(2)
-        assert scatter_add(w, np.array([0]), np.array([1.0])) is w
+from repro.sparse.ops import segment_bool_any, sparse_norm_sq
 
 
 class TestNormsAndScale:

@@ -95,7 +95,7 @@ def _perf_ab(root, *args):
 
 def test_same_commit_is_never_better_or_worse(tmp_path):
     root = _repo(tmp_path, throughput=[100.0, 112.0, 95.0, 104.0, 90.0, 108.0])
-    proc = _perf_ab(root, "--base", "HEAD", "--workload", "serve-a", "--pairs", "3",
+    proc = _perf_ab(root, "--base", "HEAD", "--workload", "serve-a", "--pairs", "4",
                     "--seed", "7")
     assert proc.returncode == 0, proc.stderr
     table = json.loads((root / "perf_ab.json").read_text())
@@ -103,11 +103,11 @@ def test_same_commit_is_never_better_or_worse(tmp_path):
     assert table["base"] == _git(root, "rev-parse", "HEAD").strip()
     assert {row["verdict"] for row in rows.values()} <= {"within", "unresolved"}
     assert rows["peak_rss_mb"]["verdict"] == "within"
-    assert len(rows["throughput_per_s"]["base_runs"]) == 3
-    # Pairs alternate which side runs first.
+    assert len(rows["throughput_per_s"]["base_runs"]) == 4
+    # Pairs alternate which side runs first, each side first equally often.
     log = (tmp_path / "runs.log").read_text().splitlines()
     sides = ["change" if line.split()[0] == str(root) else "base" for line in log]
-    assert sides == ["base", "change", "change", "base", "base", "change"]
+    assert sides == ["base", "change", "change", "base"] * 2
     assert all(line.endswith("serve-a 7") for line in log)
     # Each side runs with a cache of its own, inside its own tree, so the
     # checkout's cache saw the change side's runs only.
@@ -123,7 +123,7 @@ def test_same_commit_is_never_better_or_worse(tmp_path):
 def test_an_edit_in_the_checkout_is_the_change_side(tmp_path):
     root = _repo(tmp_path, throughput=[100.0, 102.0])
     _write_values(root, [150.0, 153.0])  # uncommitted: only the change side reads it
-    proc = _perf_ab(root, "--base", "HEAD", "--workload", "all", "--pairs", "5",
+    proc = _perf_ab(root, "--base", "HEAD", "--workload", "all", "--pairs", "6",
                     "--out", "ab.json")
     assert proc.returncode == 0, proc.stderr
     table = json.loads((root / "ab.json").read_text())
@@ -131,7 +131,7 @@ def test_an_edit_in_the_checkout_is_the_change_side(tmp_path):
     for workload in ("serve-a", "serve-b"):
         row = table["workloads"][workload]["throughput_per_s"]
         assert row["verdict"] == "better"
-        assert (row["ahead"], row["pairs"]) == (5, 5)
+        assert (row["ahead"], row["pairs"]) == (6, 6)
         assert row["ratio"] == pytest.approx(1.5, rel=0.03)
     assert "serve-b" in proc.stdout and "better (0.25)" in proc.stdout
 
@@ -143,6 +143,18 @@ def test_a_failed_operation_stops_the_comparison(tmp_path):
     assert "stopping: serve-a" in proc.stderr and "1 failed operations" in proc.stderr
     assert not (root / "perf_ab.json").exists()
     assert _git(root, "worktree", "list").count("\n") == 1
+
+
+@pytest.mark.parametrize("pairs", ["3", "0"])
+def test_an_unbalanced_pair_count_is_rejected(tmp_path, pairs):
+    root = _repo(tmp_path, throughput=[100.0])
+    proc = _perf_ab(root, "--base", "HEAD", "--workload", "serve-a", "--pairs", pairs)
+    assert proc.returncode == 2
+    assert "positive even number" in proc.stderr and "first slot" in proc.stderr
+    assert not (tmp_path / "runs.log").exists()
+    assert _git(root, "worktree", "list").count("\n") == 1
+    with pytest.raises(ValueError, match="even"):
+        _load_tool().ab(root, root, {}, ["serve-a"], int(pairs), 1)
 
 
 BASE = [100.0, 101.0, 99.0, 102.0, 98.0]

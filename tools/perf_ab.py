@@ -15,7 +15,10 @@ drives the benchmark as a black box: it runs the ``command`` that
 ``BENCHMARK.json`` declares (untraced) with ``--workload <w> --seed <S>``
 and reads the JSON object on the last line of its output.
 
-Pairs alternate which side runs first.  Any run that fails, or reports a
+Pairs alternate which side runs first, so the pair count must be even:
+with an odd count the base side would take the first slot once more,
+and a run's place in its pair moves some metrics (``train-isasgd``
+throughput reads higher in the first slot).  Any run that fails, or reports a
 failed operation, stops the comparison.  Per workload and end-to-end
 metric the tool prints both medians, their ratio (change / base), in how
 many pairs the change read better (ties count for neither) and each
@@ -26,7 +29,8 @@ against its ``BENCHMARK.json`` bound, a relative change:
   base's by more than the bound, and no run of one side reads as well as
   any run of the other.  Two sides of one program separate like that by
   chance with probability ``2 / C(2n, n)`` for ``n`` pairs, so this takes
-  at least 5 pairs (chance under 1 %, see :data:`ALPHA`);
+  at least 5 pairs (chance under 1 %, see :data:`ALPHA`), 6 as the count
+  is even;
 * ``within`` -- the medians differ by at most the bound and neither
   side's runs spread wider than it;
 * ``unresolved`` -- otherwise.
@@ -141,9 +145,19 @@ def _print_table(workload: str, rows: Dict[str, dict]) -> None:
               f"{row['verdict']} ({row['bound']:g})")
 
 
+def check_pairs(pairs: int) -> None:
+    """Reject a pair count that leaves the run order unbalanced."""
+    if pairs < 2 or pairs % 2:
+        raise ValueError(
+            f"pairs must be a positive even number, got {pairs}: pairs alternate which "
+            "side runs first, and an odd count gives the base side the first slot once more"
+        )
+
+
 def ab(root: Path, base_dir: Path, spec: dict, workloads: List[str], pairs: int,
        seed: int) -> Dict[str, Dict[str, dict]]:
     """Alternate base/change runs; return workload -> metric -> comparison."""
+    check_pairs(pairs)
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     sides = {"base": base_dir, "change": root}
     values = {w: {s: {m: [] for m in metrics} for s in sides} for w in workloads}
@@ -171,13 +185,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True, help="a BENCHMARK.json workload, or all")
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--pairs", type=int, required=True,
+                        help="base/change pairs to run, an even number")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, default=Path("perf_ab.json"),
                         help="where to write the JSON table (default: %(default)s)")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
+    try:
+        check_pairs(args.pairs)
+    except ValueError as exc:
+        parser.error(f"--{exc}")
 
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
     spec = json.loads((root / "BENCHMARK.json").read_text())
