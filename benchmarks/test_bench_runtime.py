@@ -10,15 +10,17 @@ benchmark guards the two ways that refactor could have regressed:
    hand-specialised rule.  This runs on a smaller surrogate than
    ``test_bench_async`` (which still gates the full-size workload) so the
    runtime suite stays cheap.
-2. **Rule-dispatch overhead** — the cluster worker now reaches its math
-   through ``rule.block_entry_weights`` (a Python method call with keyword
-   packing per macro-block) instead of inlined arithmetic.  The fixed
-   per-call cost of that boundary, multiplied by the number of blocks a
-   4-worker epoch executes, must stay below 5% of the *measured* epoch
-   wall-clock.  The per-call cost is measured on near-empty blocks (one
-   sample), which upper-bounds the dispatch overhead because it charges the
-   whole call — argument packing, method lookup, the kwarg dance and the
-   singleton arithmetic — as if it were pure overhead.
+2. **Rule-dispatch overhead** — the cluster worker's composable path
+   reaches its math through ``rule.block_entry_weights`` (a Python method
+   call with keyword packing per macro-block) instead of inlined
+   arithmetic.  The fixed per-call cost of that boundary, multiplied by the
+   number of blocks a 4-worker epoch executes, must stay below 5% of the
+   *measured* epoch wall-clock.  The per-call cost is measured on
+   near-empty blocks (one sample), which upper-bounds the dispatch overhead
+   because it charges the whole call — argument packing, method lookup, the
+   kwarg dance and the singleton arithmetic — as if it were pure overhead.
+   The epoch runs on the ``vectorized`` kernel: on ``native`` an SGD block
+   is one fused ``run_shared_block`` call that never calls the rule.
 
 Results go to ``benchmarks/results/BENCH_runtime.json`` (the committed
 root ``BENCH_runtime.json`` is a copy of it).  Gate 1 is always enforced;
@@ -135,7 +137,10 @@ def test_bench_runtime_engines_and_dispatch(benchmark):
         L = problem.lipschitz_constants()
         order = random_order(X.n_rows, seed=0)
         partition = partition_dataset(order, L, CLUSTER_WORKERS, scheme="uniform")
-        driver = ClusterDriver(X, y, objective, partition, step_size=0.1, seed=0)
+        # The composable worker path, the one that calls the rule per block.
+        driver = ClusterDriver(
+            X, y, objective, partition, step_size=0.1, seed=0, kernel_name="vectorized"
+        )
         run = driver.run(CLUSTER_EPOCHS)
         # Steady-state epoch (start-up epoch excluded, cluster convention).
         epoch_seconds = (

@@ -222,11 +222,7 @@ class BatchedSimulator(AsyncSimulator):
         # sequence: the whole macro-step (same frozen-margin semantics, same
         # regulariser-at-block-start evaluation) runs as one native call
         # after the conflict replay below.
-        fused = (
-            rule.frozen_fusable
-            and self.kernel.fused_sample_block
-            and self.kernel.supports_objective(rule.objective)
-        )
+        fused = rule.runs_fused_on(self.kernel)
         entry_weights = None
         if not fused:
             margins = self.kernel.segment_margins(idx, val, lengths, w)

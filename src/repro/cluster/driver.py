@@ -300,8 +300,7 @@ class ClusterDriver:
         # Write occupancy is counted over equal contiguous coordinate
         # ranges, one per worker (at most one range per coordinate).
         self._num_shards = min(self.num_workers, X.n_cols)
-        bounds = np.linspace(0, X.n_cols, self._num_shards + 1).astype(np.int64)
-        self._shard_of = np.repeat(np.arange(self._num_shards, dtype=np.int64), np.diff(bounds))
+        self._range_bounds = np.linspace(0, X.n_cols, self._num_shards + 1).astype(np.int64)
         self.batch_size = batch_size
         self.kernel_name = kernel_name
         self.seed = seed
@@ -455,7 +454,9 @@ class ClusterDriver:
         arena.create("x_indices", self.X.indices.shape, "int32", initial=self.X.indices)
         arena.create("x_indptr", self.X.indptr.shape, "int32", initial=self.X.indptr)
         arena.create("y", self.y.shape, "float64", initial=self.y)
-        arena.create("shard_of", (d,), "int64", initial=self._shard_of)
+        arena.create(
+            "range_bounds", self._range_bounds.shape, "int64", initial=self._range_bounds
+        )
         arena.create("counters", (self.num_workers, NUM_COUNTER_COLS), "int64")
         arena.create("shard_writes", (self.num_workers, self._num_shards), "int64")
         arena.create("progress", (self.num_workers,), "int64")

@@ -3,7 +3,8 @@
 Each worker is a real OS process (no GIL sharing with its peers).  It owns
 one shard of the *samples* (a :class:`repro.core.partition.WorkerShard`,
 exactly as in the simulated engines) and executes its per-epoch sample
-sequence in macro-blocks through the kernel batch primitives:
+sequence in macro-blocks.  :func:`composable_block` runs one block through
+the kernel batch primitives:
 
 1. ``CSRMatrix.gather_rows`` — one gather of the block's rows from the
    shared (read-only) dataset arrays;
@@ -13,9 +14,16 @@ sequence in macro-blocks through the kernel batch primitives:
 3. the registered update rule's block computation
    (:meth:`repro.rules.base.UpdateRuleKernel.block_entry_weights` — the
    *same* definition the simulated tiers execute);
-4. ``KernelBackend.scatter_add`` — one lock-free index-compressed write of
-   the whole block into the shared parameter buffer (``np.add.at`` over
-   shared memory: last-writer-wins per coordinate, the Hogwild semantics).
+4. ``KernelBackend.scatter_add`` — one write of the whole block into the
+   shared parameter buffer, without locks: racing writes interleave, the
+   Hogwild semantics.
+
+SGD-style rules on a kernel with a fused primitive
+(:meth:`~repro.rules.base.UpdateRuleKernel.runs_fused_on`, the gate the
+batched tier uses) run the whole block, its measurement included, as one
+``KernelBackend.run_shared_block`` call in the same order instead; SVRG,
+objectives the kernel cannot dispatch and the pure-Python kernels keep the
+composable path.
 
 Since the elasticity work, an epoch's sample sequence is not private to
 its owner: each worker publishes its sequence and a *block queue* into the
@@ -37,9 +45,10 @@ Around the arithmetic the worker measures what the simulator *models*: the
 update lag between its read and its write (the perturbed-iterate delay τ),
 which coordinates were overwritten by other workers in that window
 (conflicts), and how its writes spread over equal coordinate ranges
-(occupancy).  The driver folds those counters into the same
-:class:`~repro.async_engine.events.EpochEvent` records the simulator
-emits, so measured and simulated traces are directly comparable.
+(occupancy; the arena holds the ranges' bounds).  The driver folds those
+counters into the same :class:`~repro.async_engine.events.EpochEvent`
+records the simulator emits, so measured and simulated traces are
+directly comparable.
 
 Rule-specific shared state rides in the arena: SVRG's per-epoch snapshot
 blocks (``mu``, ``snap_margins``, refreshed by the driver between epochs).
@@ -195,6 +204,64 @@ def _claim_block(
         return victim, int(queue_end[victim])
 
 
+def composable_block(
+    kernel,
+    rule,
+    X: CSRMatrix,
+    y: np.ndarray,
+    w: np.ndarray,
+    rows: np.ndarray,
+    step_weights: np.ndarray,
+    *,
+    worker_id: int,
+    t_read: int,
+    progress: np.ndarray,
+    last_writer: np.ndarray,
+    write_clock: np.ndarray,
+    range_bounds: np.ndarray,
+    range_writes: np.ndarray,
+) -> Tuple[int, int, int]:
+    """One block through the kernel's and the rule's composable primitives.
+
+    Margins and entry weights at the live iterate, then the clock
+    ``t_write``, the conflicts (rows with a coordinate another worker last
+    wrote after ``t_read``), the rule's dense term, the scatter and the
+    stamps, with one ``range_writes`` count per entry in its coordinate
+    range.  Returns ``(t_write, conflicts, nnz)``, as
+    :meth:`~repro.kernels.base.KernelBackend.run_shared_block` does.
+    """
+    idx, val, lengths = X.gather_rows(rows)
+    margins = kernel.segment_margins(idx, val, lengths, w)
+    entry = rule.block_entry_weights(
+        w=w,
+        rows=rows,
+        y=y[rows],
+        margins=margins,
+        step_weights=step_weights,
+        idx=idx,
+        val=val,
+        lengths=lengths,
+    )
+
+    # Write side: what landed from other workers while we computed?
+    t_write = int(progress.sum())
+    foreign = (
+        (last_writer[idx] != worker_id)
+        & (last_writer[idx] >= 0)
+        & (write_clock[idx] > t_read)
+    )
+    conflicts = int(np.count_nonzero(segment_bool_any(foreign, lengths)))
+
+    if rule.dense_delta is not None:
+        w += rows.size * rule.dense_delta
+    kernel.scatter_add(w, idx, entry)
+    write_clock[idx] = t_write
+    last_writer[idx] = worker_id
+    ranges = np.searchsorted(range_bounds, idx, side="right") - 1
+    range_writes += np.bincount(ranges, minlength=range_writes.size)
+    return t_write, conflicts, int(idx.size)
+
+
 def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
     wid = task.worker_id
     barrier_arrive = arena["barrier_arrive"]
@@ -207,13 +274,16 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
         n_cols=w.shape[0],
     )
     y = arena["y"]
-    shard_of = arena["shard_of"]
     counters = arena["counters"]
-    shard_writes = arena["shard_writes"]
     progress = arena["progress"]
-    last_writer = arena["last_writer"]
-    write_clock = arena["write_clock"]
-    num_shards = shard_writes.shape[1]
+    # The measuring state one block reads and stamps (see composable_block).
+    stamps = dict(
+        progress=progress,
+        last_writer=arena["last_writer"],
+        write_clock=arena["write_clock"],
+        range_bounds=arena["range_bounds"],
+        range_writes=arena["shard_writes"][wid],
+    )
 
     # Block-queue machinery (shared with every peer; see module docstring).
     sequences = arena["sequences"]
@@ -236,6 +306,7 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
     snap_margins = arena["snap_margins"] if is_svrg else None
     grad_nnz_mult = int(rule.grad_nnz_multiplier)
     count_sample_draws = bool(rule.counts_sample_draws)
+    fused = rule.runs_fused_on(kernel)
 
     # One alias table per process; every epoch draws its sequence from it.
     sampler = AliasSampler(task.probabilities)
@@ -278,46 +349,23 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
 
             # Read side: logical clock before the stale read.
             t_read = int(progress.sum())
-            idx, val, lengths = X.gather_rows(rows)
-            margins = kernel.segment_margins(idx, val, lengths, w)
-
-            entry = rule.block_entry_weights(
-                w=w,
-                rows=rows,
-                y=y[rows],
-                margins=margins,
-                step_weights=step_w,
-                idx=idx,
-                val=val,
-                lengths=lengths,
-            )
-            dense_step = rule.dense_delta
-
-            # Write side: what landed from other workers while we computed?
-            t_write = int(progress.sum())
-            delay = t_write - t_read
-            if idx.size:
-                foreign = (
-                    (last_writer[idx] != wid)
-                    & (last_writer[idx] >= 0)
-                    & (write_clock[idx] > t_read)
+            if fused:
+                t_write, conflicts, nnz = kernel.run_shared_block(
+                    w, rule.objective, X, y, rows, -rule.step_size * step_w,
+                    worker_id=wid, t_read=t_read, **stamps,
                 )
-                conflicts = int(np.count_nonzero(segment_bool_any(foreign, lengths)))
             else:
-                conflicts = 0
-
-            if dense_step is not None:
-                w += n_iter * dense_step
-            kernel.scatter_add(w, idx, entry)
-            if idx.size:
-                write_clock[idx] = t_write
-                last_writer[idx] = wid
-                shard_writes[wid] += np.bincount(shard_of[idx], minlength=num_shards)
+                t_write, conflicts, nnz = composable_block(
+                    kernel, rule, X, y, w, rows, step_w,
+                    worker_id=wid, t_read=t_read, **stamps,
+                )
+            delay = t_write - t_read
+            dense_step = rule.dense_delta
             progress[wid] += n_iter
 
             row_c = counters[wid]
             row_c[COL_ITERATIONS] += n_iter
-            row_c[COL_SPARSE_WRITES] += grad_nnz_mult * int(lengths.sum())
+            row_c[COL_SPARSE_WRITES] += grad_nnz_mult * nnz
             row_c[COL_CONFLICTS] += conflicts
             row_c[COL_DELAY_SUM] += delay * n_iter
             if victim != wid:
@@ -337,6 +385,7 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
 __all__ = [
     "WorkerTask",
     "run_worker",
+    "composable_block",
     "barrier_phase",
     "BarrierAborted",
     "NUM_COUNTER_COLS",

@@ -19,9 +19,10 @@ Backends
     trajectories match bitwise.
 ``native`` (default)
     cffi-compiled C loops for the CSR primitives and — above all — the
-    fused per-sample block (``run_sample_block`` / ``run_frozen_block``),
-    built on first use and cached; falls back to ``vectorized`` with a
-    single warning when no compiler or cached build is available.
+    fused blocks (``run_sample_block`` / ``run_frozen_block`` /
+    ``run_shared_block``), built on first use and cached; falls back to
+    ``vectorized`` with a single warning when no compiler or cached build
+    is available.
 
 Backend selection
 -----------------

@@ -10,7 +10,8 @@ objectives and metrics need into one swappable object:
 * the per-sample hot path — the fused :meth:`sample_update` that one
   SGD-style iteration consists of, and the block primitives
   :meth:`run_sample_block` / :meth:`run_frozen_block` that execute a whole
-  schedule block of such steps in one call;
+  schedule block of such steps in one call, and :meth:`run_shared_block`,
+  a process worker's frozen-margin block on the cluster's shared weights;
 * the one-pass metrics evaluation :meth:`evaluate`, built on the
   :class:`~repro.objectives.base.Objective` batch API.
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -71,10 +72,11 @@ class KernelBackend(ABC):
 
     #: Whether the backend executes :meth:`run_sample_block` /
     #: :meth:`run_frozen_block` as one fused native call instead of the
-    #: generic per-sample Python loop.  Engines use this to decide whether
-    #: handing a whole schedule block to the kernel is worthwhile; the
-    #: default loop below keeps the primitive available (and bit-equal to
-    #: the historical per-step loop) on every backend either way.
+    #: generic per-sample Python loop, and provides :meth:`run_shared_block`.
+    #: Engines use this to decide whether handing a whole schedule block to
+    #: the kernel is worthwhile; the default loop below keeps
+    #: :meth:`run_sample_block` available (and bit-equal to the historical
+    #: per-step loop) on every backend either way.
     fused_sample_block: bool = False
 
     def supports_objective(self, obj: "Objective") -> bool:
@@ -194,6 +196,43 @@ class KernelBackend(ABC):
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not provide a fused frozen-block primitive"
+        )
+
+    def run_shared_block(
+        self,
+        w: np.ndarray,
+        obj: "Objective",
+        X: CSRMatrix,
+        y: np.ndarray,
+        rows: np.ndarray,
+        scales: np.ndarray,
+        *,
+        worker_id: int,
+        t_read: int,
+        progress: np.ndarray,
+        last_writer: np.ndarray,
+        write_clock: np.ndarray,
+        range_bounds: np.ndarray,
+        range_writes: np.ndarray,
+    ) -> Tuple[int, int, int]:
+        """One process worker's frozen-margin block on shared weights.
+
+        The one-call equivalent of the cluster worker's composable block
+        (:func:`repro.cluster.worker.composable_block`) for SGD-style rules,
+        in its order: every margin of ``X``'s ``rows`` and every per-entry
+        delta ``scales[t] * (phi'(m_t) * val + ∇r(w)|_supp)`` at the live
+        block-start iterate; then ``t_write = progress.sum()``; then the
+        conflicts, the rows with a coordinate whose ``last_writer`` is
+        another worker (neither ``worker_id`` nor -1) and whose
+        ``write_clock`` exceeds ``t_read``; then the scatter into ``w``;
+        then the stamps ``write_clock = t_write`` and ``last_writer =
+        worker_id`` and, per entry, one count in ``range_writes`` at the
+        coordinate range ``range_bounds`` (non-decreasing, from 0 to
+        ``w.size``) puts it in.  Returns ``(t_write, conflicts, nnz)``.
+        Only backends advertising :attr:`fused_sample_block` implement it.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} does not provide a fused shared-block primitive"
         )
 
     # ------------------------------------------------------------------ #

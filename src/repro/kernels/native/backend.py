@@ -4,9 +4,9 @@
 and replaces the CSR linear algebra, the gathered-row batch primitives and —
 above all — the per-sample hot path with compiled C loops
 (:mod:`repro.kernels.native.source`).  The fused block primitives
-``run_sample_block`` / ``run_frozen_block`` execute an entire schedule block
-per C call, eliminating the per-step interpreter overhead that dominates the
-per-sample tier.
+``run_sample_block`` / ``run_frozen_block`` / ``run_shared_block`` execute
+an entire schedule block per C call, eliminating the per-step interpreter
+overhead that dominates the per-sample tier.
 
 Dispatch is by exact objective/regulariser type: the four built-in losses
 (logistic, hinge, squared hinge, least squares) combined with the built-in
@@ -27,6 +27,7 @@ per call.
 
 from __future__ import annotations
 
+import threading
 from typing import Optional, Tuple
 
 import numpy as np
@@ -47,6 +48,9 @@ from repro.objectives.regularizers import (
 from repro.objectives.squared_hinge import SquaredHingeObjective
 from repro.sparse.csr import CSRMatrix
 from repro.utils.validation import check_index_array
+
+#: C element types of the buffers :meth:`NativeKernel._live` hands over.
+_CTYPES = {"float64": "double[]", "int64": "int64_t[]", "int32": "int32_t[]"}
 
 _OBJECTIVE_TYPES = {
     LogisticObjective: OBJECTIVE_IDS["logistic"],
@@ -72,6 +76,13 @@ def _check_size(arr: np.ndarray, size: int, name: str) -> None:
         raise ValueError(f"{name} must have {size} entries, got {arr.size}")
 
 
+def _check_range_bounds(bounds: np.ndarray, n_ranges: int, dim: int) -> None:
+    """``bounds`` must cut ``[0, dim)`` into ``n_ranges`` consecutive ranges."""
+    _check_size(bounds, n_ranges + 1, "range_bounds")
+    if bounds[0] != 0 or bounds[-1] != dim or np.any(bounds[1:] < bounds[:-1]):
+        raise ValueError(f"range_bounds must rise from 0 to {dim}")
+
+
 class NativeKernel(VectorizedKernel):
     """cffi-compiled C kernels with fused per-sample and frozen-block loops."""
 
@@ -82,6 +93,9 @@ class NativeKernel(VectorizedKernel):
         # Raises NativeBuildError when no compiler/cached build is available;
         # the registry factory catches it and falls back to vectorized.
         self._ffi, self._lib = builder.load_native_lib()
+        # Per-thread buffers run_shared_block keeps between calls: the
+        # shared instance may be called from several threads at once.
+        self._scratch = threading.local()
 
     # ------------------------------------------------------------------ #
     # Dispatch plumbing
@@ -122,6 +136,17 @@ class NativeKernel(VectorizedKernel):
     def _i64(self, arr: np.ndarray):
         arr = np.ascontiguousarray(arr, dtype=np.int64)
         return arr, self._ffi.from_buffer("int64_t[]", arr)
+
+    def _live(self, arr, dtype: str, name: str):
+        """Pointer into a buffer other processes share.  A copy would miss
+        their writes or lose ours, so anything but a writable C-contiguous
+        array of ``dtype`` is rejected."""
+        if not (
+            isinstance(arr, np.ndarray) and arr.dtype == dtype
+            and arr.flags.c_contiguous and arr.flags.writeable
+        ):
+            raise ValueError(f"{name} must be a writable C-contiguous {dtype} array")
+        return self._ffi.from_buffer(_CTYPES[dtype], arr)
 
     def _wptr(self, w: np.ndarray):
         """Writable pointer to the iterate, or None when a zero-copy view
@@ -299,6 +324,73 @@ class NativeKernel(VectorizedKernel):
                 w_ptr,
             )
         )
+
+    def run_shared_block(
+        self,
+        w: np.ndarray,
+        obj,
+        X: CSRMatrix,
+        y: np.ndarray,
+        rows: np.ndarray,
+        scales: np.ndarray,
+        *,
+        worker_id: int,
+        t_read: int,
+        progress: np.ndarray,
+        last_writer: np.ndarray,
+        write_clock: np.ndarray,
+        range_bounds: np.ndarray,
+        range_writes: np.ndarray,
+    ) -> Tuple[int, int, int]:
+        disp = self._dispatch(obj)
+        if disp is None:
+            # The worker gates on supports_objective(); reaching here means a
+            # direct caller asked for an unsupported objective.
+            raise NotImplementedError(
+                f"the native shared block cannot dispatch {type(obj).__name__}"
+            )
+        w_ptr = self._live(w, "float64", "w")
+        progress_ptr = self._live(progress, "int64", "progress")
+        last_writer_ptr = self._live(last_writer, "int32", "last_writer")
+        write_clock_ptr = self._live(write_clock, "int64", "write_clock")
+        range_writes_ptr = self._live(range_writes, "int64", "range_writes")
+        _check_w(X, w)
+        rows_arr = check_index_array(rows, "rows", upper=X.n_rows)
+        y_arr, y_ptr = self._f64(y)
+        scales_arr, scales_ptr = self._f64(scales)
+        bounds_arr, bounds_ptr = self._i64(range_bounds)
+        _check_size(y_arr, X.n_rows, "y")
+        _check_size(scales_arr, rows_arr.size, "scales")
+        _check_size(last_writer, X.n_cols, "last_writer")
+        _check_size(write_clock, X.n_cols, "write_clock")
+        _check_range_bounds(bounds_arr, range_writes.size, X.n_cols)
+        nnz = int((X.indptr[rows_arr + 1] - X.indptr[rows_arr]).sum())
+        slot = getattr(self._scratch, "slot", None)
+        if slot is None or slot.size < X.n_cols:
+            # The C loop trusts no slot value it has not checked, so this
+            # per-thread scratch is never cleared between calls.
+            slot = self._scratch.slot = np.empty(X.n_cols, dtype=np.int32)
+        margins_buf = np.empty(rows_arr.size, dtype=np.float64)
+        uniq = np.empty(nnz, dtype=np.int32)
+        sums = np.empty(nnz, dtype=np.float64)
+        tally = np.zeros(range_writes.size, dtype=np.int64)
+        out = np.zeros(3, dtype=np.int64)
+        obj_id, has_reg, r1, r2 = disp
+        _, indptr = self._i32(X.indptr)
+        _, indices = self._i32(X.indices)
+        _, data = self._f64(X.data)
+        ffi = self._ffi
+        self._lib.repro_run_shared_block(
+            obj_id, has_reg, r1, r2, indptr, indices, data, y_ptr,
+            rows_arr.size, ffi.from_buffer("int64_t[]", rows_arr), scales_ptr,
+            ffi.from_buffer("double[]", margins_buf), ffi.from_buffer("int32_t[]", slot),
+            ffi.from_buffer("int32_t[]", uniq), ffi.from_buffer("double[]", sums),
+            w_ptr, int(worker_id), int(t_read), progress.size, progress_ptr,
+            last_writer_ptr, write_clock_ptr, bounds_arr.size - 1, bounds_ptr,
+            ffi.from_buffer("int64_t[]", tally), range_writes_ptr,
+            ffi.from_buffer("int64_t[]", out),
+        )
+        return int(out[0]), int(out[1]), int(out[2])
 
     # ------------------------------------------------------------------ #
     # Metrics

@@ -20,6 +20,12 @@ The two fused primitives encode the engine semantics exactly:
 * ``repro_run_frozen_block`` — a frozen-margin macro-step; all margins and
   regulariser gradients are evaluated at the block-start iterate, then the
   per-entry deltas are scattered in gather order (the batched tier).
+
+``repro_run_shared_block`` is the same frozen-margin step as one process
+worker runs it on the cluster's shared weights: rows come straight from
+the CSR, and around the scatter it reads the fleet's logical clock, counts
+conflicts against the per-coordinate write stamps and stamps what it wrote
+(the process tier).
 """
 
 from __future__ import annotations
@@ -58,6 +64,18 @@ int64_t repro_run_frozen_block(int obj_id, int has_reg, double r1, double r2,
                                const int32_t *idx, const double *val,
                                const double *y_rows, const double *scales,
                                double *margins_buf, double *entry_buf, double *w);
+void repro_run_shared_block(int obj_id, int has_reg, double r1, double r2,
+                            const int32_t *indptr, const int32_t *indices,
+                            const double *data, const double *y,
+                            int64_t n_steps, const int64_t *rows,
+                            const double *scales, double *margins_buf,
+                            int32_t *slot, int32_t *uniq, double *sums,
+                            double *w, int32_t wid, int64_t t_read,
+                            int64_t n_workers, const int64_t *progress,
+                            int32_t *last_writer, int64_t *write_clock,
+                            int64_t n_ranges, const int64_t *bounds,
+                            int64_t *tally_buf, int64_t *range_writes,
+                            int64_t *out);
 """
 
 SOURCE = """
@@ -259,6 +277,116 @@ int64_t repro_run_frozen_block(int obj_id, int has_reg, double r1, double r2,
     for (int64_t p = 0; p < nnz; ++p)
         w[idx[p]] += entry_buf[p];
     return nnz;
+}
+
+/* Other worker processes write w, progress and the stamps while this runs.
+   The full fence keeps the clock read between the compute and the stamp
+   reads, where the composable path reads it, for compiler and CPU alike. */
+#if defined(__GNUC__) || defined(__clang__)
+#define REPRO_FENCE() __atomic_thread_fence(__ATOMIC_SEQ_CST)
+#else
+#define REPRO_FENCE() ((void)0)
+#endif
+
+/* The equal coordinate range of coordinate j: the largest r < n_ranges with
+   bounds[r] <= j, for non-decreasing bounds from 0 to d and 0 <= j < d. */
+static int64_t repro_range_of(int64_t n_ranges, const int64_t *bounds, int64_t j)
+{
+    int64_t lo = 0, hi = n_ranges;
+    while (hi - lo > 1) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (bounds[mid] <= j) lo = mid; else hi = mid;
+    }
+    return lo;
+}
+
+/* One process-tier worker block on the shared weights, in the composable
+   path's order: every margin and entry delta at the live block-start
+   iterate (rows read straight from the CSR, the regulariser after all
+   margins), then t_write = sum(progress), then the conflicts (rows with a
+   coordinate another worker last wrote after t_read), then the scatter,
+   then the stamps: write_clock = t_write, last_writer = wid and one tally
+   per entry in its coordinate range.  out = {t_write, conflicts, nnz}.
+
+   Every shared write moves a cache line between the cores of the workers
+   that touch it, so the block writes each coordinate once: the deltas of
+   a coordinate are summed first, in a sparse set over the n_uniq distinct
+   coordinates seen so far (uniq[s] == j exactly when j has sum s; slot[j]
+   holds any value and is trusted only after that check, so it needs no
+   initialisation), and the tallies gather in the zeroed tally_buf.
+   uniq and sums hold nnz entries, slot one per coordinate. */
+void repro_run_shared_block(int obj_id, int has_reg, double r1, double r2,
+                            const int32_t *indptr, const int32_t *indices,
+                            const double *data, const double *y,
+                            int64_t n_steps, const int64_t *rows,
+                            const double *scales, double *margins_buf,
+                            int32_t *slot, int32_t *uniq, double *sums,
+                            double *w, int32_t wid, int64_t t_read,
+                            int64_t n_workers, const int64_t *progress,
+                            int32_t *last_writer, int64_t *write_clock,
+                            int64_t n_ranges, const int64_t *bounds,
+                            int64_t *tally_buf, int64_t *range_writes,
+                            int64_t *out)
+{
+    for (int64_t t = 0; t < n_steps; ++t) {
+        int64_t i = rows[t];
+        double acc = 0.0;
+        for (int32_t k = indptr[i]; k < indptr[i + 1]; ++k)
+            acc += data[k] * w[indices[k]];
+        margins_buf[t] = acc;
+    }
+    int64_t nnz = 0, n_uniq = 0;
+    for (int64_t t = 0; t < n_steps; ++t) {
+        int64_t i = rows[t];
+        double coef = repro_loss_deriv(obj_id, margins_buf[t], y[i]);
+        double scale = scales[t];
+        for (int32_t k = indptr[i]; k < indptr[i + 1]; ++k, ++nnz) {
+            int32_t j = indices[k];
+            double delta = scale * (coef * data[k]
+                                    + repro_reg_grad(has_reg, r1, r2, w[j]));
+            int32_t s = slot[j];
+            if (s >= 0 && s < n_uniq && uniq[s] == j) {
+                sums[s] += delta;
+            } else {
+                slot[j] = (int32_t)n_uniq;
+                uniq[n_uniq] = j;
+                sums[n_uniq++] = delta;
+            }
+            tally_buf[repro_range_of(n_ranges, bounds, j)] += 1;
+        }
+    }
+
+    REPRO_FENCE();
+    const volatile int64_t *clock = progress;
+    int64_t t_write = 0;
+    for (int64_t k = 0; k < n_workers; ++k)
+        t_write += clock[k];
+    REPRO_FENCE();
+
+    int64_t conflicts = 0;
+    for (int64_t t = 0; t < n_steps; ++t) {
+        int64_t i = rows[t];
+        for (int32_t k = indptr[i]; k < indptr[i + 1]; ++k) {
+            int32_t j = indices[k];
+            int32_t writer = last_writer[j];
+            if (writer >= 0 && writer != wid && write_clock[j] > t_read) {
+                ++conflicts;
+                break;
+            }
+        }
+    }
+
+    for (int64_t u = 0; u < n_uniq; ++u)
+        w[uniq[u]] += sums[u];
+    for (int64_t u = 0; u < n_uniq; ++u) {
+        write_clock[uniq[u]] = t_write;
+        last_writer[uniq[u]] = wid;
+    }
+    for (int64_t r = 0; r < n_ranges; ++r)
+        range_writes[r] += tally_buf[r];
+    out[0] = t_write;
+    out[1] = conflicts;
+    out[2] = nnz;
 }
 """
 

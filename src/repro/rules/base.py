@@ -103,11 +103,11 @@ class UpdateRuleKernel:
     #: Whether the rule's whole frozen-margin macro-step is exactly
     #: ``scales[t] * (phi'(m_t) * x_t + ∇r(ŵ)|_supp)`` with
     #: ``scales = -step_size * step_weights`` — i.e. stateless SGD-style
-    #: math a kernel's fused ``run_frozen_block`` primitive can execute in
-    #: one native call.  Rules with cross-iteration state or extra terms
-    #: must leave this False so engines keep the composable
-    #: ``segment_margins`` → :meth:`block_entry_weights` → ``scatter_add``
-    #: path.
+    #: math a kernel's fused ``run_frozen_block`` / ``run_shared_block``
+    #: primitives can execute in one native call.  Rules with
+    #: cross-iteration state or extra terms must leave this False so engines
+    #: keep the composable ``segment_margins`` → :meth:`block_entry_weights`
+    #: → ``scatter_add`` path.
     frozen_fusable: bool = False
 
     def __init__(self, objective: Objective, step_size: float) -> None:
@@ -136,6 +136,16 @@ class UpdateRuleKernel:
         size and the importance re-weighting, ready for one scatter-add.
         """
         raise NotImplementedError
+
+    def runs_fused_on(self, kernel) -> bool:
+        """Whether ``kernel`` runs this rule's frozen-margin blocks as one
+        fused call (``run_frozen_block`` on the batched tier,
+        ``run_shared_block`` on the process tier)."""
+        return (
+            self.frozen_fusable
+            and kernel.fused_sample_block
+            and kernel.supports_objective(self.objective)
+        )
 
     # ------------------------------------------------------------------ #
     # Derived entry points

@@ -69,9 +69,10 @@ class BackendCapabilities:
         is scheduled by the OS and is validated by tolerance instead).
     fused_kernel_loop:
         Whether the tier hands whole schedule blocks to the kernel's fused
-        block primitives (``run_sample_block`` / ``run_frozen_block``) when
-        the active backend provides them (the ``native`` kernel), instead
-        of iterating per sample in Python.
+        block primitives (``run_frozen_block`` on the batched tier,
+        ``run_shared_block`` in each process worker) when the active
+        backend provides them (the ``native`` kernel), instead of composing
+        them from the batch primitives in Python.
     fault_tolerant:
         Whether the tier survives worker death mid-run: consistent
         checkpoints at every epoch barrier, automatic fleet replacement
@@ -268,6 +269,7 @@ class ProcessBackend(ExecutionBackend):
         true_parallelism=True,
         measured_wall_clock=True,
         deterministic=False,
+        fused_kernel_loop=True,
         fault_tolerant=True,
     )
 

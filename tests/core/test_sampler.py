@@ -60,6 +60,32 @@ class TestAliasSampler:
         np.add.at(recon, s._alias_table, 1.0 - s._prob_table)
         np.testing.assert_allclose(recon / n, p, atol=1e-12)
 
+    def test_sequential_build_matches_the_numpy_scalar_loop_byte_for_byte(self):
+        """Below VECTORIZED_BUILD_MIN_N the tables (hence every draw stream)
+        are the classic Vose loop's over numpy float64 scalars, kept here as
+        the oracle."""
+        n = 1250
+        p = np.random.default_rng(20).random(n) + 1e-3
+        sampler = AliasSampler(p / p.sum())
+
+        scaled = sampler.probabilities * n  # the validated distribution
+        prob = np.zeros(n, dtype=np.float64)
+        alias = np.zeros(n, dtype=np.int64)
+        small = list(np.nonzero(scaled < 1.0)[0])
+        large = list(np.nonzero(scaled >= 1.0)[0])
+        while small and large:
+            s, l = small.pop(), large.pop()
+            prob[s] = scaled[s]
+            alias[s] = l
+            scaled[l] = (scaled[l] + scaled[s]) - 1.0
+            (small if scaled[l] < 1.0 else large).append(l)
+        for remaining in (*large, *small):
+            prob[remaining] = 1.0
+            alias[remaining] = remaining
+
+        assert sampler._prob_table.tobytes() == prob.tobytes()
+        assert sampler._alias_table.tobytes() == alias.tobytes()
+
     @pytest.mark.parametrize(
         "raw",
         [

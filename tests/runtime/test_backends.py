@@ -46,10 +46,10 @@ class TestRegistry:
                 "fault_tolerant",
             }
 
-    def test_only_batched_advertises_fused_kernel_loop(self):
-        assert get_backend("batched").capabilities.fused_kernel_loop
-        for name in ("per_sample", "process"):
-            assert not get_backend(name).capabilities.fused_kernel_loop
+    def test_batched_and_process_advertise_fused_kernel_loop(self):
+        for name in ("batched", "process"):
+            assert get_backend(name).capabilities.fused_kernel_loop
+        assert not get_backend("per_sample").capabilities.fused_kernel_loop
 
     def test_only_process_measures_wall_clock(self):
         assert get_backend("process").capabilities.measured_wall_clock

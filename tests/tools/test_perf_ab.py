@@ -133,7 +133,13 @@ def test_an_edit_in_the_checkout_is_the_change_side(tmp_path):
         assert row["verdict"] == "better"
         assert (row["ahead"], row["pairs"]) == (6, 6)
         assert row["ratio"] == pytest.approx(1.5, rel=0.03)
+        assert len(row["pair_ratios"]) == 6
+        assert row["pair_ratio_median"] == pytest.approx(1.5, rel=0.03)
+        lo, hi = row["pair_ratio_range"]
+        assert 1.45 < lo <= row["pair_ratio_median"] <= hi < 1.55
     assert "serve-b" in proc.stdout and "better (0.25)" in proc.stdout
+    assert "pair ratios [range]" in proc.stdout
+    assert f"{row['pair_ratio_median']:.3f} [{lo:.3f}, {hi:.3f}]" in proc.stdout
 
 
 def test_a_failed_operation_stops_the_comparison(tmp_path):
@@ -189,6 +195,24 @@ def test_wide_runs_that_never_overlap_still_get_a_verdict():
                                [200.0, 260.0, 230.0, 210.0, 250.0], "higher", 0.25)
     assert max(row["base_spread"], row["change_spread"]) > 0.25
     assert row["verdict"] == "better"
+
+
+def test_per_pair_ratios_cancel_a_load_that_hits_both_runs_of_a_pair():
+    # Pair 3 ran on a loaded host: both of its runs read low.  The change
+    # is 10 % faster in every pair, which the per-pair ratios show exactly
+    # while the wide spreads leave the verdict on the medians unresolved.
+    base = [100.0, 102.0, 60.0, 101.0, 99.0, 100.0]
+    change = [110.0, 112.2, 66.0, 111.1, 108.9, 110.0]
+    row = _load_tool().compare(base, change, "higher", 0.25)
+    assert row["pair_ratios"] == pytest.approx([1.1] * 6)
+    assert row["pair_ratio_median"] == pytest.approx(1.1)
+    assert row["pair_ratio_range"] == pytest.approx([1.1, 1.1])
+    assert row["ratio"] == pytest.approx(1.1)
+    assert row["verdict"] == "unresolved"
+    # A zero base run has no ratio; the summary skips it.
+    row = _load_tool().compare([0.0, 2.0, 4.0], [1.0, 3.0, 2.0], "lower", 0.2)
+    assert row["pair_ratios"] == [None, 1.5, 0.5]
+    assert row["pair_ratio_median"] == 1.0 and row["pair_ratio_range"] == [0.5, 1.5]
 
 
 @pytest.mark.parametrize("pairs", [1, 2, 3, 4])

@@ -20,10 +20,13 @@ with an odd count the base side would take the first slot once more,
 and a run's place in its pair moves some metrics (``train-isasgd``
 throughput reads higher in the first slot).  Any run that fails, or reports a
 failed operation, stops the comparison.  Per workload and end-to-end
-metric the tool prints both medians, their ratio (change / base), in how
-many pairs the change read better (ties count for neither) and each
-side's spread, ``(max - min) / median``.  Each metric gets a verdict
-against its ``BENCHMARK.json`` bound, a relative change:
+metric the tool prints both medians, their ratio (change / base), the
+median and range of the per-pair ratios (change / base within each pair;
+host load that hits both runs of one pair cancels in them), in how many
+pairs the change read better (ties count for neither) and each side's
+spread, ``(max - min) / median``.  Each metric gets a verdict against its
+``BENCHMARK.json`` bound, a relative change, from the medians and runs
+alone (the per-pair ratios do not enter it):
 
 * ``better`` / ``worse`` -- the change's median is better / worse than the
   base's by more than the bound, and no run of one side reads as well as
@@ -106,6 +109,8 @@ def compare(base: List[float], change: List[float], better: str, bound: float) -
         gain = sign * (change_med - base_med) / abs(base_med)
     else:
         gain = 0.0 if change_med == 0 else sign * math.copysign(math.inf, change_med)
+    pair_ratios = [c / b if b else None for b, c in zip(base, change)]
+    defined = [r for r in pair_ratios if r is not None]
     spreads = (_spread(base), _spread(change))
     separated = (min(sign * c for c in change) > max(sign * b for b in base)
                  or max(sign * c for c in change) < min(sign * b for b in base))
@@ -119,6 +124,9 @@ def compare(base: List[float], change: List[float], better: str, bound: float) -
         "base_median": base_med,
         "change_median": change_med,
         "ratio": change_med / base_med if base_med else None,
+        "pair_ratios": pair_ratios,
+        "pair_ratio_median": statistics.median(defined) if defined else None,
+        "pair_ratio_range": [min(defined), max(defined)] if defined else None,
         "ahead": ahead,
         "pairs": len(base),
         "base_spread": spreads[0],
@@ -135,12 +143,16 @@ def compare(base: List[float], change: List[float], better: str, bound: float) -
 
 def _print_table(workload: str, rows: Dict[str, dict]) -> None:
     print(f"\n{workload}")
-    print(f"  {'metric':<18} {'base':>12} {'change':>12} {'ratio':>7} {'ahead':>7} "
-          f"{'spread b/c':>13}  verdict (bound)")
+    print(f"  {'metric':<18} {'base':>12} {'change':>12} {'ratio':>7} "
+          f"{'pair ratios [range]':>23} {'ahead':>7} {'spread b/c':>13}  verdict (bound)")
     for name, row in rows.items():
         ratio = "n/a" if row["ratio"] is None else f"{row['ratio']:.3f}"
+        pairs = "n/a"
+        if row["pair_ratio_median"] is not None:
+            lo, hi = row["pair_ratio_range"]
+            pairs = f"{row['pair_ratio_median']:.3f} [{lo:.3f}, {hi:.3f}]"
         print(f"  {name:<18} {row['base_median']:>12.6g} {row['change_median']:>12.6g} "
-              f"{ratio:>7} {row['ahead']:>3}/{row['pairs']:<3} "
+              f"{ratio:>7} {pairs:>23} {row['ahead']:>3}/{row['pairs']:<3} "
               f"{row['base_spread']:>6.3f}/{row['change_spread']:<6.3f}  "
               f"{row['verdict']} ({row['bound']:g})")
 
