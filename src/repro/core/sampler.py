@@ -70,7 +70,7 @@ class AliasSampler:
         small = np.nonzero(scaled < 1.0)[0]
         large = np.nonzero(scaled >= 1.0)[0]
         if self.n < VECTORIZED_BUILD_MIN_N:
-            self._build_sequential(scaled, small.tolist(), large.tolist())
+            self._build_sequential(scaled, list(small), list(large))
             return
         rounds = 0
         max_rounds = 64 + 2 * int(np.ceil(np.log2(self.n + 1)))
@@ -95,36 +95,27 @@ class AliasSampler:
             small = large[~still_large]
             large = large[still_large]
         if small.size and large.size:  # pragma: no cover - adversarial guard
-            self._build_sequential(scaled, small.tolist(), large.tolist())
+            self._build_sequential(scaled, list(small), list(large))
             return
         for remaining in (*large, *small):
             prob[remaining] = 1.0
             alias[remaining] = remaining
 
     def _build_sequential(self, scaled: np.ndarray, small: List[int], large: List[int]) -> None:
-        """Classic one-pair-per-iteration Vose construction (small n, and fallback).
-
-        The loop runs on Python floats and lists, which round exactly as
-        float64 scalars do, and writes both tables once at the end.
-        """
-        scaled_list = scaled.tolist()
-        prob = self._prob_table.tolist()
-        alias = self._alias_table.tolist()
+        """Classic one-pair-per-iteration Vose construction (small n, and fallback)."""
         while small and large:
             s = small.pop()
             l = large.pop()
-            prob[s] = scaled_list[s]
-            alias[s] = l
-            scaled_list[l] = (scaled_list[l] + scaled_list[s]) - 1.0
-            if scaled_list[l] < 1.0:
+            self._prob_table[s] = scaled[s]
+            self._alias_table[s] = l
+            scaled[l] = (scaled[l] + scaled[s]) - 1.0
+            if scaled[l] < 1.0:
                 small.append(l)
             else:
                 large.append(l)
         for remaining in (*large, *small):
-            prob[remaining] = 1.0
-            alias[remaining] = remaining
-        self._prob_table[:] = prob
-        self._alias_table[:] = alias
+            self._prob_table[remaining] = 1.0
+            self._alias_table[remaining] = remaining
 
     def draw(self) -> int:
         """Draw a single index from the distribution."""

@@ -27,7 +27,6 @@ per call.
 
 from __future__ import annotations
 
-import threading
 from typing import Optional, Tuple
 
 import numpy as np
@@ -93,9 +92,6 @@ class NativeKernel(VectorizedKernel):
         # Raises NativeBuildError when no compiler/cached build is available;
         # the registry factory catches it and falls back to vectorized.
         self._ffi, self._lib = builder.load_native_lib()
-        # Per-thread buffers run_shared_block keeps between calls: the
-        # shared instance may be called from several threads at once.
-        self._scratch = threading.local()
 
     # ------------------------------------------------------------------ #
     # Dispatch plumbing
@@ -365,12 +361,9 @@ class NativeKernel(VectorizedKernel):
         _check_size(write_clock, X.n_cols, "write_clock")
         _check_range_bounds(bounds_arr, range_writes.size, X.n_cols)
         nnz = int((X.indptr[rows_arr + 1] - X.indptr[rows_arr]).sum())
-        slot = getattr(self._scratch, "slot", None)
-        if slot is None or slot.size < X.n_cols:
-            # The C loop trusts no slot value it has not checked, so this
-            # per-thread scratch is never cleared between calls.
-            slot = self._scratch.slot = np.empty(X.n_cols, dtype=np.int32)
         margins_buf = np.empty(rows_arr.size, dtype=np.float64)
+        table_bits = max(2 * nnz - 1, 1).bit_length()     # 2**bits >= 2 nnz
+        table = np.full(1 << table_bits, -1, dtype=np.int32)
         uniq = np.empty(nnz, dtype=np.int32)
         sums = np.empty(nnz, dtype=np.float64)
         tally = np.zeros(range_writes.size, dtype=np.int64)
@@ -383,8 +376,8 @@ class NativeKernel(VectorizedKernel):
         self._lib.repro_run_shared_block(
             obj_id, has_reg, r1, r2, indptr, indices, data, y_ptr,
             rows_arr.size, ffi.from_buffer("int64_t[]", rows_arr), scales_ptr,
-            ffi.from_buffer("double[]", margins_buf), ffi.from_buffer("int32_t[]", slot),
-            ffi.from_buffer("int32_t[]", uniq), ffi.from_buffer("double[]", sums),
+            ffi.from_buffer("double[]", margins_buf), ffi.from_buffer("int32_t[]", table),
+            table_bits, ffi.from_buffer("int32_t[]", uniq), ffi.from_buffer("double[]", sums),
             w_ptr, int(worker_id), int(t_read), progress.size, progress_ptr,
             last_writer_ptr, write_clock_ptr, bounds_arr.size - 1, bounds_ptr,
             ffi.from_buffer("int64_t[]", tally), range_writes_ptr,

@@ -69,13 +69,13 @@ void repro_run_shared_block(int obj_id, int has_reg, double r1, double r2,
                             const double *data, const double *y,
                             int64_t n_steps, const int64_t *rows,
                             const double *scales, double *margins_buf,
-                            int32_t *slot, int32_t *uniq, double *sums,
-                            double *w, int32_t wid, int64_t t_read,
-                            int64_t n_workers, const int64_t *progress,
-                            int32_t *last_writer, int64_t *write_clock,
-                            int64_t n_ranges, const int64_t *bounds,
-                            int64_t *tally_buf, int64_t *range_writes,
-                            int64_t *out);
+                            int32_t *table, int table_bits, int32_t *uniq,
+                            double *sums, double *w, int32_t wid,
+                            int64_t t_read, int64_t n_workers,
+                            const int64_t *progress, int32_t *last_writer,
+                            int64_t *write_clock, int64_t n_ranges,
+                            const int64_t *bounds, int64_t *tally_buf,
+                            int64_t *range_writes, int64_t *out);
 """
 
 SOURCE = """
@@ -308,25 +308,25 @@ static int64_t repro_range_of(int64_t n_ranges, const int64_t *bounds, int64_t j
    then the stamps: write_clock = t_write, last_writer = wid and one tally
    per entry in its coordinate range.  out = {t_write, conflicts, nnz}.
 
-   Every shared write moves a cache line between the cores of the workers
-   that touch it, so the block writes each coordinate once: the deltas of
-   a coordinate are summed first, in a sparse set over the n_uniq distinct
-   coordinates seen so far (uniq[s] == j exactly when j has sum s; slot[j]
-   holds any value and is trusted only after that check, so it needs no
-   initialisation), and the tallies gather in the zeroed tally_buf.
-   uniq and sums hold nnz entries, slot one per coordinate. */
+   Peers write the same hot coordinates, and every store to a line a peer
+   holds moves it between their cores, so the block sums a coordinate's
+   deltas first and writes each weight and stamp once: sums[s] belongs to
+   coordinate uniq[s], found through an open-addressing table of
+   2^table_bits slots (at least 2 nnz, all -1 on entry).  The tallies
+   gather in the zeroed tally_buf and reach range_writes once, since the
+   workers' tally rows share cache lines. */
 void repro_run_shared_block(int obj_id, int has_reg, double r1, double r2,
                             const int32_t *indptr, const int32_t *indices,
                             const double *data, const double *y,
                             int64_t n_steps, const int64_t *rows,
                             const double *scales, double *margins_buf,
-                            int32_t *slot, int32_t *uniq, double *sums,
-                            double *w, int32_t wid, int64_t t_read,
-                            int64_t n_workers, const int64_t *progress,
-                            int32_t *last_writer, int64_t *write_clock,
-                            int64_t n_ranges, const int64_t *bounds,
-                            int64_t *tally_buf, int64_t *range_writes,
-                            int64_t *out)
+                            int32_t *table, int table_bits, int32_t *uniq,
+                            double *sums, double *w, int32_t wid,
+                            int64_t t_read, int64_t n_workers,
+                            const int64_t *progress, int32_t *last_writer,
+                            int64_t *write_clock, int64_t n_ranges,
+                            const int64_t *bounds, int64_t *tally_buf,
+                            int64_t *range_writes, int64_t *out)
 {
     for (int64_t t = 0; t < n_steps; ++t) {
         int64_t i = rows[t];
@@ -335,6 +335,7 @@ void repro_run_shared_block(int obj_id, int has_reg, double r1, double r2,
             acc += data[k] * w[indices[k]];
         margins_buf[t] = acc;
     }
+    const uint64_t mask = ((uint64_t)1 << table_bits) - 1;
     int64_t nnz = 0, n_uniq = 0;
     for (int64_t t = 0; t < n_steps; ++t) {
         int64_t i = rows[t];
@@ -344,11 +345,14 @@ void repro_run_shared_block(int obj_id, int has_reg, double r1, double r2,
             int32_t j = indices[k];
             double delta = scale * (coef * data[k]
                                     + repro_reg_grad(has_reg, r1, r2, w[j]));
-            int32_t s = slot[j];
-            if (s >= 0 && s < n_uniq && uniq[s] == j) {
+            uint64_t h = ((uint64_t)(uint32_t)j * 0x9E3779B97F4A7C15ull) >> (64 - table_bits);
+            int32_t s;
+            while ((s = table[h]) >= 0 && uniq[s] != j)
+                h = (h + 1) & mask;
+            if (s >= 0) {
                 sums[s] += delta;
             } else {
-                slot[j] = (int32_t)n_uniq;
+                table[h] = (int32_t)n_uniq;
                 uniq[n_uniq] = j;
                 sums[n_uniq++] = delta;
             }

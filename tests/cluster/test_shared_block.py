@@ -126,31 +126,6 @@ def test_fused_block_measures_and_writes_like_the_composable_path(
         assert plain["range_writes"].tolist() == [6, 5, 2]
 
 
-@pytest.mark.parametrize("fill", ["zeros", "ascending", "negative", "random"])
-def test_fused_block_trusts_no_leftover_coordinate_slot(native, fill):
-    """native sums a coordinate's deltas through a per-thread slot table it
-    never clears; whatever an earlier call left there, a block measures and
-    writes as it does after a clean table."""
-    rule = make_rule("sgd", make_objective("logistic_l1", eta=1e-2), 0.1)
-    leftovers = {
-        "zeros": np.zeros(X.n_cols),
-        "ascending": np.arange(X.n_cols),
-        "negative": np.full(X.n_cols, -7),
-        "random": np.random.default_rng(0).integers(-2**31, 2**31 - 1, X.n_cols),
-    }
-    results = []
-    for slot in (np.full(X.n_cols, -1), leftovers[fill]):
-        native._scratch.slot = slot.astype(np.int32)
-        with ShmArena() as arena:
-            state = _arena(arena)
-            results.append((_run(native, rule, state),
-                            {k: np.array(v, copy=True) for k, v in state.items()}))
-    (clean, clean_state), (got, got_state) = results
-    assert got == clean
-    for name in clean_state:
-        assert got_state[name].tobytes() == clean_state[name].tobytes(), name
-
-
 @pytest.mark.parametrize("name", ["reference", "vectorized"])
 def test_pure_python_kernels_have_no_shared_block(name):
     kernel = make_backend(name)
